@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -27,14 +28,13 @@ from .errors import (
     UserParameterError,
 )
 from .experiment import run_scenario
-from .measurement import conditional_reduce
+from .measurement import reduce_pair
 from .params import (
     MeasurementSpec,
     PhysicalParams,
     auto_grid,
     config_from_json,
 )
-from .states import JointStateRecipe, build_joint_state, build_pointer_state
 from .verify import format_table, run_checks
 from .wavefunction import save_wavefunction
 
@@ -80,7 +80,8 @@ def _load_config(config_path: str):
         return None
     try:
         return config_from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as e:
         print(f"error: bad config: {e}", file=sys.stderr)
         return None
 
@@ -136,9 +137,7 @@ def _sweep_step(task: tuple) -> tuple:
         grid = auto_grid(params, ms, max_points=SWEEP_MAX_POINTS)
     except CapExceededError:
         grid = auto_grid(params, ms, max_points=SWEEP_MAX_POINTS_ESCALATED)
-    psi = build_joint_state(JointStateRecipe(params, grid, grid))
-    phi1 = build_pointer_state(ms, grid)
-    red = conditional_reduce(psi, phi1, params, ms.epsilon)
+    _, red = reduce_pair(params, ms, grid)
     dp2_initial = initial_spreads(params).dp2y
     return (value, red.dy2_closed, red.dp2_closed, red.dp2_numeric,
             dp2_initial, red.dp2_closed / dp2_initial)
@@ -172,9 +171,12 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
     center = ms.center if ms is not None else 0.0
     tasks = [(param, float(v), p.sigma, p.omega0, p.hbar, p.mass, base_eps, center)
              for v in values]
+    # The pool starts all its workers at once, so never ask for more than
+    # there are steps or cores.
+    workers = min(jobs, steps, os.cpu_count() or 1)
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_step, tasks))
         else:
             rows = [_sweep_step(t) for t in tasks]
@@ -226,13 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="space steps geometrically")
     sweep_p.add_argument("--out", required=True, help="output directory")
     sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="parallel sweep workers")
+                         help="parallel sweep workers (at most one per step "
+                              "and per core)")
 
     verify_p = sub.add_parser("verify", help="run the self-check battery")
-    verify_p.add_argument("--full", action="store_true",
-                          help="wide parameter box on 4096-point grids")
-    verify_p.add_argument("--quick", action="store_true",
-                          help="fast battery (default)")
+    level = verify_p.add_mutually_exclusive_group()
+    level.add_argument("--full", action="store_true",
+                       help="wide parameter box on 4096-point grids")
+    level.add_argument("--quick", action="store_true",
+                       help="fast battery (default)")
     return parser
 
 

@@ -291,7 +291,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         with _stage(timings, "schmidt"):
             numeric["schmidt_entropy"] = schmidt(psi).entropy
 
-    sampled = None
     if ms is not None:
         with _stage(timings, "reduce"):
             phi1 = build_pointer_state(ms, config.grid)
@@ -312,34 +311,27 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             with _stage(timings, "propagate"):
                 side_state = free_propagate(side_state, ep)
             states["detector"] = side_state
-        if config.n_samples > 0:
-            with _stage(timings, "sample"):
-                samples = sample_positions(side_state, config.n_samples, config.seed)
-                hist = histogram(samples, config.detector)
-                dens = np.abs(side_state.amps) ** 2
-                ks_stat, ks_p = ks_against_density(samples, side_state.grid, dens)
-            sampled = {
-                "n": config.n_samples,
-                "side": config.detector.side,
-                "mean": float(np.mean(samples)),
-                "std": float(np.std(samples)),
-                "ks": {"statistic": ks_stat, "pvalue": ks_p},
-                "correlation": None,
-                "predicted_detector_width": gaussian_width_at(red.dy2_closed, ep),
-                "histogram": _histogram_dict(hist),
-            }
-    elif config.n_samples > 0:
-        # Coincidence mode: both particles sampled at the slit plane.
+
+    sampled = None
+    if config.n_samples > 0:
         with _stage(timings, "sample"):
-            pairs = sample_joint(psi, config.n_samples, config.seed)
-            column = 0 if config.detector.side == "A" else 1
-            samples = pairs[:, column]
+            if ms is not None:
+                # Slit mode: one particle at the detector plane on its side.
+                samples = sample_positions(side_state, config.n_samples, config.seed)
+                grid, dens = side_state.grid, np.abs(side_state.amps) ** 2
+                corr = None
+                predicted = gaussian_width_at(red.dy2_closed, ep)
+            else:
+                # Coincidence mode: both particles sampled at the slit plane.
+                pairs = sample_joint(psi, config.n_samples, config.seed)
+                particle = 1 if config.detector.side == "A" else 2
+                samples = pairs[:, particle - 1]
+                grid = psi.grid1 if particle == 1 else psi.grid2
+                dens = marginal_density(psi, particle)
+                corr = float(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1])
+                predicted = None
             hist = histogram(samples, config.detector)
-            particle = 1 if config.detector.side == "A" else 2
-            dens = marginal_density(psi, particle)
-            grid = psi.grid1 if particle == 1 else psi.grid2
             ks_stat, ks_p = ks_against_density(samples, grid, dens)
-            corr = float(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1])
         sampled = {
             "n": config.n_samples,
             "side": config.detector.side,
@@ -347,7 +339,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             "std": float(np.std(samples)),
             "ks": {"statistic": ks_stat, "pvalue": ks_p},
             "correlation": corr,
-            "predicted_detector_width": None,
+            "predicted_detector_width": predicted,
             "histogram": _histogram_dict(hist),
         }
 

@@ -9,6 +9,8 @@ a pure Gaussian whose width is the closed-form Ω of the analytic module.
 ``conditional_reduce`` computes the overlap integral numerically, normalizes,
 and records numeric and closed-form spreads side by side together with the
 worst pointwise deviation from the predicted Gaussian shape.
+``reduce_pair`` is the whole chain on one grid: build the pair, build the
+pointer, reduce.
 
 ``aperture_postselect`` models "slit but no detection": a transmission
 profile multiplies the y₁ dependence of the joint amplitude, the pass
@@ -25,7 +27,8 @@ import numpy as np
 
 from .analytic import reduced_spreads
 from .errors import GridMismatchError, ZeroNormError
-from .params import PhysicalParams
+from .params import GridSpec, MeasurementSpec, PhysicalParams
+from .states import JointStateRecipe, build_joint_state, build_pointer_state
 from .wavefunction import (
     NORM_FLOOR,
     WaveFunction1D,
@@ -111,6 +114,14 @@ def conditional_reduce(psi: WaveFunction2D, phi1: WaveFunction1D,
         dp2_closed=closed.dp2y,
         residual=residual,
     )
+
+
+def reduce_pair(params: PhysicalParams, measurement: MeasurementSpec,
+                grid: GridSpec) -> tuple[WaveFunction2D, ReductionResult]:
+    """Build the pair and the pointer on ``grid`` and reduce behind the pointer."""
+    psi = build_joint_state(JointStateRecipe(params, grid, grid))
+    phi1 = build_pointer_state(measurement, grid)
+    return psi, conditional_reduce(psi, phi1, params, measurement.epsilon)
 
 
 def aperture_postselect(psi: WaveFunction2D, profile: ApertureProfile) -> PostSelectionResult:

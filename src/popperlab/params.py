@@ -240,7 +240,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             v.append(f"{name} must be > 0 and finite")
 
     g = config.grid
-    if not isinstance(g.n_points, int) or g.n_points < MIN_GRID_POINTS:
+    points_ok = isinstance(g.n_points, int) and g.n_points >= MIN_GRID_POINTS
+    if not points_ok:
         v.append(f"n_points must be an integer >= {MIN_GRID_POINTS}")
     elif not _is_pow2(g.n_points):
         v.append("n_points must be a power of two")
@@ -276,7 +277,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     meas_ok = m is None or (_positive_finite(m.epsilon) and math.isfinite(m.center))
     time_ok = math.isfinite(config.evolution_time) and config.evolution_time >= 0
     if params_ok and grid_ok and meas_ok and time_ok:
-        max_scale, _, _ = _length_scales(p, m, config.evolution_time)
+        max_scale, _, true_min = _length_scales(p, m, config.evolution_time)
         extent = min(-g.y_min, g.y_max)
         from .analytic import initial_spreads
 
@@ -290,6 +291,13 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             v.append(
                 f"grid extent {extent:.6g} < {EXTENT_SIGMAS:g} x post-evolution "
                 f"width {max_scale:.6g}"
+            )
+        # The accuracy floor auto_grid enforces on degraded grids.
+        dy_cap = true_min / FLOOR_POINTS_PER_WIDTH
+        if points_ok and g.dy > dy_cap:
+            v.append(
+                f"grid spacing {g.dy:.6g} > narrowest width {true_min:.6g} / "
+                f"{FLOOR_POINTS_PER_WIDTH:g}; use more points or a smaller extent"
             )
     return ValidationReport(violations=tuple(v))
 

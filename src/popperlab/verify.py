@@ -27,7 +27,7 @@ from .experiment import (
     sample_joint,
     sample_positions,
 )
-from .measurement import conditional_reduce
+from .measurement import reduce_pair
 from .params import (
     DetectorGeometry,
     GridSpec,
@@ -96,9 +96,7 @@ def _reduction_sweep(level: _Level) -> list[dict]:
         eps = _log_uniform(gen, lo, hi)
         ms = MeasurementSpec(epsilon=eps)
         grid = auto_grid(params, ms, max_points=level.max_points)
-        psi = build_joint_state(JointStateRecipe(params, grid, grid))
-        phi1 = build_pointer_state(ms, grid)
-        red = conditional_reduce(psi, phi1, params, eps)
+        psi, red = reduce_pair(params, ms, grid)
         rows.append({
             "params": params,
             "eps": eps,
@@ -153,9 +151,7 @@ def _check_no_extra_spread(rows: list[dict], level: _Level) -> list[CheckRow]:
         eps = _log_uniform(gen, lo, hi)
         ms = MeasurementSpec(epsilon=eps)
         grid = auto_grid(params, ms, max_points=level.max_points)
-        psi = build_joint_state(JointStateRecipe(params, grid, grid))
-        phi1 = build_pointer_state(ms, grid)
-        red = conditional_reduce(psi, phi1, params, eps)
+        psi, red = reduce_pair(params, ms, grid)
         init_num = momentum_std_spectral(psi, particle=2)
         closed = reduced_spreads(params, eps)
         init_closed = initial_spreads(params).dp2y
@@ -170,7 +166,7 @@ def _check_fixed_point(level: _Level) -> list[CheckRow]:
     params = PhysicalParams(sigma=1.0, omega0=0.25)
     ms = MeasurementSpec(epsilon=0.3)
     grid = auto_grid(params, ms, max_points=level.max_points)
-    psi = build_joint_state(JointStateRecipe(params, grid, grid))
+    psi, red = reduce_pair(params, ms, grid)
     closed = reduced_spreads(params, ms.epsilon)
     dev = max(abs(closed.dp2y - math.sqrt(2.0)) / math.sqrt(2.0),
               abs(closed.dy2 - 0.5 / math.sqrt(2.0)) / (0.5 / math.sqrt(2.0)))
@@ -178,8 +174,6 @@ def _check_fixed_point(level: _Level) -> list[CheckRow]:
                        dev, 1e-9)]
     entropy = schmidt(psi).entropy
     rows.append(_bound_row("factorization point: entanglement entropy", entropy, 1e-6))
-    phi1 = build_pointer_state(ms, grid)
-    red = conditional_reduce(psi, phi1, params, ms.epsilon)
     marg = normalize(WaveFunction1D(grid=grid, amps=np.sqrt(marginal_density(psi, 2))))
     ref = np.abs(marg.amps)
     dev = float(np.max(np.abs(np.abs(red.phi2.amps) - ref)) / np.max(ref))
@@ -252,9 +246,7 @@ def _check_sampling(level: _Level) -> list[CheckRow]:
     params = PhysicalParams(sigma=1.0, omega0=2.0)
     ms = MeasurementSpec(epsilon=0.5)
     grid = auto_grid(params, ms, max_points=max(level.max_points, 1024))
-    psi = build_joint_state(JointStateRecipe(params, grid, grid))
-    phi1 = build_pointer_state(ms, grid)
-    red = conditional_reduce(psi, phi1, params, ms.epsilon)
+    psi, red = reduce_pair(params, ms, grid)
     n = level.n_samples
     samples = sample_positions(red.phi2, n, seed=20260814)
     grid_std = position_stats(red.phi2).std
@@ -284,23 +276,16 @@ def _check_convergence(level: _Level) -> list[CheckRow]:
     ms = MeasurementSpec(epsilon=0.5)
     base = auto_grid(params, ms, max_points=max(level.max_points, 512))
     fine = GridSpec(n_points=base.n_points * 2, y_min=base.y_min, y_max=base.y_max)
-    results = []
-    for grid in (base, fine):
-        psi = build_joint_state(JointStateRecipe(params, grid, grid))
-        phi1 = build_pointer_state(ms, grid)
-        red = conditional_reduce(psi, phi1, params, ms.epsilon)
-        results.append((position_stats(psi, 2).std,
-                        momentum_std_spectral(psi, particle=2),
-                        red.dy2_numeric, red.dp2_numeric))
-    drift = max(abs(a - b) / abs(b) for a, b in zip(results[0], results[1]))
+    runs = [reduce_pair(params, ms, grid) for grid in (base, fine)]
+    spreads = [(position_stats(psi, 2).std, momentum_std_spectral(psi, particle=2),
+                red.dy2_numeric, red.dp2_numeric) for psi, red in runs]
+    drift = max(abs(a - b) / abs(b) for a, b in zip(*spreads))
     rows = [_bound_row("doubling the resolution leaves spreads fixed (rel)",
                        drift, 1e-6)]
-    psi = build_joint_state(JointStateRecipe(params, base, base))
-    phi1 = build_pointer_state(ms, base)
-    red = conditional_reduce(psi, phi1, params, ms.epsilon)
+    psi, red = runs[0]
+    dp2_spectral = spreads[0][1]
     dev = max(
-        abs(momentum_std_derivative(psi, particle=2) - momentum_std_spectral(psi, particle=2))
-        / momentum_std_spectral(psi, particle=2),
+        abs(momentum_std_derivative(psi, particle=2) - dp2_spectral) / dp2_spectral,
         abs(momentum_std_derivative(red.phi2) - momentum_std_spectral(red.phi2))
         / momentum_std_spectral(red.phi2),
     )

@@ -22,6 +22,7 @@ bounds, then interleaved (re, im) f64 amplitudes in row-major order.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -65,25 +66,36 @@ def wavenumbers(grid: GridSpec) -> np.ndarray:
     return k
 
 
+def _frozen_amps(amps, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only view of ``amps``: float64 if real, complex128 if complex.
+
+    Arrays already of that dtype are not copied; the caller's own array
+    keeps its flags, only the view held by the state is frozen, so a caller
+    that writes to its array afterwards changes the state too.
+    """
+    a = np.asarray(amps)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False).view()
+    if a.shape != shape:
+        raise ValueError(f"amps shape {a.shape} != {shape}")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class WaveFunction1D:
-    """Complex amplitudes on a 1D grid.  Treat as immutable."""
+    """Real or complex amplitudes on a 1D grid.  Treat as immutable."""
 
     grid: GridSpec
     amps: np.ndarray
     norm_tag: float | None = None
 
     def __post_init__(self):
-        a = np.array(self.amps, dtype=np.complex128)
-        if a.shape != (self.grid.n_points,):
-            raise ValueError(f"amps shape {a.shape} != ({self.grid.n_points},)")
-        a.flags.writeable = False
-        object.__setattr__(self, "amps", a)
+        object.__setattr__(self, "amps", _frozen_amps(self.amps, (self.grid.n_points,)))
 
 
 @dataclass(frozen=True)
 class WaveFunction2D:
-    """Complex amplitudes on the tensor grid (y₁ rows, y₂ columns)."""
+    """Real or complex amplitudes on the tensor grid (y₁ rows, y₂ columns)."""
 
     grid1: GridSpec
     grid2: GridSpec
@@ -91,14 +103,8 @@ class WaveFunction2D:
     norm_tag: float | None = None
 
     def __post_init__(self):
-        a = np.array(self.amps, dtype=np.complex128)
-        if a.shape != (self.grid1.n_points, self.grid2.n_points):
-            raise ValueError(
-                f"amps shape {a.shape} != "
-                f"({self.grid1.n_points}, {self.grid2.n_points})"
-            )
-        a.flags.writeable = False
-        object.__setattr__(self, "amps", a)
+        shape = (self.grid1.n_points, self.grid2.n_points)
+        object.__setattr__(self, "amps", _frozen_amps(self.amps, shape))
 
 
 class PositionStats(NamedTuple):
@@ -111,15 +117,44 @@ class MomentumStats(NamedTuple):
     std: float
 
 
+class _AxisView(NamedTuple):
+    """One particle's coordinate axis within a 1D or 2D state."""
+
+    grids: tuple[GridSpec, ...]
+    axis: int
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.grids[self.axis]
+
+    def marginal(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoid-integrate ``values`` over every axis except this one."""
+        if len(self.grids) == 1:
+            return values
+        other_w = trap_weights(self.grids[1 - self.axis])
+        return values @ other_w if self.axis == 0 else other_w @ values
+
+    def integral(self, values: np.ndarray):
+        """Trapezoid-integrate ``values`` over every axis."""
+        return np.sum(trap_weights(self.grid) * self.marginal(values))
+
+
+def _axis_view(wf: WaveFunction1D | WaveFunction2D,
+               particle: int | None = None) -> _AxisView:
+    """The axis of ``particle``; a 1D state has one axis and ignores it."""
+    if isinstance(wf, WaveFunction1D):
+        return _AxisView((wf.grid,), 0)
+    if particle is None:
+        raise ValueError("particle required for a 2D state")
+    if particle not in (1, 2):
+        raise ValueError("particle must be 1 or 2")
+    return _AxisView((wf.grid1, wf.grid2), particle - 1)
+
+
 def norm(wf: WaveFunction1D | WaveFunction2D) -> float:
     """L² norm under trapezoid quadrature."""
-    if isinstance(wf, WaveFunction1D):
-        total = np.sum(trap_weights(wf.grid) * np.abs(wf.amps) ** 2)
-    else:
-        w1 = trap_weights(wf.grid1)
-        w2 = trap_weights(wf.grid2)
-        total = w1 @ (np.abs(wf.amps) ** 2) @ w2
-    return float(np.sqrt(total))
+    # The full integral does not depend on which axis the view is taken on.
+    return float(np.sqrt(_axis_view(wf, 1).integral(np.abs(wf.amps) ** 2)))
 
 
 def normalize(wf: WaveFunction1D | WaveFunction2D):
@@ -127,38 +162,21 @@ def normalize(wf: WaveFunction1D | WaveFunction2D):
     n = norm(wf)
     if n < NORM_FLOOR:
         raise ZeroNormError(f"norm {n:.3g} below {NORM_FLOOR:g}")
-    if isinstance(wf, WaveFunction1D):
-        return WaveFunction1D(grid=wf.grid, amps=wf.amps / n, norm_tag=n)
-    return WaveFunction2D(grid1=wf.grid1, grid2=wf.grid2, amps=wf.amps / n, norm_tag=n)
-
-
-def _axis_grid(wf: WaveFunction2D, particle: int) -> tuple[GridSpec, int]:
-    if particle not in (1, 2):
-        raise ValueError("particle must be 1 or 2")
-    return (wf.grid1, 0) if particle == 1 else (wf.grid2, 1)
+    return dataclasses.replace(wf, amps=wf.amps / n, norm_tag=n)
 
 
 def marginal_density(wf: WaveFunction2D, particle: int) -> np.ndarray:
     """|ψ|² integrated over the other particle's coordinate."""
-    grid, axis = _axis_grid(wf, particle)
-    other_w = trap_weights(wf.grid2 if particle == 1 else wf.grid1)
-    dens = np.abs(wf.amps) ** 2
-    return dens @ other_w if axis == 0 else other_w @ dens
+    return _axis_view(wf, particle).marginal(np.abs(wf.amps) ** 2)
 
 
 def position_stats(wf: WaveFunction1D | WaveFunction2D,
                    particle: int | None = None) -> PositionStats:
     """Mean and standard deviation of position under |ψ|² quadrature."""
-    if isinstance(wf, WaveFunction1D):
-        grid = wf.grid
-        dens = np.abs(wf.amps) ** 2
-    else:
-        if particle is None:
-            raise ValueError("particle required for a 2D state")
-        grid, _ = _axis_grid(wf, particle)
-        dens = marginal_density(wf, particle)
-    y = grid_points(grid)
-    w = trap_weights(grid)
+    view = _axis_view(wf, particle)
+    dens = view.marginal(np.abs(wf.amps) ** 2)
+    y = grid_points(view.grid)
+    w = trap_weights(view.grid)
     total = np.sum(w * dens)
     mean = float(np.sum(w * y * dens) / total)
     var = float(np.sum(w * (y - mean) ** 2 * dens) / total)
@@ -171,11 +189,7 @@ def tail_ratio(wf: WaveFunction1D | WaveFunction2D) -> float:
     peak = float(a.max())
     if peak == 0.0:
         return 0.0
-    if isinstance(wf, WaveFunction1D):
-        edge = max(float(a[0]), float(a[-1]))
-    else:
-        edge = max(float(a[0, :].max()), float(a[-1, :].max()),
-                   float(a[:, 0].max()), float(a[:, -1].max()))
+    edge = max(float(np.take(a, (0, -1), axis=axis).max()) for axis in range(a.ndim))
     return edge / peak
 
 
@@ -201,18 +215,10 @@ def momentum_stats_spectral(wf: WaveFunction1D | WaveFunction2D,
                             hbar: float = 1.0) -> MomentumStats:
     """Momentum mean and spread from the FFT momentum distribution."""
     _require_tails(wf)
-    if isinstance(wf, WaveFunction1D):
-        grid = wf.grid
-        psit = np.fft.fft(wf.amps) * grid.dy / math.sqrt(2.0 * math.pi)
-        pk = np.abs(psit) ** 2
-    else:
-        if particle is None:
-            raise ValueError("particle required for a 2D state")
-        grid, axis = _axis_grid(wf, particle)
-        other_w = trap_weights(wf.grid2 if particle == 1 else wf.grid1)
-        psit = np.fft.fft(wf.amps, axis=axis) * grid.dy / math.sqrt(2.0 * math.pi)
-        dens = np.abs(psit) ** 2
-        pk = dens @ other_w if axis == 0 else other_w @ dens
+    view = _axis_view(wf, particle)
+    grid = view.grid
+    psit = np.fft.fft(wf.amps, axis=view.axis) * grid.dy / math.sqrt(2.0 * math.pi)
+    pk = view.marginal(np.abs(psit) ** 2)
     k = wavenumbers(grid)
     dk = 2.0 * math.pi / (grid.n_points * grid.dy)
     return _momentum_moments_from_dist(k, pk, dk, hbar)
@@ -249,27 +255,14 @@ def momentum_stats_derivative(wf: WaveFunction1D | WaveFunction2D,
     beyond the input state.
     """
     _require_tails(wf)
-    if isinstance(wf, WaveFunction1D):
-        a = wf.amps
-        h = wf.grid.dy
-        w = trap_weights(wf.grid)
-        d1 = _fd_first(a, h)
-        d2 = _fd_second(a, h)
-        total = float(np.sum(w * np.abs(a) ** 2))
-        p1 = float(np.real(np.sum(w * np.conj(a) * (-1j * hbar) * d1)) / total)
-        p2 = float(np.real(np.sum(w * np.conj(a) * (-(hbar ** 2)) * d2)) / total)
-    else:
-        if particle is None:
-            raise ValueError("particle required for a 2D state")
-        grid, axis = _axis_grid(wf, particle)
-        a = wf.amps
-        h = grid.dy
-        w_full = np.outer(trap_weights(wf.grid1), trap_weights(wf.grid2))
-        d1 = _fd_first(a, h, axis=axis)
-        d2 = _fd_second(a, h, axis=axis)
-        total = float(np.sum(w_full * np.abs(a) ** 2))
-        p1 = float(np.real(np.sum(w_full * np.conj(a) * (-1j * hbar) * d1)) / total)
-        p2 = float(np.real(np.sum(w_full * np.conj(a) * (-(hbar ** 2)) * d2)) / total)
+    view = _axis_view(wf, particle)
+    a = wf.amps
+    h = view.grid.dy
+    d1 = _fd_first(a, h, axis=view.axis)
+    d2 = _fd_second(a, h, axis=view.axis)
+    total = float(view.integral(np.abs(a) ** 2))
+    p1 = float(np.real(view.integral(np.conj(a) * (-1j * hbar) * d1)) / total)
+    p2 = float(np.real(view.integral(np.conj(a) * (-(hbar ** 2)) * d2)) / total)
     var = max(p2 - p1 ** 2, 0.0)
     return MomentumStats(mean=p1, std=math.sqrt(var))
 
@@ -320,7 +313,7 @@ def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,
     route to the same observable, deliberately independent of the marginal
     shortcuts above; it also covers genuinely mixed reductions.
     """
-    grid, axis = _axis_grid(wf, particle)
+    grid = _axis_view(wf, particle).grid
     n = grid.n_points
     if n > DENSITY_MATRIX_MAX_POINTS:
         raise MemoryBoundError(
@@ -343,17 +336,18 @@ def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,
 
 
 def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
-    """Write the little-endian EPWF container (see module docstring)."""
-    if isinstance(wf, WaveFunction1D):
-        n1, n2 = wf.grid.n_points, 0
-        bounds = (wf.grid.y_min, wf.grid.y_max, 0.0, 0.0)
-    else:
-        n1, n2 = wf.grid1.n_points, wf.grid2.n_points
-        bounds = (wf.grid1.y_min, wf.grid1.y_max, wf.grid2.y_min, wf.grid2.y_max)
+    """Write the little-endian EPWF container (see module docstring).
+
+    Real states are widened to complex128 on the way out.
+    """
+    # A 1D state pads the second axis with n₂ = 0 and zero bounds.
+    grids = _axis_view(wf, 1).grids
+    sizes = [g.n_points for g in grids] + [0]
+    bounds = [b for g in grids for b in (g.y_min, g.y_max)] + [0.0, 0.0]
     payload = np.ascontiguousarray(wf.amps, dtype=np.dtype("<c16"))
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", _MAGIC, _VERSION, n1, n2))
-        f.write(struct.pack("<4d", *bounds))
+        f.write(struct.pack("<4sIII", _MAGIC, _VERSION, *sizes[:2]))
+        f.write(struct.pack("<4d", *bounds[:4]))
         f.write(payload.tobytes())
 
 

@@ -109,6 +109,18 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", params={"sigma": "wide"})
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("field,raw", [
+        ("detector", '{"n_bins": 48, "y_range": [-5.0]}'),
+        ("grid", '{"n_points": 1e400, "y_min": -16.2, "y_max": 16.2}'),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, field, raw):
+        path = tmp_path / "cfg.json"
+        write_config(path, **{field: "RAW"})
+        path.write_text(path.read_text().replace('"RAW"', raw))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: bad config" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_narrowing_slit_curve(self, tmp_path):
@@ -178,6 +190,35 @@ class TestSweep:
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("cores,workers", [(64, 3), (2, 2)])
+    def test_jobs_clamped_to_steps_and_cores(self, tmp_path, monkeypatch,
+                                             cores, workers):
+        # a pool forks all of its workers at once, so --jobs 5000 must not
+        # reach it; the fake pool starts no process
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        cfg = write_config(tmp_path / "cfg.json", n_samples=0)
+        code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
+                         "--from", "0.3", "--to", "0.6", "--steps", "3",
+                         "--jobs", "5000", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert started == [workers]
+
     def test_seventeen_digit_round_trip(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_samples=0)
         out = tmp_path / "out"
@@ -232,6 +273,12 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "checks passed" in proc.stdout
         assert "FAIL" not in proc.stdout
+
+    def test_quick_and_full_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--quick", "--full"])
+        assert err.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_table_lists_every_check(self, capsys):
         assert cli.main(["verify"]) == 0

@@ -64,6 +64,7 @@ class TestFreePropagation:
     def test_unitary(self):
         moved = free_propagate(packet(), EvolutionParams(time=1.5))
         assert norm(moved) == pytest.approx(1.0, rel=1e-12)
+        assert moved.amps.dtype == np.complex128
 
     def test_t_zero_is_identity(self):
         wf = packet()

@@ -55,6 +55,7 @@ class TestConditionalReduce:
         p, psi, phi1 = setup_reduction(1.0, 2.0, 0.5)
         red = conditional_reduce(psi, phi1, p, 0.5)
         assert norm(red.phi2) == pytest.approx(1.0, rel=1e-12)
+        assert red.phi2.amps.dtype == np.float64
 
     def test_gaussian_shape_residual(self):
         p, psi, phi1 = setup_reduction(1.0, 2.0, 0.5)

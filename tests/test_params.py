@@ -84,6 +84,13 @@ class TestValidate:
         report = validate(cfg)
         assert any("post-evolution" in v for v in report.violations)
 
+    def test_under_resolved_grid_flagged(self):
+        # dy ~ 0.51 cannot resolve the conditional width 1/2sigma = 0.05;
+        # left unflagged, run reported dp2 = 3.57 against the closed-form 10.0
+        cfg = make_config(params=PhysicalParams(sigma=10.0, omega0=2.0),
+                          grid=GridSpec(n_points=64, y_min=-16.0, y_max=16.0))
+        assert any("grid spacing" in v for v in validate(cfg).violations)
+
     def test_detector_rules(self):
         cfg = make_config(detector=DetectorGeometry(n_bins=4, y_range=(-1.0, 1.0)))
         assert any("n_bins" in v for v in validate(cfg).violations)

@@ -53,6 +53,7 @@ class TestBuildJointState:
         g = GridSpec(n_points=256, y_min=-10.0, y_max=10.0)
         psi = build_joint_state(JointStateRecipe(PhysicalParams(1.0, 1.0), g, g))
         assert norm(psi) == pytest.approx(1.0, rel=1e-12)
+        assert psi.amps.dtype == np.float64
         assert np.all(psi.amps.imag == 0.0)
         assert np.all(psi.amps.real >= 0.0)
 
@@ -68,6 +69,7 @@ class TestPointer:
     def test_width_is_epsilon(self):
         g = GridSpec(n_points=1024, y_min=-8.0, y_max=8.0)
         phi = build_pointer_state(MeasurementSpec(epsilon=0.5), g)
+        assert phi.amps.dtype == np.float64
         st = position_stats(phi)
         assert st.std == pytest.approx(0.5, rel=1e-12)
         assert st.mean == pytest.approx(0.0, abs=1e-13)

@@ -71,6 +71,14 @@ class TestNormalization:
         with pytest.raises(ValueError):
             wf.amps[0] = 1.0
 
+    def test_real_amps_are_a_frozen_view(self):
+        raw = np.exp(-grid_points(GRID) ** 2)
+        wf = WaveFunction1D(grid=GRID, amps=raw)
+        assert wf.amps.dtype == np.float64
+        assert np.shares_memory(wf.amps, raw)
+        assert not wf.amps.flags.writeable
+        assert raw.flags.writeable
+
 
 class TestPositionStats:
     def test_gaussian_moments(self):
@@ -202,6 +210,9 @@ class TestContainerFormat:
         back = load_wavefunction(path)
         assert isinstance(back, WaveFunction2D)
         assert back.grid1 == psi.grid1 and back.grid2 == psi.grid2
+        # a real state is written, and read back, as complex128
+        assert psi.amps.dtype == np.float64
+        assert back.amps.dtype == np.complex128
         assert np.array_equal(back.amps, psi.amps)
 
     def test_header_layout(self, tmp_path):
