@@ -6,7 +6,10 @@ portable xoshiro generator, so a (config, seed) pair pins every count in the
 output bit-for-bit.  Coincidence runs sample the joint density by drawing y₁
 from its marginal and then y₂ from the conditional slice, blended linearly
 between the two neighbouring grid rows; the stream is consumed as n uniforms
-for the y₁ draws followed by n uniforms for the y₂ draws.
+for the y₁ draws followed by n uniforms for the y₂ draws.  That blended
+conditional CDF is never built: all draws bisect it together, evaluating it
+only at the O(log N) columns they probe, so n draws cost O(n log N) and give
+the same pairs, bit for bit, as inverting the whole row.
 
 ``run_scenario`` is the whole tabletop: build the pair, record closed-form
 and grid-measured spreads, optionally reduce behind the pointer, fly to the
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .analytic import (
     approx_dp2_strong_correlation,
@@ -49,7 +52,6 @@ from .wavefunction import (
 )
 
 SCHMIDT_MAX_POINTS = 2048
-_SAMPLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -118,26 +120,38 @@ def sample_joint(psi: WaveFunction2D, n: int, seed: int) -> np.ndarray:
     # Row-wise cumulative trapezoid along y2, one row per y1 grid line.
     seg = 0.5 * (dens[:, :-1] + dens[:, 1:]) * psi.grid2.dy
     rows = np.concatenate((np.zeros((dens.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
-    y2grid = grid_points(psi.grid2)
+    n2 = rows.shape[1]
+    flat = rows.ravel()
 
     gen = Xoshiro256StarStar(seed)
     u1 = gen.uniforms(n)
     u2 = gen.uniforms(n)
     out = np.empty((n, 2))
-    out[:, 0], idx1, frac1 = _invert_cdf(y1, c1, u1, psi.grid1.dy)
-    for lo in range(0, n, _SAMPLE_CHUNK):
-        hi = min(lo + _SAMPLE_CHUNK, n)
-        i = idx1[lo:hi]
-        f = frac1[lo:hi, None]
-        cond = rows[i, :] * (1.0 - f) + rows[i + 1, :] * f
-        total = cond[:, -1:]
-        total = np.where(total > 0, total, 1.0)
-        target = u2[lo:hi, None] * total
-        j = np.clip((cond <= target).sum(axis=1) - 1, 0, rows.shape[1] - 2)
-        take = np.arange(len(i))
-        denom = cond[take, j + 1] - cond[take, j]
-        frac2 = np.where(denom > 0, (target[:, 0] - cond[take, j]) / np.where(denom > 0, denom, 1.0), 0.0)
-        out[lo:hi, 1] = y2grid[j] + np.clip(frac2, 0.0, 1.0) * psi.grid2.dy
+    out[:, 0], i, f = _invert_cdf(y1, c1, u1, psi.grid1.dy)
+    lower, upper, g = i * n2, (i + 1) * n2, 1.0 - f
+
+    def cond(j):
+        """Each draw's blended conditional CDF, at its own column j only."""
+        return flat[lower + j] * g + flat[upper + j] * f
+
+    # A vanishing row needs no guard: target is then 0, every column counts,
+    # and the draw takes the last interior column with zero fraction.
+    target = u2 * cond(n2 - 1)
+    # A blend of two nondecreasing rows with weights in [0, 1] is itself
+    # nondecreasing under IEEE rounding, so the columns <= target form a
+    # prefix; bisection finds its length, the count the whole row would give.
+    count = np.zeros(n, dtype=np.intp)
+    step = 1 << (n2.bit_length() - 1)
+    while step:
+        probe = count + step
+        hit = (probe <= n2) & (cond(np.minimum(probe, n2) - 1) <= target)
+        count = np.where(hit, probe, count)
+        step >>= 1
+    j = np.clip(count - 1, 0, n2 - 2)
+    c_lo = cond(j)
+    denom = cond(j + 1) - c_lo
+    frac2 = np.where(denom > 0, (target - c_lo) / np.where(denom > 0, denom, 1.0), 0.0)
+    out[:, 1] = grid_points(psi.grid2)[j] + np.clip(frac2, 0.0, 1.0) * psi.grid2.dy
     return out
 
 
@@ -183,14 +197,18 @@ def chi_square_against_density(hist: DetectorHistogram, grid: GridSpec,
     exp = n_kept * p
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = int(keep.sum() - 1)
-    return stat, dof, float(sps.chi2.sf(stat, dof))
+    return stat, dof, float(special.chdtrc(dof, stat))
 
 
 def ks_against_density(samples: np.ndarray, grid: GridSpec,
                        density: np.ndarray) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value against the grid CDF."""
+    # Imported here: scipy.stats is most of the package's import time, and
+    # only sampled runs reach this function.
+    from scipy import stats
+
     y, c = cumulative_distribution(grid, density)
-    result = sps.ks_1samp(samples, lambda x: np.interp(x, y, c, left=0.0, right=1.0))
+    result = stats.ks_1samp(samples, lambda x: np.interp(x, y, c, left=0.0, right=1.0))
     return float(result.statistic), float(result.pvalue)
 
 

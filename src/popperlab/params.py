@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapExceededError
+from .errors import CapExceededError, UserParameterError
 
 MIN_GRID_POINTS = 64
 DEFAULT_MAX_POINTS = 2 ** 14
@@ -201,6 +201,18 @@ def _positive_finite(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
 
 
+def _physics_violations(params: PhysicalParams,
+                        measurement: MeasurementSpec | None) -> list[str]:
+    v = [f"{name} must be > 0 and finite" for name in ("sigma", "omega0", "hbar", "mass")
+         if not _positive_finite(getattr(params, name))]
+    if measurement is not None:
+        if not _positive_finite(measurement.epsilon):
+            v.append("epsilon must be > 0")
+        if not math.isfinite(measurement.center):
+            v.append("measurement center must be finite")
+    return v
+
+
 def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
                    evolution_time: float) -> tuple[float, float, float]:
     """(largest spread to contain, conservative feature proxy, true narrowest width).
@@ -208,36 +220,40 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     The proxy drives the 8-points target; the true widths drive the accuracy
     floor.  Both are needed: the proxy is intentionally pessimistic (ħ/4σ is
     ~2.8x below the actual conditional width ħ/√2σ of the pair amplitude).
+    Positive finite parameters can still overflow or underflow the closed
+    forms (σ = 1e300, Ω₀ = 1e-300); that raises ``UserParameterError``.
     """
     from .analytic import initial_spreads, reduced_spreads
     from .evolution import EvolutionParams, gaussian_width_at
 
-    sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
-    dy_init = initial_spreads(params).dy2
-    scales = [dy_init]
-    proxy = [hbar / (4.0 * sigma), omega0]
-    true_widths = [hbar / (2.0 * sigma), 2.0 * omega0]
-    ep = EvolutionParams(time=evolution_time, mass=params.mass, hbar=hbar)
-    if measurement is not None:
-        eps = measurement.epsilon
-        red = reduced_spreads(params, eps)
-        scales.append(red.dy2)
-        if evolution_time > 0:
-            scales.append(gaussian_width_at(red.dy2, ep))
-        proxy.append(eps)
-        true_widths.extend([eps, 1.0 / math.sqrt(2.0 * red.alpha), red.dy2])
-    elif evolution_time > 0:
-        scales.append(gaussian_width_at(dy_init, ep))
+    try:
+        sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
+        dy_init = initial_spreads(params).dy2
+        scales = [dy_init]
+        proxy = [hbar / (4.0 * sigma), omega0]
+        true_widths = [hbar / (2.0 * sigma), 2.0 * omega0]
+        ep = EvolutionParams(time=evolution_time, mass=params.mass, hbar=hbar)
+        if measurement is not None:
+            eps = measurement.epsilon
+            red = reduced_spreads(params, eps)
+            scales.append(red.dy2)
+            if evolution_time > 0:
+                scales.append(gaussian_width_at(red.dy2, ep))
+            proxy.append(eps)
+            true_widths.extend([eps, 1.0 / math.sqrt(2.0 * red.alpha), red.dy2])
+        elif evolution_time > 0:
+            scales.append(gaussian_width_at(dy_init, ep))
+    except ArithmeticError as e:
+        raise UserParameterError(f"parameters overflow the closed forms ({e})") from e
     return max(scales), min(proxy), min(true_widths)
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
     """Check a scenario for runnability; report every violation found."""
-    v: list[str] = []
     p = config.params
-    for name in ("sigma", "omega0", "hbar", "mass"):
-        if not _positive_finite(getattr(p, name)):
-            v.append(f"{name} must be > 0 and finite")
+    m = config.measurement
+    physics = _physics_violations(p, m)
+    v = list(physics)
 
     g = config.grid
     points_ok = isinstance(g.n_points, int) and g.n_points >= MIN_GRID_POINTS
@@ -247,13 +263,6 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         v.append("n_points must be a power of two")
     if not (math.isfinite(g.y_min) and math.isfinite(g.y_max) and g.y_max > g.y_min):
         v.append("grid must satisfy y_max > y_min with finite bounds")
-
-    m = config.measurement
-    if m is not None:
-        if not _positive_finite(m.epsilon):
-            v.append("epsilon must be > 0")
-        if not math.isfinite(m.center):
-            v.append("measurement center must be finite")
 
     if not (math.isfinite(config.evolution_time) and config.evolution_time >= 0):
         v.append("evolution_time must be >= 0 and finite")
@@ -272,12 +281,13 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         v.append("detector side must be 'A' or 'B'")
 
     # Relational checks need sane params and grid bounds.
-    params_ok = all(_positive_finite(getattr(p, n)) for n in ("sigma", "omega0", "hbar", "mass"))
     grid_ok = math.isfinite(g.y_min) and math.isfinite(g.y_max) and g.y_max > g.y_min
-    meas_ok = m is None or (_positive_finite(m.epsilon) and math.isfinite(m.center))
     time_ok = math.isfinite(config.evolution_time) and config.evolution_time >= 0
-    if params_ok and grid_ok and meas_ok and time_ok:
-        max_scale, _, true_min = _length_scales(p, m, config.evolution_time)
+    if not physics and grid_ok and time_ok:
+        try:
+            max_scale, _, true_min = _length_scales(p, m, config.evolution_time)
+        except UserParameterError as e:
+            return ValidationReport(violations=tuple(v + [str(e)]))
         extent = min(-g.y_min, g.y_max)
         from .analytic import initial_spreads
 
@@ -308,10 +318,14 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     """Choose a grid that contains and resolves every state of a scenario.
 
     Deterministic in its inputs.  Raises ``CapExceededError`` when even
-    ``max_points`` cannot hold 1.2 samples per narrowest physical width.
+    ``max_points`` cannot hold 1.2 samples per narrowest physical width, and
+    ``UserParameterError`` for parameters ``validate`` would reject.
     """
     if max_points < MIN_GRID_POINTS:
         raise ValueError(f"max_points must be >= {MIN_GRID_POINTS}")
+    violations = _physics_violations(params, measurement)
+    if violations:
+        raise UserParameterError("; ".join(violations))
     max_scale, proxy_min, true_min = _length_scales(params, measurement, evolution_time)
     center = abs(measurement.center) if measurement is not None else 0.0
     extent = AUTO_EXTENT_SIGMAS * max_scale + center

@@ -18,6 +18,8 @@ the randomness used.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -70,9 +72,24 @@ class Xoshiro256StarStar:
         return (self.next_u64() >> 11) * _DOUBLE_SCALE
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n consecutive uniform doubles in [0, 1), in stream order."""
-        out = np.empty(n)
-        nxt = self.next_u64
+        """n consecutive uniform doubles in [0, 1), in stream order.
+
+        The state steps on four local ints.  The ** scrambler reads s1 alone,
+        so the loop only records s1 and the scrambler then runs on uint64
+        lanes, whose wrap-around is the recurrence's arithmetic mod 2⁶⁴.
+        """
+        s0, s1, s2, s3 = self._s
+        seen = array("Q", bytes(8 * n))
         for i in range(n):
-            out[i] = (nxt() >> 11) * _DOUBLE_SCALE
-        return out
+            seen[i] = s1
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & _MASK) | (s3 >> 19)
+        self._s = [s0, s1, s2, s3]
+        x = np.frombuffer(seen, dtype=np.uint64) * np.uint64(5)
+        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        return (x >> np.uint64(11)) * _DOUBLE_SCALE

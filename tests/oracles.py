@@ -4,7 +4,8 @@ Everything here is computed WITHOUT the package's grid/FFT machinery:
 adaptive quadrature (scipy.integrate) on the analytic integrands, with the
 momentum route going through the analytic derivative of the pair amplitude
 (differentiation under the integral), plus straight-from-the-paper-trail
-reference implementations of the generators.  Frozen constants below were
+reference implementations of the generators and a row-materializing joint
+sampler.  Frozen constants below were
 produced by these functions; ``python oracles.py`` regenerates them.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import scipy.integrate
 from scipy.integrate import dblquad, quad
 
@@ -54,6 +56,12 @@ def ref_xoshiro256ss(state: list[int], count: int) -> list[int]:
     return out
 
 
+def ref_uniforms(seed: int, count: int) -> np.ndarray:
+    """Doubles (u64 >> 11) * 2^-53 from xoshiro256** seeded by splitmix64."""
+    draws = ref_xoshiro256ss(ref_splitmix64(seed, 4), count)
+    return np.array([(x >> 11) * 2.0 ** -53 for x in draws])
+
+
 # First outputs of splitmix64 from seed 0; the leading value is the widely
 # published check constant for this generator.
 SPLITMIX64_SEED0 = [
@@ -75,6 +83,55 @@ XOSHIRO_STATE1234 = [
     1216172134540287360,
     607988272756665600,
 ]
+
+
+# ---------------------------------------------------------------------------
+# Reference coincidence sampler: y1 by inverting the marginal's cumulative
+# trapezoid, then y2 by inverting the conditional cumulative trapezoid blended
+# between the two neighbouring y1 rows, with every blended row built in full.
+
+def _ref_invert(y, c, u, dy):
+    idx = np.clip(np.searchsorted(c, u, side="right") - 1, 0, len(c) - 2)
+    denom = c[idx + 1] - c[idx]
+    frac = np.where(denom > 0, (u - c[idx]) / np.where(denom > 0, denom, 1.0), 0.0)
+    frac = np.clip(frac, 0.0, 1.0)
+    return y[idx] + frac * dy, idx, frac
+
+
+def ref_sample_joint(psi, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """(y1, y2) pairs of a WaveFunction2D for the given y1 and y2 uniforms."""
+    g1, g2 = psi.grid1, psi.grid2
+    dens = np.abs(psi.amps) ** 2
+    w2 = np.full(g2.n_points, g2.dy)
+    w2[0] *= 0.5
+    w2[-1] *= 0.5
+    marginal = dens @ w2
+    c1 = np.concatenate(([0.0], np.cumsum(0.5 * (marginal[:-1] + marginal[1:]) * g1.dy)))
+    if c1[-1] <= 0:
+        raise ValueError("density integrates to zero")
+    y1 = np.linspace(g1.y_min, g1.y_max, g1.n_points)
+    y2grid = np.linspace(g2.y_min, g2.y_max, g2.n_points)
+    seg = 0.5 * (dens[:, :-1] + dens[:, 1:]) * g2.dy
+    rows = np.concatenate((np.zeros((dens.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
+
+    n = len(u1)
+    out = np.empty((n, 2))
+    out[:, 0], idx1, frac1 = _ref_invert(y1, c1 / c1[-1], u1, g1.dy)
+    chunk = 4096  # bounds the chunk x N temporaries; results do not depend on it
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        i = idx1[lo:hi]
+        f = frac1[lo:hi, None]
+        cond = rows[i, :] * (1.0 - f) + rows[i + 1, :] * f
+        total = cond[:, -1:]
+        total = np.where(total > 0, total, 1.0)
+        target = u2[lo:hi, None] * total
+        j = np.clip((cond <= target).sum(axis=1) - 1, 0, rows.shape[1] - 2)
+        take = np.arange(len(i))
+        denom = cond[take, j + 1] - cond[take, j]
+        frac2 = np.where(denom > 0, (target[:, 0] - cond[take, j]) / np.where(denom > 0, denom, 1.0), 0.0)
+        out[lo:hi, 1] = y2grid[j] + np.clip(frac2, 0.0, 1.0) * g2.dy
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from popperlab import cli
 
@@ -241,6 +247,16 @@ class TestSweep:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_nonphysical_base_exits_2(self, tmp_path, capsys):
+        # the sweep keeps hbar from its config; 0 used to end in a traceback
+        cfg = write_config(tmp_path / "cfg.json",
+                           params={"sigma": 1.0, "omega0": 2.0, "hbar": 0.0})
+        code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
+                         "--from", "0.1", "--to", "0.2", "--steps", "3",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "hbar must be > 0" in capsys.readouterr().err
+
     def test_too_few_steps_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
@@ -287,3 +303,132 @@ class TestVerifyCommand:
                          "minimum-uncertainty", "chi-square",
                          "doubling the resolution"):
             assert fragment in out
+
+
+# --- exit-code fuzzing -------------------------------------------------------
+# Every drawn case stays small: a grid that passes validation has at most 512
+# points (a 2 MiB pair state), at most 2000 samples are drawn, sweeps only run
+# on bases whose auto grids have at most 1024 points (8 MiB), --jobs never
+# exceeds 1 (no worker processes), and valid verify calls are left to the
+# tests above.
+
+RAW_1E400 = "__1e400__"  # written to the document as the bare literal 1e400
+DROP = object()  # removes the field from the document
+JUNK = [-1, 0, -2.5, float("nan"), float("-inf"), float("inf"), RAW_1E400,
+        "x", "", None, [1.0], {"a": 1}, DROP]
+# Positive finite, but they overflow the closed forms that size every grid,
+# so they stop a sweep before its first step.
+OVERFLOWING = [1e-300, 1e300]
+# Physics values that may pass validation: only safe where the document
+# bounds the grid, which holds for run but not for sweep's auto grids.
+RUN_EXTREMES = [True, 5e-324, 1e-8, 1e8]
+
+
+def usually(valid, junk, odds=3):
+    """The valid strategy odds times in odds + 1; shrinks toward it."""
+    return st.sampled_from([True] * odds + [False]).flatmap(
+        lambda ok: valid if ok else junk)
+
+
+def without_drops(node):
+    if isinstance(node, dict):
+        return {k: without_drops(v) for k, v in node.items() if v is not DROP}
+    return node
+
+
+def config_text(bases, physics_junk):
+    """A scenario document: half of them clean, the rest with junk fields."""
+    return st.booleans().flatmap(lambda clean: _config_text(bases, physics_junk, clean))
+
+
+def _config_text(bases, physics_junk, clean):
+    def field(valid, extra_junk=()):
+        return valid if clean else usually(valid, st.sampled_from(JUNK + list(extra_junk)))
+
+    def physics(value):
+        return field(st.just(value), physics_junk)
+
+    doc = bases.flatmap(lambda base: st.fixed_dictionaries({
+        "params": field(st.fixed_dictionaries({
+            "sigma": physics(base[0]), "omega0": physics(base[1]),
+            "hbar": physics(1.0), "mass": physics(1.0)})),
+        "grid": field(st.fixed_dictionaries({
+            # powers of two above 512 would pass validation and allocate too much
+            "n_points": field(st.sampled_from([64, 128, 256, 512]),
+                              [63, 100, 512.7, 2 ** 14 + 1, 10 ** 6 + 3]),
+            "y_min": field(st.floats(-24, -6), physics_junk),
+            "y_max": field(st.floats(6, 24), physics_junk)})),
+        "detector": field(st.fixed_dictionaries({
+            "n_bins": field(st.integers(8, 64), [7, 8.5]),
+            "y_range": field(st.tuples(st.floats(-10, -1), st.floats(1, 10)).map(list),
+                             [[-5.0], [5.0, -5.0], [0, 1, 2]]),
+            "side": field(st.sampled_from(["A", "B"]), ["C", 1])})),
+        "measurement": field(st.one_of(st.none(), st.fixed_dictionaries({
+            "epsilon": field(st.floats(0.2, 2.0), physics_junk),
+            "center": field(st.floats(-1, 1), physics_junk)}))),
+        "evolution_time": field(st.floats(0, 2), physics_junk),
+        "n_samples": field(st.integers(0, 2000), [2000.5, -3]),
+        "seed": field(st.integers(0, 2 ** 64 - 1), [2 ** 64, 1.5, 1e300]),
+    }))
+    text = doc.map(lambda d: json.dumps(without_drops(d)).replace(f'"{RAW_1E400}"', "1e400"))
+    return text if clean else usually(text, st.sampled_from(["{not json", "[1, 2]", '"doc"', ""]))
+
+
+# Sweep bases and ranges whose every auto grid, for any epsilon and center
+# the documents draw, has at most 1024 points.
+SWEEP_BASES = st.sampled_from([(1.0, 0.25), (1.0, 0.3), (0.5, 0.5), (1.0, 0.5)])
+RUN_BASES = usually(SWEEP_BASES, st.tuples(st.floats(0.3, 3.0), st.floats(0.1, 3.0)))
+SWEEP_RANGES = {"epsilon": (0.25, 1.0), "sigma": (0.5, 1.0), "omega0": (0.25, 0.5)}
+JUNK_ARG = st.sampled_from(["0", "-1", "nan", "inf", "1e400", "abc", ""])
+
+
+@st.composite
+def run_case(draw):
+    argv = ["run"]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(usually(st.integers(0, 2 ** 64 - 1).map(str),
+                                        st.sampled_from(["-5", str(2 ** 64), "abc", "1.5"])))]
+    return draw(config_text(RUN_BASES, OVERFLOWING + RUN_EXTREMES)), argv
+
+
+@st.composite
+def sweep_case(draw):
+    param = draw(usually(st.sampled_from(sorted(SWEEP_RANGES)), st.just("hbar"), odds=9))
+    lo, hi = SWEEP_RANGES.get(param, (0.25, 1.0))
+    argv = ["sweep", "--param", param,
+            "--from", draw(usually(st.floats(lo, hi).map(repr), JUNK_ARG, odds=9)),
+            "--to", draw(usually(st.floats(lo, hi).map(repr), JUNK_ARG, odds=9)),
+            "--steps", draw(usually(st.sampled_from(["2", "3"]),
+                                    st.sampled_from(["1", "0", "-2", "2.5", "x"]), odds=9))]
+    if draw(st.booleans()):
+        argv.append("--log")
+    if draw(st.booleans()):
+        argv += ["--jobs", draw(st.sampled_from(["1", "0", "-3", "x"]))]
+    return draw(config_text(SWEEP_BASES, OVERFLOWING)), argv
+
+
+VERIFY_CASES = st.sampled_from([
+    ["verify", "--quick", "--full"], ["verify", "--bogus"], ["verify", "extra"],
+    ["verify", "--full", "x"], ["bogus"], [], ["run"], ["sweep", "--param", "epsilon"],
+])
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.one_of(run_case(), sweep_case(), VERIFY_CASES.map(lambda a: (None, a))))
+    def test_exit_code_and_no_traceback(self, case):
+        text, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if text is not None:
+                path = Path(tmp) / "cfg.json"
+                path.write_text(text)
+                argv = argv[:1] + ["--config", str(path), "--out", str(Path(tmp) / "o")] + argv[1:]
+            err, out = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as e:
+                    code = e.code
+        assert code in (0, 2, 3), (argv, text, code, err.getvalue())
+        assert "Traceback" not in err.getvalue() + out.getvalue()

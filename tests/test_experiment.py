@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from popperlab import (
     ScenarioConfig,
     ScenarioFailure,
     UserParameterError,
+    WaveFunction2D,
     auto_grid,
     build_joint_state,
     build_pointer_state,
@@ -26,8 +28,11 @@ from popperlab import (
     sample_joint,
     sample_positions,
 )
+from popperlab import experiment
 from popperlab.experiment import cumulative_distribution
-from popperlab.wavefunction import grid_points
+from popperlab.wavefunction import grid_points, trap_weights
+
+import oracles
 
 
 def reduced_state(sigma=1.0, omega0=2.0, eps=0.5):
@@ -132,6 +137,97 @@ class TestJointSampling:
         corr = float(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1])
         assert corr < -0.5
         assert abs(corr - position_correlation(p)) < 0.02
+
+
+@lru_cache(maxsize=None)
+def source_pair(n_points):
+    p = PhysicalParams(sigma=1.0, omega0=2.0)
+    g = GridSpec(n_points=n_points, y_min=-16.2, y_max=16.2)
+    return build_joint_state(JointStateRecipe(p, g, g))
+
+
+def reference_pairs(psi, n, seed):
+    u = oracles.ref_uniforms(seed, 2 * n)
+    return oracles.ref_sample_joint(psi, u[:n], u[n:])
+
+
+def hand_built(amps):
+    amps = np.asarray(amps, dtype=float)
+    g1 = GridSpec(n_points=amps.shape[0], y_min=-2.0, y_max=3.0)
+    g2 = GridSpec(n_points=amps.shape[1], y_min=-1.0, y_max=1.0)
+    return WaveFunction2D(g1, g2, amps)
+
+
+# Rows 0, 3, 4 and 8 vanish, so whole y1 cells carry no probability.
+ZERO_ROWS = np.outer(np.sin(np.arange(1, 10)), np.linspace(1.0, 2.0, 13)) ** 2
+ZERO_ROWS[[0, 3, 4, 8]] = 0.0
+# Every conditional row has zero-density cells, so its CDF has flat runs
+# (leading, interior and trailing), some shared by both neighbouring rows.
+FLAT_RUNS = np.abs(np.cos(np.add.outer(np.arange(7), np.arange(16)))) + 0.5
+FLAT_RUNS[:, :3] = 0.0
+FLAT_RUNS[:, 6:9] = 0.0
+FLAT_RUNS[::2, 11:] = 0.0
+FLAT_RUNS[3, 9:] = 0.0
+
+
+class PresetGenerator:
+    """Stands in for the generator and hands out chosen uniforms in order."""
+
+    def __init__(self, stream):
+        self._stream = np.asarray(stream, dtype=float)
+
+    def uniforms(self, n):
+        out, self._stream = self._stream[:n], self._stream[n:]
+        return out
+
+
+class TestJointSamplerAgainstReference:
+    @pytest.mark.parametrize("n_points", [64, 1024])
+    @pytest.mark.parametrize("n", [1, 4097, 100_000])
+    @pytest.mark.parametrize("seed", [3, 20260815, 2 ** 64 - 1])
+    def test_bit_identical_on_the_source(self, n_points, n, seed):
+        psi = source_pair(n_points)
+        assert np.array_equal(sample_joint(psi, n, seed), reference_pairs(psi, n, seed))
+
+    @pytest.mark.parametrize("amps", [ZERO_ROWS, FLAT_RUNS], ids=["zero_rows", "flat_runs"])
+    @pytest.mark.parametrize("seed", [0, 1, 77])
+    def test_bit_identical_on_hand_built_states(self, amps, seed):
+        psi = hand_built(amps)
+        assert np.array_equal(sample_joint(psi, 5000, seed), reference_pairs(psi, 5000, seed))
+
+    @pytest.mark.parametrize("amps", [ZERO_ROWS, FLAT_RUNS], ids=["zero_rows", "flat_runs"])
+    def test_uniforms_on_cell_edges(self, amps, monkeypatch):
+        # u1 on every y1 CDF knot gives a zero in-cell fraction; on a zero row
+        # the blended conditional CDF then vanishes, which takes the
+        # denom == 0 branch.  u2 spans [0, 1).
+        psi = hand_built(amps)
+        _, c1 = cumulative_distribution(psi.grid1, np.abs(psi.amps) ** 2 @ trap_weights(psi.grid2))
+        top = 1.0 - 2.0 ** -53
+        u1 = np.repeat(np.concatenate(([0.0], c1[:-1], [top])), 3)
+        u2 = np.tile([0.0, 0.5, top], len(u1) // 3)
+        stream = np.concatenate((u1, u2))
+        monkeypatch.setattr(experiment, "Xoshiro256StarStar", lambda seed: PresetGenerator(stream))
+        pairs = sample_joint(psi, len(u1), seed=0)
+        assert np.array_equal(pairs, oracles.ref_sample_joint(psi, u1, u2))
+
+    def test_vanishing_conditional_row_takes_last_interior_column(self, monkeypatch):
+        # Row 1 is zero between two live rows, so u1 on the CDF knot at row 1
+        # lands on that row with weight 1: the conditional CDF is all zero,
+        # and the draw takes the last interior grid column.
+        psi = hand_built([[1.0, 2.0, 1.0, 0.5], [0.0] * 4, [0.5, 1.0, 2.0, 1.0]])
+        _, c1 = cumulative_distribution(psi.grid1, np.abs(psi.amps) ** 2 @ trap_weights(psi.grid2))
+        u1 = np.array([c1[1]] * 3)
+        u2 = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
+        monkeypatch.setattr(experiment, "Xoshiro256StarStar",
+                            lambda seed: PresetGenerator(np.concatenate((u1, u2))))
+        pairs = sample_joint(psi, 3, seed=0)
+        assert np.array_equal(pairs, oracles.ref_sample_joint(psi, u1, u2))
+        assert np.all(pairs[:, 0] == grid_points(psi.grid1)[1])
+        assert np.all(pairs[:, 1] == grid_points(psi.grid2)[-2])
+
+    def test_zero_density_raises(self):
+        with pytest.raises(ValueError):
+            sample_joint(hand_built(np.zeros((5, 6))), 10, seed=1)
 
 
 class TestHistogram:

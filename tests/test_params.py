@@ -13,6 +13,7 @@ from popperlab import (
     MeasurementSpec,
     PhysicalParams,
     ScenarioConfig,
+    UserParameterError,
     auto_grid,
     config_from_json,
     config_to_json,
@@ -65,6 +66,16 @@ class TestValidate:
         kw[field] = value
         report = validate(make_config(params=PhysicalParams(**kw)))
         assert any(field in v for v in report.violations)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", 1e300), ("omega0", 1e-300), ("hbar", 1e300),
+    ])
+    def test_overflowing_params_are_violations(self, field, value):
+        # positive and finite, but the closed forms overflow or divide by zero
+        kw = dict(sigma=1.0, omega0=1.0)
+        kw[field] = value
+        report = validate(make_config(params=PhysicalParams(**kw)))
+        assert any("overflow" in v for v in report.violations)
 
     def test_grid_point_rules(self):
         cfg = make_config(grid=GridSpec(n_points=48, y_min=-16.0, y_max=16.0))
@@ -156,6 +167,16 @@ class TestAutoGrid:
         g0 = auto_grid(p, MeasurementSpec(epsilon=0.5, center=0.0))
         g3 = auto_grid(p, MeasurementSpec(epsilon=0.5, center=3.0))
         assert g3.y_max >= g0.y_max + 3.0
+
+    @pytest.mark.parametrize("params,ms", [
+        (PhysicalParams(sigma=-1.0, omega0=1.0), None),
+        (PhysicalParams(sigma=1.0, omega0=1.0, hbar=0.0), None),
+        (PhysicalParams(sigma=1.0, omega0=1.0), MeasurementSpec(epsilon=0.5, center=math.nan)),
+        (PhysicalParams(sigma=1e300, omega0=1.0), MeasurementSpec(epsilon=0.5)),
+    ])
+    def test_rejects_what_validate_rejects(self, params, ms):
+        with pytest.raises(UserParameterError):
+            auto_grid(params, ms)
 
     def test_cap_exceeded(self):
         # scale ratio ~2000 with a 256-point budget cannot work

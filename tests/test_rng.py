@@ -73,6 +73,18 @@ class TestXoshiro256StarStar:
         both = Xoshiro256StarStar(5).uniforms(20)
         assert np.array_equal(np.concatenate([first, second]), both)
 
+    @pytest.mark.parametrize("k", [0, 1, 1000])
+    def test_serial_draws_continue_after_uniforms(self, k):
+        # a block of uniforms must leave the state where k single draws would
+        block = Xoshiro256StarStar(4242)
+        serial = Xoshiro256StarStar(4242)
+        u = block.uniforms(k)
+        assert u.dtype == np.float64
+        assert np.array_equal(u, np.array([serial.random() for _ in range(k)]))
+        for _ in range(3):
+            assert block.next_u64() == serial.next_u64()
+            assert block.random() == serial.random()
+
     def test_state_never_all_zero(self):
         # seeding must leave at least one nonzero word
         for seed in range(64):
