@@ -346,7 +346,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 samples = pairs[:, particle - 1]
                 grid = psi.grid1 if particle == 1 else psi.grid2
                 dens = marginal_density(psi, particle)
-                corr = float(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1])
+                # Undefined for one pair or a coordinate without spread;
+                # reported as null rather than NaN, which is not JSON.
+                corr = None
+                if len(pairs) >= 2 and np.all(np.std(pairs, axis=0) > 0):
+                    corr = float(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1])
                 predicted = None
             hist = histogram(samples, config.detector)
             ks_stat, ks_p = ks_against_density(samples, grid, dens)

@@ -29,6 +29,11 @@ from .errors import CapExceededError, UserParameterError
 
 MIN_GRID_POINTS = 64
 DEFAULT_MAX_POINTS = 2 ** 14
+# Upper bounds on the sizes a config may request, checked before anything
+# is allocated.  Joint sampling holds about 170 B per pair (1.6 GiB at the
+# bound); report.json and histogram.csv list every bin.
+MAX_SAMPLES = 10 ** 7
+MAX_BINS = 10 ** 5
 # Validation floor: user grids must cover 6 spreads per side of zero.
 EXTENT_SIGMAS = 6.0
 # Auto-built grids use 8 spreads so boundary amplitude stays below the
@@ -261,19 +266,21 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         v.append(f"n_points must be an integer >= {MIN_GRID_POINTS}")
     elif not _is_pow2(g.n_points):
         v.append("n_points must be a power of two")
+    elif g.n_points > DEFAULT_MAX_POINTS:
+        v.append(f"n_points must be <= {DEFAULT_MAX_POINTS}")
     if not (math.isfinite(g.y_min) and math.isfinite(g.y_max) and g.y_max > g.y_min):
         v.append("grid must satisfy y_max > y_min with finite bounds")
 
     if not (math.isfinite(config.evolution_time) and config.evolution_time >= 0):
         v.append("evolution_time must be >= 0 and finite")
-    if not isinstance(config.n_samples, int) or config.n_samples < 0:
-        v.append("n_samples must be an integer >= 0")
+    if not isinstance(config.n_samples, int) or not 0 <= config.n_samples <= MAX_SAMPLES:
+        v.append(f"n_samples must be an integer in [0, {MAX_SAMPLES}]")
     if not isinstance(config.seed, int) or not (0 <= config.seed < 2 ** 64):
         v.append("seed must be an integer in [0, 2^64)")
 
     d = config.detector
-    if not isinstance(d.n_bins, int) or d.n_bins < 8:
-        v.append("detector n_bins must be an integer >= 8")
+    if not isinstance(d.n_bins, int) or not 8 <= d.n_bins <= MAX_BINS:
+        v.append(f"detector n_bins must be an integer in [8, {MAX_BINS}]")
     lo, hi = d.y_range
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         v.append("detector y_range must be a finite increasing interval")

@@ -43,9 +43,19 @@ class JointStateRecipe:
 def joint_amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Unnormalized pair amplitude on broadcastable coordinate arrays."""
     sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
-    rel = (y1 - y2) ** 2 * sigma ** 2 / hbar ** 2
-    com = (y1 + y2) ** 2 / (16.0 * omega0 ** 2)
-    return np.exp(-rel - com)
+    # The steps of exp(-(y1-y2)²σ²/ħ² - (y1+y2)²/16Ω₀²) in the same order,
+    # written into two temporaries; -a - b == -(a + b) exactly in IEEE
+    # arithmetic.  asarray keeps 0-d inputs writable (a numpy scalar is not).
+    rel = np.asarray(y1 - y2, dtype=np.float64)
+    rel **= 2
+    rel *= sigma ** 2
+    rel /= hbar ** 2
+    com = np.asarray(y1 + y2, dtype=np.float64)
+    com **= 2
+    com /= 16.0 * omega0 ** 2
+    rel += com
+    np.negative(rel, out=rel)
+    return np.exp(rel, out=rel)
 
 
 def build_joint_state(recipe: JointStateRecipe) -> WaveFunction2D:

@@ -41,6 +41,8 @@ SCHMIDT_TRUNCATION = 1e-12
 
 _MAGIC = b"EPWF"
 _VERSION = 1
+# Amplitudes widened to complex128 per write: 1 MiB.
+_WRITE_BLOCK_AMPLITUDES = 2 ** 16
 
 
 @lru_cache(maxsize=128)
@@ -287,16 +289,26 @@ class SchmidtSpectrum:
 
 
 def schmidt(wf: WaveFunction2D, truncation: float = SCHMIDT_TRUNCATION) -> SchmidtSpectrum:
-    """Schmidt decomposition via SVD of the quadrature-weighted kernel.
+    """Schmidt decomposition from the singular values of the weighted kernel.
 
     The amplitude matrix is scaled by √w₁ ⊗ √w₂ so the singular values carry
     the continuum normalization; entanglement entropy is −Σ λ̂ᵢ² ln λ̂ᵢ² over
-    the retained, renormalized coefficients.
+    the retained, renormalized coefficients.  A real amplitude matrix that
+    equals its transpose on one shared grid gives a real symmetric kernel,
+    whose singular values are the absolute values of its eigenvalues; the
+    symmetric eigensolver finds them several times faster than an SVD.
+    Every other state goes through the SVD.
     """
     sw1 = np.sqrt(trap_weights(wf.grid1))
     sw2 = np.sqrt(trap_weights(wf.grid2))
     kernel = sw1[:, None] * wf.amps * sw2[None, :]
-    s = np.linalg.svd(kernel, compute_uv=False)
+    a = wf.amps
+    if wf.grid1 == wf.grid2 and not np.iscomplexobj(a) and np.array_equal(a, a.T):
+        # eigvalsh reads one triangle, so rounding asymmetry in the
+        # weighting above cannot matter.
+        s = np.sort(np.abs(np.linalg.eigvalsh(kernel)))[::-1]
+    else:
+        s = np.linalg.svd(kernel, compute_uv=False)
     keep = s >= truncation * s[0] if s[0] > 0 else s >= 0
     coeff = s[keep]
     lam2 = coeff ** 2 / np.sum(coeff ** 2)
@@ -344,11 +356,15 @@ def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
     grids = _axis_view(wf, 1).grids
     sizes = [g.n_points for g in grids] + [0]
     bounds = [b for g in grids for b in (g.y_min, g.y_max)] + [0.0, 0.0]
-    payload = np.ascontiguousarray(wf.amps, dtype=np.dtype("<c16"))
+    # Widen and write a block of rows at a time, so no full-size complex
+    # copy of the payload is ever held.
+    rows = np.atleast_2d(wf.amps)
+    step = max(1, _WRITE_BLOCK_AMPLITUDES // max(1, rows.shape[1]))
     with open(path, "wb") as f:
         f.write(struct.pack("<4sIII", _MAGIC, _VERSION, *sizes[:2]))
         f.write(struct.pack("<4d", *bounds[:4]))
-        f.write(payload.tobytes())
+        for start in range(0, rows.shape[0], step):
+            f.write(np.ascontiguousarray(rows[start:start + step], dtype=np.dtype("<c16")))
 
 
 def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:

@@ -135,6 +135,17 @@ def ref_sample_joint(psi, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Reference pair amplitude: the closed form written out of place, one new
+# array per operation.
+
+def ref_joint_amplitude(y1, y2, sigma: float, omega0: float, hbar: float = 1.0):
+    """exp(-(y1-y2)^2 sigma^2/hbar^2 - (y1+y2)^2/(16 omega0^2))."""
+    rel = (y1 - y2) ** 2 * sigma ** 2 / hbar ** 2
+    com = (y1 + y2) ** 2 / (16.0 * omega0 ** 2)
+    return np.exp(-rel - com)
+
+
+# ---------------------------------------------------------------------------
 # Quadrature oracles for the pair state exp(-a(y1-y2)^2 - b(y1+y2)^2),
 # a = sigma^2/hbar^2, b = 1/(16 omega0^2), and its pointer reduction.
 

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from popperlab import cli
+from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
 
 
 def write_config(path, **overrides):
@@ -71,6 +73,23 @@ class TestRun:
             doc.pop("timings")
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
+
+    def test_single_pair_correlation_is_null(self, tmp_path):
+        # One coincidence pair has no correlation; it must be reported as
+        # null (NaN is not JSON) without numpy warnings.
+        cfg = write_config(tmp_path / "cfg.json", measurement=None, n_samples=1,
+                           grid={"n_points": 128, "y_min": -16.2, "y_max": 16.2})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["sampled"]["n"] == 1
+        assert report["sampled"]["correlation"] is None
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -310,7 +329,8 @@ class TestVerifyCommand:
 # points (a 2 MiB pair state), at most 2000 samples are drawn, sweeps only run
 # on bases whose auto grids have at most 1024 points (8 MiB), --jobs never
 # exceeds 1 (no worker processes), and valid verify calls are left to the
-# tests above.
+# tests above.  Sizes above the validation bounds are drawn too: validate
+# rejects them, with exit 2, before anything is allocated.
 
 RAW_1E400 = "__1e400__"  # written to the document as the bare literal 1e400
 DROP = object()  # removes the field from the document
@@ -355,11 +375,12 @@ def _config_text(bases, physics_junk, clean):
         "grid": field(st.fixed_dictionaries({
             # powers of two above 512 would pass validation and allocate too much
             "n_points": field(st.sampled_from([64, 128, 256, 512]),
-                              [63, 100, 512.7, 2 ** 14 + 1, 10 ** 6 + 3]),
+                              [63, 100, 512.7, 2 ** 14 + 1, 10 ** 6 + 3,
+                               2 * DEFAULT_MAX_POINTS, 2 ** 30, 1e300]),
             "y_min": field(st.floats(-24, -6), physics_junk),
             "y_max": field(st.floats(6, 24), physics_junk)})),
         "detector": field(st.fixed_dictionaries({
-            "n_bins": field(st.integers(8, 64), [7, 8.5]),
+            "n_bins": field(st.integers(8, 64), [7, 8.5, MAX_BINS + 1, 10 ** 9, 1e300]),
             "y_range": field(st.tuples(st.floats(-10, -1), st.floats(1, 10)).map(list),
                              [[-5.0], [5.0, -5.0], [0, 1, 2]]),
             "side": field(st.sampled_from(["A", "B"]), ["C", 1])})),
@@ -367,7 +388,7 @@ def _config_text(bases, physics_junk, clean):
             "epsilon": field(st.floats(0.2, 2.0), physics_junk),
             "center": field(st.floats(-1, 1), physics_junk)}))),
         "evolution_time": field(st.floats(0, 2), physics_junk),
-        "n_samples": field(st.integers(0, 2000), [2000.5, -3]),
+        "n_samples": field(st.integers(0, 2000), [2000.5, -3, MAX_SAMPLES + 1, 1e300]),
         "seed": field(st.integers(0, 2 ** 64 - 1), [2 ** 64, 1.5, 1e300]),
     }))
     text = doc.map(lambda d: json.dumps(without_drops(d)).replace(f'"{RAW_1E400}"', "1e400"))

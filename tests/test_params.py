@@ -19,7 +19,13 @@ from popperlab import (
     config_to_json,
     validate,
 )
-from popperlab.params import AUTO_EXTENT_SIGMAS, FLOOR_POINTS_PER_WIDTH
+from popperlab.params import (
+    AUTO_EXTENT_SIGMAS,
+    DEFAULT_MAX_POINTS,
+    FLOOR_POINTS_PER_WIDTH,
+    MAX_BINS,
+    MAX_SAMPLES,
+)
 
 
 def make_config(**overrides):
@@ -119,6 +125,23 @@ class TestValidate:
                    validate(make_config(n_samples=-5)).violations)
         assert any("evolution_time" in v for v in
                    validate(make_config(evolution_time=-1.0)).violations)
+
+    @pytest.mark.parametrize("field,ok,too_big", [
+        ("n_points", DEFAULT_MAX_POINTS, 2 * DEFAULT_MAX_POINTS),
+        ("n_samples", MAX_SAMPLES, MAX_SAMPLES + 1),
+        ("n_samples", MAX_SAMPLES, 10 ** 300),
+        ("n_bins", MAX_BINS, MAX_BINS + 1),
+    ], ids=["n_points", "n_samples", "n_samples_1e300", "n_bins"])
+    def test_size_upper_bounds(self, field, ok, too_big):
+        def config(value):
+            if field == "n_points":
+                return make_config(grid=GridSpec(n_points=value, y_min=-16.0, y_max=16.0))
+            if field == "n_bins":
+                return make_config(detector=DetectorGeometry(n_bins=value, y_range=(-5.0, 5.0)))
+            return make_config(n_samples=value)
+
+        assert not any(field in v for v in validate(config(ok)).violations)
+        assert any(field in v for v in validate(config(too_big)).violations)
 
     def test_all_violations_reported_at_once(self):
         cfg = make_config(params=PhysicalParams(sigma=-1.0, omega0=1.0),

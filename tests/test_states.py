@@ -11,13 +11,17 @@ from popperlab import (
     MeasurementSpec,
     PhysicalParams,
     UnderResolvedError,
+    WaveFunction2D,
     build_joint_state,
     build_pointer_state,
     joint_amplitude,
+    normalize,
     pointer_width_for_slit,
     position_stats,
 )
 from popperlab.wavefunction import grid_points, norm
+
+import oracles
 
 
 class TestJointAmplitude:
@@ -38,7 +42,21 @@ class TestJointAmplitude:
         y1 = np.linspace(-2, 2, 7)[:, None]
         y2 = np.linspace(-2, 2, 7)[None, :]
         a = joint_amplitude(y1, y2, p)
-        assert np.allclose(a, a.T, rtol=1e-15)
+        # exact: (y1-y2)^2 == (y2-y1)^2 in IEEE arithmetic, and the Schmidt
+        # eigensolver route relies on it
+        assert np.array_equal(a, a.T)
+
+    def test_in_place_steps_match_out_of_place_formula(self):
+        p = PhysicalParams(sigma=0.6, omega0=1.9, hbar=0.7)
+        y1 = np.linspace(-3, 3, 33)[:, None]
+        y2 = np.linspace(-2, 4, 17)[None, :]
+        cases = [(y1, y2), (np.array(0.3), np.array(-0.2)), (0.3, -0.2),
+                 (np.array(0.3), y2), (y1[:5], np.float64(1.25))]
+        for a, b in cases:
+            got = joint_amplitude(a, b, p)
+            want = oracles.ref_joint_amplitude(a, b, p.sigma, p.omega0, p.hbar)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
 
     def test_hbar_enters_relative_term(self):
         p1 = PhysicalParams(sigma=1.0, omega0=1.0, hbar=1.0)
@@ -56,6 +74,17 @@ class TestBuildJointState:
         assert psi.amps.dtype == np.float64
         assert np.all(psi.amps.imag == 0.0)
         assert np.all(psi.amps.real >= 0.0)
+
+    def test_amplitudes_match_out_of_place_formula(self):
+        g1 = GridSpec(n_points=256, y_min=-10.0, y_max=10.0)
+        g2 = GridSpec(n_points=128, y_min=-6.0, y_max=8.0)
+        p = PhysicalParams(1.3, 0.8, hbar=1.1)
+        for ga, gb in ((g1, g1), (g1, g2)):
+            psi = build_joint_state(JointStateRecipe(p, ga, gb))
+            raw = oracles.ref_joint_amplitude(grid_points(ga)[:, None], grid_points(gb)[None, :],
+                                              p.sigma, p.omega0, p.hbar)
+            ref = normalize(WaveFunction2D(grid1=ga, grid2=gb, amps=raw))
+            assert np.array_equal(psi.amps, ref.amps)
 
     def test_mixed_grids_allowed(self):
         # narrow strip in y1, wide span in y2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from popperlab import (
+    ApertureProfile,
     GridSpec,
     JointStateRecipe,
     MemoryBoundError,
@@ -15,6 +16,7 @@ from popperlab import (
     WaveFunction1D,
     WaveFunction2D,
     ZeroNormError,
+    aperture_postselect,
     build_joint_state,
     load_wavefunction,
     marginal_density,
@@ -164,6 +166,58 @@ class TestSchmidt:
         ratios = lam2[1:8] / lam2[:7]
         assert np.allclose(ratios, mu, rtol=1e-6)
 
+    @staticmethod
+    def svd_values(psi):
+        """Singular values of the weighted kernel from the general SVD."""
+        sw1 = np.sqrt(trap_weights(psi.grid1))
+        sw2 = np.sqrt(trap_weights(psi.grid2))
+        return np.linalg.svd(sw1[:, None] * psi.amps * sw2[None, :], compute_uv=False)
+
+    @staticmethod
+    def forbid(monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} must not be called")
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+    @pytest.mark.parametrize("sigma,omega0,n,half", [
+        (1.0, 2.0, 1024, 16.2), (0.7, 0.4, 512, 8.0), (3.0, 0.5, 1024, 8.0),
+        (0.1, 0.5, 1024, 20.4),
+    ])
+    def test_symmetric_route_matches_svd(self, monkeypatch, sigma, omega0, n, half):
+        psi = pair_state(sigma, omega0, n=n, half=half)
+        ref = self.svd_values(psi)
+        self.forbid(monkeypatch, "svd")
+        lam = schmidt(psi).coefficients
+        assert len(lam) == np.sum(ref >= 1e-12 * ref[0])
+        # Relative to the leading coefficient: the smallest retained values
+        # sit near 1e-12 of it, where either solver has only a few digits.
+        assert np.max(np.abs(lam - ref[:len(lam)])) <= 1e-12 * ref[0]
+
+    def test_anti_correlated_pair_against_oracle(self, monkeypatch):
+        # sigma^2/hbar^2 = 0.01 < 1/(16 omega0^2) = 0.25: the cross term of
+        # the kernel is negative and its eigenvalues alternate in sign.
+        sigma, omega0 = 0.1, 0.5
+        psi = pair_state(sigma, omega0, half=20.4)
+        sw = np.sqrt(trap_weights(psi.grid1))
+        eig = np.linalg.eigvalsh(sw[:, None] * psi.amps * sw[None, :])
+        assert np.sum(eig < -1e-6 * np.abs(eig).max()) >= 5
+        self.forbid(monkeypatch, "svd")
+        ref = oracles.oracle_schmidt_entropy(sigma, omega0)
+        assert schmidt(psi).entropy == pytest.approx(ref, rel=1e-8)
+
+    def test_non_symmetric_states_take_the_svd(self, monkeypatch):
+        psi = pair_state(1.0, 2.0, n=256, half=16.2)
+        cut = aperture_postselect(psi, ApertureProfile("gaussian", width=1.5, center=0.4))
+        g2 = GridSpec(n_points=128, y_min=-16.2, y_max=16.2)
+        uneven = build_joint_state(JointStateRecipe(PhysicalParams(1.0, 2.0), psi.grid1, g2))
+        # complex and still equal to its transpose, but not Hermitian
+        phased = WaveFunction2D(grid1=psi.grid1, grid2=psi.grid2, amps=psi.amps * np.exp(0.3j))
+        self.forbid(monkeypatch, "eigvalsh")
+        for wf in (cut.psi_after, uneven, phased):
+            ref = self.svd_values(wf)
+            lam = schmidt(wf).coefficients
+            assert np.array_equal(lam, ref[ref >= 1e-12 * ref[0]])
+
     def test_product_state_has_single_coefficient(self):
         psi = pair_state(1.0, 0.25, half=10.0)
         ss = schmidt(psi)
@@ -214,6 +268,27 @@ class TestContainerFormat:
         assert psi.amps.dtype == np.float64
         assert back.amps.dtype == np.complex128
         assert np.array_equal(back.amps, psi.amps)
+
+    def test_payload_spans_write_blocks(self, tmp_path):
+        # More amplitudes than one write block, from real, complex and
+        # non-contiguous (transposed) arrays: the payload must be the
+        # whole array widened to little-endian complex128 in row-major order.
+        g1 = GridSpec(n_points=512, y_min=-8.0, y_max=8.0)
+        g2 = GridSpec(n_points=300, y_min=-6.0, y_max=6.0)
+        y1, y2 = grid_points(g1)[:, None], grid_points(g2)[None, :]
+        real = np.exp(-y1 ** 2 - 0.5 * (y1 - y2) ** 2)
+        states = [
+            WaveFunction2D(grid1=g1, grid2=g2, amps=real),
+            WaveFunction2D(grid1=g1, grid2=g2, amps=real * np.exp(0.2j * y2)),
+            WaveFunction2D(grid1=g2, grid2=g1, amps=real.T),
+            WaveFunction1D(grid=GridSpec(n_points=70000, y_min=-5.0, y_max=5.0),
+                           amps=np.linspace(-1.0, 1.0, 70000)),
+        ]
+        for i, wf in enumerate(states):
+            path = tmp_path / f"s{i}.wf"
+            save_wavefunction(wf, path)
+            blob = path.read_bytes()
+            assert blob[48:] == np.ascontiguousarray(wf.amps, dtype="<c16").tobytes()
 
     def test_header_layout(self, tmp_path):
         # magic, version, n1, n2, then four float64 bounds, little-endian
