@@ -6,10 +6,11 @@ portable xoshiro generator, so a (config, seed) pair pins every count in the
 output bit-for-bit.  Coincidence runs sample the joint density by drawing y₁
 from its marginal and then y₂ from the conditional slice, blended linearly
 between the two neighbouring grid rows; the stream is consumed as n uniforms
-for the y₁ draws followed by n uniforms for the y₂ draws.  That blended
-conditional CDF is never built: all draws bisect it together, evaluating it
-only at the O(log N) columns they probe, so n draws cost O(n log N) and give
-the same pairs, bit for bit, as inverting the whole row.
+for the y₁ draws followed by n uniforms for the y₂ draws.  One cumulative
+trapezoid builds the 1D CDFs and the conditional rows, and one exact inverse
+serves all three draws (slit-mode position, y₁, y₂).  It bisects each draw's
+CDF, probing O(log N) columns, so no blended row is ever built; it runs over
+fixed-size slices of draws, so its working set does not grow with n.
 
 ``run_scenario`` is the whole tabletop: build the pair, record closed-form
 and grid-measured spreads, optionally reduce behind the pointer, fly to the
@@ -75,39 +76,62 @@ class DetectorHistogram:
         return np.linspace(lo, hi, self.geometry.n_bins + 1)
 
 
+# Draws inverted at once: bounds the bisection's temporaries, changes no draw.
+_SLICE = 1 << 16
+
+
+def _cumulative_trapezoid(density: np.ndarray, dy: float) -> np.ndarray:
+    """Cumulative trapezoid along the last axis, starting from 0."""
+    seg = 0.5 * (density[..., :-1] + density[..., 1:]) * dy
+    c = np.zeros(density.shape)
+    np.cumsum(seg, axis=-1, out=c[..., 1:])
+    return c
+
+
 def cumulative_distribution(grid: GridSpec, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid points and the normalized cumulative trapezoid of a density."""
-    y = grid_points(grid)
-    seg = 0.5 * (density[:-1] + density[1:]) * grid.dy
-    c = np.concatenate(([0.0], np.cumsum(seg)))
+    c = _cumulative_trapezoid(density, grid.dy)
     total = c[-1]
     if total <= 0:
         raise ValueError("density integrates to zero")
-    return y, c / total
+    return grid_points(grid), c / total
 
 
-def _invert_cdf(y: np.ndarray, c: np.ndarray, u: np.ndarray,
-                dy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map uniforms through the piecewise-linear inverse CDF.
+def _invert(cdf, u: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Piecewise-linear inverse CDFs, one per draw: (positions, cells, fractions).
 
-    Returns the positions plus (cell index, in-cell fraction) so joint
-    sampling can reuse the cell for its conditional slice.
+    ``cdf(j)`` evaluates each draw's nondecreasing CDF on ``grid`` at its own
+    column j.  The columns <= u times the last knot form a prefix, whose
+    length bisection finds; a vanishing CDF takes the last interior cell.
     """
-    idx = np.clip(np.searchsorted(c, u, side="right") - 1, 0, len(c) - 2)
-    denom = c[idx + 1] - c[idx]
-    frac = np.where(denom > 0, (u - c[idx]) / np.where(denom > 0, denom, 1.0), 0.0)
+    n_knots = grid.n_points
+    target = u * cdf(n_knots - 1)
+    count = np.zeros(len(u), dtype=np.intp)
+    step = 1 << (n_knots.bit_length() - 1)
+    while step:
+        probe = count + step
+        hit = (probe <= n_knots) & (cdf(np.minimum(probe, n_knots) - 1) <= target)
+        count = np.where(hit, probe, count)
+        step >>= 1
+    j = np.clip(count - 1, 0, n_knots - 2)
+    c_lo = cdf(j)
+    denom = cdf(j + 1) - c_lo
+    frac = np.where(denom > 0, (target - c_lo) / np.where(denom > 0, denom, 1.0), 0.0)
     frac = np.clip(frac, 0.0, 1.0)
-    return y[idx] + frac * dy, idx, frac
+    return grid_points(grid)[j] + frac * grid.dy, j, frac
 
 
 def sample_positions(wf: WaveFunction1D, n: int, seed: int) -> np.ndarray:
     """n deterministic draws from |ψ(y)|² dy."""
     if n == 0:
         return np.empty(0)
-    y, c = cumulative_distribution(wf.grid, np.abs(wf.amps) ** 2)
+    _, c = cumulative_distribution(wf.grid, np.abs(wf.amps) ** 2)
     u = Xoshiro256StarStar(seed).uniforms(n)
-    values, _, _ = _invert_cdf(y, c, u, wf.grid.dy)
-    return values
+    out = np.empty(n)
+    for lo in range(0, n, _SLICE):
+        s = slice(lo, lo + _SLICE)
+        out[s] = _invert(c.__getitem__, u[s], wf.grid)[0]
+    return out
 
 
 def sample_joint(psi: WaveFunction2D, n: int, seed: int) -> np.ndarray:
@@ -115,43 +139,24 @@ def sample_joint(psi: WaveFunction2D, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty((0, 2))
     dens = np.abs(psi.amps) ** 2
-    w2 = trap_weights(psi.grid2)
-    y1, c1 = cumulative_distribution(psi.grid1, dens @ w2)
-    # Row-wise cumulative trapezoid along y2, one row per y1 grid line.
-    seg = 0.5 * (dens[:, :-1] + dens[:, 1:]) * psi.grid2.dy
-    rows = np.concatenate((np.zeros((dens.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
-    n2 = rows.shape[1]
-    flat = rows.ravel()
+    _, c1 = cumulative_distribution(psi.grid1, dens @ trap_weights(psi.grid2))
+    # Unnormalized conditional CDFs along y₂, one row per y₁ grid line.
+    flat = _cumulative_trapezoid(dens, psi.grid2.dy).ravel()
+    n2 = dens.shape[1]
+    del dens
 
     gen = Xoshiro256StarStar(seed)
     u1 = gen.uniforms(n)
     u2 = gen.uniforms(n)
     out = np.empty((n, 2))
-    out[:, 0], i, f = _invert_cdf(y1, c1, u1, psi.grid1.dy)
-    lower, upper, g = i * n2, (i + 1) * n2, 1.0 - f
-
-    def cond(j):
-        """Each draw's blended conditional CDF, at its own column j only."""
-        return flat[lower + j] * g + flat[upper + j] * f
-
-    # A vanishing row needs no guard: target is then 0, every column counts,
-    # and the draw takes the last interior column with zero fraction.
-    target = u2 * cond(n2 - 1)
-    # A blend of two nondecreasing rows with weights in [0, 1] is itself
-    # nondecreasing under IEEE rounding, so the columns <= target form a
-    # prefix; bisection finds its length, the count the whole row would give.
-    count = np.zeros(n, dtype=np.intp)
-    step = 1 << (n2.bit_length() - 1)
-    while step:
-        probe = count + step
-        hit = (probe <= n2) & (cond(np.minimum(probe, n2) - 1) <= target)
-        count = np.where(hit, probe, count)
-        step >>= 1
-    j = np.clip(count - 1, 0, n2 - 2)
-    c_lo = cond(j)
-    denom = cond(j + 1) - c_lo
-    frac2 = np.where(denom > 0, (target - c_lo) / np.where(denom > 0, denom, 1.0), 0.0)
-    out[:, 1] = grid_points(psi.grid2)[j] + np.clip(frac2, 0.0, 1.0) * psi.grid2.dy
+    for lo in range(0, n, _SLICE):
+        s = slice(lo, lo + _SLICE)
+        out[s, 0], i, f = _invert(c1.__getitem__, u1[s], psi.grid1)
+        # y₂ inverts rows i and i+1 blended with weights 1-f and f; a blend
+        # of two nondecreasing rows stays nondecreasing under IEEE rounding.
+        lower, upper, g = i * n2, (i + 1) * n2, 1.0 - f
+        out[s, 1] = _invert(lambda j: flat[lower + j] * g + flat[upper + j] * f,
+                            u2[s], psi.grid2)[0]
     return out
 
 

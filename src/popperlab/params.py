@@ -14,24 +14,28 @@ and resolve the narrowest feature it will represent.  ``auto_grid`` targets
 8 points per conservative feature scale min(ε, ħ/4σ, Ω₀); when that demand
 overflows the point cap it degrades to the largest allowed power of two,
 provided the spacing still samples every *actual* Gaussian width (pointer
-width, conditional width ħ/2σ, reduced width) at ≥ 1.2 points.  Below that
+width, conditional width ħ/2σ, reduced width) at ≥ 1.2 points, and the
+pointer width ε at ≥ 1.5, the pointer builder's own floor.  Below that
 floor spectral aliasing enters the 1e-6 accuracy band and the request is
-refused with ``CapExceededError``.
+refused with ``CapExceededError``; ``validate`` holds user grids to the same
+spacing cap.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import CapExceededError, UserParameterError
 
 MIN_GRID_POINTS = 64
 DEFAULT_MAX_POINTS = 2 ** 14
 # Upper bounds on the sizes a config may request, checked before anything
-# is allocated.  Joint sampling holds about 170 B per pair (1.6 GiB at the
-# bound); report.json and histogram.csv list every bin.
+# is allocated.  Joint sampling holds about 32 B per pair on top of a fixed
+# working set (a tracemalloc peak of 45.6 MiB at 10⁶ pairs on a 1024-point
+# pair state, so about 0.3 GiB at the bound); report.json and
+# histogram.csv list every bin.
 MAX_SAMPLES = 10 ** 7
 MAX_BINS = 10 ** 5
 # Validation floor: user grids must cover 6 spreads per side of zero.
@@ -62,6 +66,13 @@ def _floor_pow2(n: int) -> int:
     while (p << 1) <= n:
         p <<= 1
     return p
+
+
+def _integer(value, name: str) -> int:
+    """A config count as an int; fractions and booleans are errors, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,33 +132,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "params": {
-                "sigma": self.params.sigma,
-                "omega0": self.params.omega0,
-                "hbar": self.params.hbar,
-                "mass": self.params.mass,
-            },
-            "grid": {
-                "n_points": self.grid.n_points,
-                "y_min": self.grid.y_min,
-                "y_max": self.grid.y_max,
-            },
-            "detector": {
-                "n_bins": self.detector.n_bins,
-                "y_range": list(self.detector.y_range),
-                "side": self.detector.side,
-            },
-            "measurement": None,
-            "evolution_time": self.evolution_time,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-        if self.measurement is not None:
-            doc["measurement"] = {
-                "epsilon": self.measurement.epsilon,
-                "center": self.measurement.center,
-            }
+        doc = asdict(self)
+        doc["detector"]["y_range"] = list(self.detector.y_range)
         return doc
 
     @classmethod
@@ -156,6 +142,9 @@ class ScenarioConfig:
         g = doc["grid"]
         d = doc["detector"]
         m = doc.get("measurement")
+        y_range = d["y_range"]
+        if not isinstance(y_range, (list, tuple)) or len(y_range) != 2:
+            raise ValueError(f"detector y_range must be two numbers, got {y_range!r}")
         return cls(
             params=PhysicalParams(
                 sigma=float(p["sigma"]),
@@ -164,13 +153,13 @@ class ScenarioConfig:
                 mass=float(p.get("mass", 1.0)),
             ),
             grid=GridSpec(
-                n_points=int(g["n_points"]),
+                n_points=_integer(g["n_points"], "n_points"),
                 y_min=float(g["y_min"]),
                 y_max=float(g["y_max"]),
             ),
             detector=DetectorGeometry(
-                n_bins=int(d["n_bins"]),
-                y_range=(float(d["y_range"][0]), float(d["y_range"][1])),
+                n_bins=_integer(d["n_bins"], "n_bins"),
+                y_range=(float(y_range[0]), float(y_range[1])),
                 side=str(d.get("side", "B")),
             ),
             measurement=None if m is None else MeasurementSpec(
@@ -178,8 +167,8 @@ class ScenarioConfig:
                 center=float(m.get("center", 0.0)),
             ),
             evolution_time=float(doc.get("evolution_time", 0.0)),
-            n_samples=int(doc.get("n_samples", 0)),
-            seed=int(doc.get("seed", 0)),
+            n_samples=_integer(doc.get("n_samples", 0), "n_samples"),
+            seed=_integer(doc.get("seed", 0), "seed"),
         )
 
 
@@ -220,11 +209,13 @@ def _physics_violations(params: PhysicalParams,
 
 def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
                    evolution_time: float) -> tuple[float, float, float]:
-    """(largest spread to contain, conservative feature proxy, true narrowest width).
+    """(largest spread to contain, conservative feature proxy, spacing cap).
 
     The proxy drives the 8-points target; the true widths drive the accuracy
-    floor.  Both are needed: the proxy is intentionally pessimistic (ħ/4σ is
-    ~2.8x below the actual conditional width ħ/√2σ of the pair amplitude).
+    floor, the spacing cap min(narrowest true width / 1.2, ε / 1.5), where
+    ε / 1.5 is the pointer builder's own floor.  Both are needed: the proxy
+    is intentionally pessimistic (ħ/4σ is ~2.8x below the actual
+    conditional width ħ/√2σ of the pair amplitude).
     Positive finite parameters can still overflow or underflow the closed
     forms (σ = 1e300, Ω₀ = 1e-300); that raises ``UserParameterError``.
     """
@@ -250,7 +241,10 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
             scales.append(gaussian_width_at(dy_init, ep))
     except ArithmeticError as e:
         raise UserParameterError(f"parameters overflow the closed forms ({e})") from e
-    return max(scales), min(proxy), min(true_widths)
+    dy_cap = min(true_widths) / FLOOR_POINTS_PER_WIDTH
+    if measurement is not None:
+        dy_cap = min(dy_cap, measurement.epsilon / POINTER_MIN_POINTS_PER_WIDTH)
+    return max(scales), min(proxy), dy_cap
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
@@ -292,7 +286,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     time_ok = math.isfinite(config.evolution_time) and config.evolution_time >= 0
     if not physics and grid_ok and time_ok:
         try:
-            max_scale, _, true_min = _length_scales(p, m, config.evolution_time)
+            max_scale, _, dy_cap = _length_scales(p, m, config.evolution_time)
         except UserParameterError as e:
             return ValidationReport(violations=tuple(v + [str(e)]))
         extent = min(-g.y_min, g.y_max)
@@ -310,11 +304,12 @@ def validate(config: ScenarioConfig) -> ValidationReport:
                 f"width {max_scale:.6g}"
             )
         # The accuracy floor auto_grid enforces on degraded grids.
-        dy_cap = true_min / FLOOR_POINTS_PER_WIDTH
         if points_ok and g.dy > dy_cap:
             v.append(
-                f"grid spacing {g.dy:.6g} > narrowest width {true_min:.6g} / "
-                f"{FLOOR_POINTS_PER_WIDTH:g}; use more points or a smaller extent"
+                f"grid spacing {g.dy:.6g} > {dy_cap:.6g}, the coarsest that "
+                f"resolves every width (narrowest / {FLOOR_POINTS_PER_WIDTH:g}, "
+                f"pointer / {POINTER_MIN_POINTS_PER_WIDTH:g}); use more points "
+                f"or a smaller extent"
             )
     return ValidationReport(violations=tuple(v))
 
@@ -333,7 +328,7 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     violations = _physics_violations(params, measurement)
     if violations:
         raise UserParameterError("; ".join(violations))
-    max_scale, proxy_min, true_min = _length_scales(params, measurement, evolution_time)
+    max_scale, proxy_min, dy_cap = _length_scales(params, measurement, evolution_time)
     center = abs(measurement.center) if measurement is not None else 0.0
     extent = AUTO_EXTENT_SIGMAS * max_scale + center
     span = 2.0 * extent
@@ -342,9 +337,6 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     if n > max_points:
         n = _floor_pow2(max_points)
         dy = span / (n - 1)
-        dy_cap = true_min / FLOOR_POINTS_PER_WIDTH
-        if measurement is not None:
-            dy_cap = min(dy_cap, measurement.epsilon / POINTER_MIN_POINTS_PER_WIDTH)
         if dy > dy_cap:
             need = _next_pow2(math.ceil(span / dy_cap) + 1)
             raise CapExceededError(

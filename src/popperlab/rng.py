@@ -11,9 +11,12 @@ splitmix64, exactly as the reference implementations specify:
   s3 = rotl64(s3, 45)).
 * uniform double in [0, 1):  top 53 bits of the output, (u64 >> 11) * 2⁻⁵³.
 
-Everything is plain integer arithmetic, so the stream is bit-identical on
-every platform and Python build; a seed in a report is a complete record of
-the randomness used.
+One private core steps the state on four Python ints, recording the s1 each
+step reads, and then applies the ** scrambler to all of them on uint64
+lanes, whose wrap-around is the recurrence's arithmetic mod 2⁶⁴.
+``uniforms``, ``next_u64`` and ``random`` all read from it.  Everything is
+integer arithmetic, so the stream is bit-identical on every platform and
+Python build; a seed in a report is a complete record of the randomness used.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _DOUBLE_SCALE = 2.0 ** -53
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
 
 
 def splitmix64_stream(seed: int):
@@ -55,29 +54,8 @@ class Xoshiro256StarStar:
             # splitmix64 in practice, but cheap to rule out.
             self._s[0] = 1
 
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def random(self) -> float:
-        return (self.next_u64() >> 11) * _DOUBLE_SCALE
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n consecutive uniform doubles in [0, 1), in stream order.
-
-        The state steps on four local ints.  The ** scrambler reads s1 alone,
-        so the loop only records s1 and the scrambler then runs on uint64
-        lanes, whose wrap-around is the recurrence's arithmetic mod 2⁶⁴.
-        """
+    def _outputs(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array, in stream order."""
         s0, s1, s2, s3 = self._s
         seen = array("Q", bytes(8 * n))
         for i in range(n):
@@ -90,6 +68,23 @@ class Xoshiro256StarStar:
             s2 ^= t
             s3 = ((s3 << 45) & _MASK) | (s3 >> 19)
         self._s = [s0, s1, s2, s3]
-        x = np.frombuffer(seen, dtype=np.uint64) * np.uint64(5)
-        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
-        return (x >> np.uint64(11)) * _DOUBLE_SCALE
+        # The scrambler runs in place on the recorded s1 values.
+        x = np.frombuffer(seen, dtype=np.uint64)
+        x *= np.uint64(5)
+        high = x >> np.uint64(57)
+        x <<= np.uint64(7)
+        x |= high
+        x *= np.uint64(9)
+        return x
+
+    def next_u64(self) -> int:
+        return int(self._outputs(1)[0])
+
+    def random(self) -> float:
+        return float(self.uniforms(1)[0])
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """n consecutive uniform doubles in [0, 1), in stream order."""
+        x = self._outputs(n)
+        x >>= np.uint64(11)
+        return x * _DOUBLE_SCALE

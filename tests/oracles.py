@@ -4,8 +4,8 @@ Everything here is computed WITHOUT the package's grid/FFT machinery:
 adaptive quadrature (scipy.integrate) on the analytic integrands, with the
 momentum route going through the analytic derivative of the pair amplitude
 (differentiation under the integral), plus straight-from-the-paper-trail
-reference implementations of the generators and a row-materializing joint
-sampler.  Frozen constants below were
+reference implementations of the generators, a searchsorted inverse-CDF
+sampler and a row-materializing joint sampler.  Frozen constants below were
 produced by these functions; ``python oracles.py`` regenerates them.
 """
 
@@ -86,9 +86,11 @@ XOSHIRO_STATE1234 = [
 
 
 # ---------------------------------------------------------------------------
-# Reference coincidence sampler: y1 by inverting the marginal's cumulative
-# trapezoid, then y2 by inverting the conditional cumulative trapezoid blended
-# between the two neighbouring y1 rows, with every blended row built in full.
+# Reference samplers.  Slit mode inverts the cumulative trapezoid of |psi|^2
+# with searchsorted.  Coincidence mode draws y1 by inverting the marginal's
+# cumulative trapezoid the same way, then y2 by inverting the conditional
+# cumulative trapezoid blended between the two neighbouring y1 rows, with
+# every blended row built in full.
 
 def _ref_invert(y, c, u, dy):
     idx = np.clip(np.searchsorted(c, u, side="right") - 1, 0, len(c) - 2)
@@ -96,6 +98,17 @@ def _ref_invert(y, c, u, dy):
     frac = np.where(denom > 0, (u - c[idx]) / np.where(denom > 0, denom, 1.0), 0.0)
     frac = np.clip(frac, 0.0, 1.0)
     return y[idx] + frac * dy, idx, frac
+
+
+def ref_sample_positions(wf, u: np.ndarray) -> np.ndarray:
+    """Slit-mode draws of a WaveFunction1D for the given uniforms."""
+    g = wf.grid
+    dens = np.abs(wf.amps) ** 2
+    c = np.concatenate(([0.0], np.cumsum(0.5 * (dens[:-1] + dens[1:]) * g.dy)))
+    if c[-1] <= 0:
+        raise ValueError("density integrates to zero")
+    y = np.linspace(g.y_min, g.y_max, g.n_points)
+    return _ref_invert(y, c / c[-1], u, g.dy)[0]
 
 
 def ref_sample_joint(psi, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

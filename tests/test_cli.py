@@ -137,6 +137,15 @@ class TestRun:
     @pytest.mark.parametrize("field,raw", [
         ("detector", '{"n_bins": 48, "y_range": [-5.0]}'),
         ("grid", '{"n_points": 1e400, "y_min": -16.2, "y_max": 16.2}'),
+        # Counts that int() would silently truncate, and a y_range whose
+        # extra entry would be dropped.
+        ("grid", '{"n_points": 1024.9, "y_min": -16.2, "y_max": 16.2}'),
+        ("detector", '{"n_bins": 48.5, "y_range": [-5.0, 5.0]}'),
+        ("detector", '{"n_bins": 48, "y_range": [-5.0, 5.0, 9.0]}'),
+        ("n_samples", "2.7"),
+        ("n_samples", "true"),
+        ("seed", "1.5"),
+        ("seed", "false"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, raw):
         path = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +17,7 @@ from popperlab import (
     ScenarioConfig,
     ScenarioFailure,
     UserParameterError,
+    WaveFunction1D,
     WaveFunction2D,
     auto_grid,
     build_joint_state,
@@ -228,6 +230,73 @@ class TestJointSamplerAgainstReference:
     def test_zero_density_raises(self):
         with pytest.raises(ValueError):
             sample_joint(hand_built(np.zeros((5, 6))), 10, seed=1)
+
+
+def hand_built_1d(amps):
+    amps = np.asarray(amps, dtype=float)
+    return WaveFunction1D(GridSpec(n_points=len(amps), y_min=-2.0, y_max=3.0), amps)
+
+
+# Zero cells at both ends and in the interior, so the CDF has flat runs.
+ZERO_CELLS = np.abs(np.sin(np.arange(40) / 3.0)) + 0.1
+ZERO_CELLS[:4] = 0.0
+ZERO_CELLS[15:22] = 0.0
+ZERO_CELLS[33:] = 0.0
+
+
+class TestPositionSamplerAgainstReference:
+    @pytest.mark.parametrize("n", [1, 100_000])
+    @pytest.mark.parametrize("seed", [3, 20260815, 2 ** 64 - 1])
+    def test_bit_identical_on_the_reduced_state(self, n, seed):
+        _, phi2 = reduced_state()
+        ref = oracles.ref_sample_positions(phi2, oracles.ref_uniforms(seed, n))
+        assert np.array_equal(sample_positions(phi2, n, seed), ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 77])
+    def test_bit_identical_with_zero_cells(self, seed):
+        wf = hand_built_1d(ZERO_CELLS)
+        ref = oracles.ref_sample_positions(wf, oracles.ref_uniforms(seed, 5000))
+        assert np.array_equal(sample_positions(wf, 5000, seed), ref)
+
+    def test_uniforms_on_cdf_knots(self, monkeypatch):
+        # u on every knot lands on a cell edge, and on a flat run several
+        # knots are equal; the largest double below 1 takes the last cell.
+        wf = hand_built_1d(ZERO_CELLS)
+        _, c = cumulative_distribution(wf.grid, np.abs(wf.amps) ** 2)
+        u = np.concatenate((c[:-1], [1.0 - 2.0 ** -53]))
+        monkeypatch.setattr(experiment, "Xoshiro256StarStar", lambda seed: PresetGenerator(u))
+        assert np.array_equal(sample_positions(wf, len(u), seed=0),
+                              oracles.ref_sample_positions(wf, u))
+
+
+class TestSamplerMemory:
+    """Draws are inverted in fixed-size slices, so past the uniforms and the
+    output a sampler's working set does not grow with the number of draws."""
+
+    @staticmethod
+    def traced_peak(sample, state, n, monkeypatch):
+        # Preset uniforms are views of a stream allocated before tracing.
+        stream = np.random.default_rng(0).random(2 * n)
+        monkeypatch.setattr(experiment, "Xoshiro256StarStar",
+                            lambda seed: PresetGenerator(stream))
+        tracemalloc.start()
+        try:
+            sample(state, n, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("mode", ["joint", "positions"])
+    def test_extra_draws_cost_only_their_output(self, mode, monkeypatch):
+        psi = source_pair(64)
+        if mode == "joint":
+            sample, state, out_bytes = sample_joint, psi, 16
+        else:
+            sample, state, out_bytes = sample_positions, WaveFunction1D(psi.grid2, psi.amps[32]), 8
+        small, large = 1 << 17, 1 << 20
+        grow = (self.traced_peak(sample, state, large, monkeypatch)
+                - self.traced_peak(sample, state, small, monkeypatch))
+        assert grow <= 1.1 * out_bytes * (large - small)
 
 
 class TestHistogram:

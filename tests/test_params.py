@@ -101,11 +101,18 @@ class TestValidate:
         report = validate(cfg)
         assert any("post-evolution" in v for v in report.violations)
 
-    def test_under_resolved_grid_flagged(self):
+    @pytest.mark.parametrize("sigma,n_points,extent,measurement", [
         # dy ~ 0.51 cannot resolve the conditional width 1/2sigma = 0.05;
         # left unflagged, run reported dp2 = 3.57 against the closed-form 10.0
-        cfg = make_config(params=PhysicalParams(sigma=10.0, omega0=2.0),
-                          grid=GridSpec(n_points=64, y_min=-16.0, y_max=16.0))
+        (10.0, 64, 16.0, None),
+        # dy ~ 0.378 resolves every width at 1.2 points but not the pointer
+        # at eps/1.5 = 0.333; left unflagged, run failed in stage 'reduce'
+        (0.1, 128, 24.0, MeasurementSpec(epsilon=0.5)),
+    ], ids=["conditional_width", "pointer_floor"])
+    def test_under_resolved_grid_flagged(self, sigma, n_points, extent, measurement):
+        cfg = make_config(params=PhysicalParams(sigma=sigma, omega0=2.0),
+                          grid=GridSpec(n_points=n_points, y_min=-extent, y_max=extent),
+                          measurement=measurement)
         assert any("grid spacing" in v for v in validate(cfg).violations)
 
     def test_detector_rules(self):
@@ -272,6 +279,31 @@ class TestJsonRoundTrip:
         assert cfg.params.hbar == 1.0 and cfg.params.mass == 1.0
         assert cfg.detector.side == "B"
         assert cfg.n_samples == 0 and cfg.seed == 0
+
+    @pytest.mark.parametrize("measurement", [None, MeasurementSpec(epsilon=0.5, center=1.5)])
+    def test_json_dict_layout(self, measurement):
+        cfg = make_config(measurement=measurement, evolution_time=2.0, n_samples=10, seed=7)
+        expected = {
+            "params": {"sigma": 1.0, "omega0": 1.0, "hbar": 1.0, "mass": 1.0},
+            "grid": {"n_points": 1024, "y_min": -16.0, "y_max": 16.0},
+            "detector": {"n_bins": 32, "y_range": [-5.0, 5.0], "side": "B"},
+            "measurement": None if measurement is None else {"epsilon": 0.5, "center": 1.5},
+            "evolution_time": 2.0,
+            "n_samples": 10,
+            "seed": 7,
+        }
+        # json.dumps without sort_keys also pins the key order.
+        assert json.dumps(cfg.to_json_dict()) == json.dumps(expected)
+
+    def test_integral_floats_are_counts(self):
+        doc = json.loads(config_to_json(make_config(n_samples=10, seed=7)))
+        doc["grid"]["n_points"] = 2048.0
+        doc["detector"]["n_bins"] = 32.0
+        doc["n_samples"], doc["seed"] = 10.0, 7.0
+        cfg = ScenarioConfig.from_json_dict(doc)
+        assert (cfg.grid.n_points, cfg.detector.n_bins, cfg.n_samples, cfg.seed) == (2048, 32, 10, 7)
+        assert all(type(v) is int for v in (cfg.grid.n_points, cfg.detector.n_bins,
+                                            cfg.n_samples, cfg.seed))
 
     def test_json_is_stable(self):
         cfg = make_config(seed=5)
