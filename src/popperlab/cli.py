@@ -12,9 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +33,14 @@ from .params import (
     auto_grid,
     config_from_json,
 )
+from .states import build_pointer_state
 from .verify import format_table, run_checks
 from .wavefunction import save_wavefunction
 
-# Sweep grids are chosen automatically per step; this cap keeps one joint
-# state around 268 MB.  Steps whose scale ratio cannot fit retry once at
-# the escalated cap (a 1 GB joint state) before giving up.
+# Sweep grids are chosen automatically per step.  A step reduces the pair
+# by one convolution of length 2N and holds a few length-2N vectors (about
+# 0.6 MiB at 4096 points), never the N×N state.  Steps whose scale ratio
+# cannot fit the cap retry once at the escalated cap before giving up.
 SWEEP_MAX_POINTS = 4096
 SWEEP_MAX_POINTS_ESCALATED = 8192
 # Joint states above this amplitude count are reported but not written out.
@@ -127,7 +127,7 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
 
 
 def _sweep_step(task: tuple) -> tuple:
-    """One sweep row; module-level so worker processes can import it."""
+    """One sweep row: reduce the source pair on the step's own auto grid."""
     name, value, sigma, omega0, hbar, mass, epsilon, center = task
     fields = {"sigma": sigma, "omega0": omega0, "epsilon": epsilon, name: value}
     params = PhysicalParams(sigma=fields["sigma"], omega0=fields["omega0"],
@@ -137,14 +137,14 @@ def _sweep_step(task: tuple) -> tuple:
         grid = auto_grid(params, ms, max_points=SWEEP_MAX_POINTS)
     except CapExceededError:
         grid = auto_grid(params, ms, max_points=SWEEP_MAX_POINTS_ESCALATED)
-    _, red = reduce_pair(params, ms, grid)
+    red = reduce_pair(build_pointer_state(ms, grid), params, ms.epsilon)
     dp2_initial = initial_spreads(params).dp2y
     return (value, red.dy2_closed, red.dp2_closed, red.dp2_numeric,
             dp2_initial, red.dp2_closed / dp2_initial)
 
 
 def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
-              steps: int, log: bool, out_dir: str, jobs: int = 1) -> int:
+              steps: int, log: bool, out_dir: str) -> int:
     config = _load_config(config_path)
     if config is None:
         return 2
@@ -171,18 +171,10 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
     center = ms.center if ms is not None else 0.0
     tasks = [(param, float(v), p.sigma, p.omega0, p.hbar, p.mass, base_eps, center)
              for v in values]
-    # The pool starts all its workers at once, so never ask for more than
-    # there are steps or cores.
-    workers = min(jobs, steps, os.cpu_count() or 1)
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_step, tasks))
-        else:
-            rows = [_sweep_step(t) for t in tasks]
+        rows = sorted((_sweep_step(t) for t in tasks), key=lambda r: r[0])
     except PopperLabError as e:
         return _report_failure(e)
-    rows.sort(key=lambda r: r[0])
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="space steps geometrically")
     sweep_p.add_argument("--out", required=True, help="output directory")
     sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="parallel sweep workers (at most one per step "
-                              "and per core)")
+                         help="accepted for compatibility; steps take "
+                              "milliseconds and run serially")
 
     verify_p = sub.add_parser("verify", help="run the self-check battery")
     level = verify_p.add_mutually_exclusive_group()
@@ -246,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_run(args.config, args.out, args.seed)
     if args.command == "sweep":
         return cmd_sweep(args.config, args.param, args.from_value, args.to_value,
-                         args.steps, args.log, args.out, args.jobs)
+                         args.steps, args.log, args.out)
     return cmd_verify("full" if args.full else "quick")
 
 

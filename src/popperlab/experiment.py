@@ -13,7 +13,8 @@ CDF, probing O(log N) columns, so no blended row is ever built; it runs over
 fixed-size slices of draws, so its working set does not grow with n.
 
 ``run_scenario`` is the whole tabletop: build the pair, record closed-form
-and grid-measured spreads, optionally reduce behind the pointer, fly to the
+and grid-measured spreads, optionally reduce the source pair behind the
+pointer (by convolution, without reading the built pair), fly to the
 detector plane, sample, and bin.  Every numeric field in the report is tagged
 with the grid that produced it, and timings live in their own block so that
 reports stay byte-comparable across runs.
@@ -26,7 +27,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .analytic import (
     approx_dp2_strong_correlation,
@@ -37,7 +37,7 @@ from .analytic import (
 )
 from .errors import ScenarioFailure, UserParameterError
 from .evolution import EvolutionParams, free_propagate, gaussian_width_at
-from .measurement import conditional_reduce
+from .measurement import reduce_pair
 from .params import DetectorGeometry, GridSpec, ScenarioConfig, validate
 from .rng import Xoshiro256StarStar
 from .states import JointStateRecipe, build_joint_state, build_pointer_state
@@ -188,6 +188,10 @@ def chi_square_against_density(hist: DetectorHistogram, grid: GridSpec,
     remaining probabilities renormalized (conditional goodness of fit).
     Returns (statistic, degrees of freedom, p-value).
     """
+    # Imported here, as scipy.stats is in ks_against_density: a run or a
+    # sweep that never samples then imports numpy only.
+    from scipy import special
+
     y, c = cumulative_distribution(grid, density)
     cdf_at = np.interp(hist.edges, y, c, left=0.0, right=1.0)
     probs = np.diff(cdf_at)
@@ -317,7 +321,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     if ms is not None:
         with _stage(timings, "reduce"):
             phi1 = build_pointer_state(ms, config.grid)
-            red = conditional_reduce(psi, phi1, params, ms.epsilon)
+            red = reduce_pair(phi1, params, ms.epsilon)
         states["pointer"] = phi1
         states["reduced"] = red.phi2
         numeric["reduced"] = {

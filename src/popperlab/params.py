@@ -75,6 +75,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """A config number as a float; booleans and strings are errors, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class PhysicalParams:
     """Source parameters σ, Ω₀ plus the unit choices ħ and m."""
@@ -147,26 +154,26 @@ class ScenarioConfig:
             raise ValueError(f"detector y_range must be two numbers, got {y_range!r}")
         return cls(
             params=PhysicalParams(
-                sigma=float(p["sigma"]),
-                omega0=float(p["omega0"]),
-                hbar=float(p.get("hbar", 1.0)),
-                mass=float(p.get("mass", 1.0)),
+                sigma=_real(p["sigma"], "sigma"),
+                omega0=_real(p["omega0"], "omega0"),
+                hbar=_real(p.get("hbar", 1.0), "hbar"),
+                mass=_real(p.get("mass", 1.0), "mass"),
             ),
             grid=GridSpec(
                 n_points=_integer(g["n_points"], "n_points"),
-                y_min=float(g["y_min"]),
-                y_max=float(g["y_max"]),
+                y_min=_real(g["y_min"], "y_min"),
+                y_max=_real(g["y_max"], "y_max"),
             ),
             detector=DetectorGeometry(
                 n_bins=_integer(d["n_bins"], "n_bins"),
-                y_range=(float(y_range[0]), float(y_range[1])),
+                y_range=(_real(y_range[0], "y_range"), _real(y_range[1], "y_range")),
                 side=str(d.get("side", "B")),
             ),
             measurement=None if m is None else MeasurementSpec(
-                epsilon=float(m["epsilon"]),
-                center=float(m.get("center", 0.0)),
+                epsilon=_real(m["epsilon"], "epsilon"),
+                center=_real(m.get("center", 0.0), "center"),
             ),
-            evolution_time=float(doc.get("evolution_time", 0.0)),
+            evolution_time=_real(doc.get("evolution_time", 0.0), "evolution_time"),
             n_samples=_integer(doc.get("n_samples", 0), "n_samples"),
             seed=_integer(doc.get("seed", 0), "seed"),
         )

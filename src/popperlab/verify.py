@@ -27,7 +27,7 @@ from .experiment import (
     sample_joint,
     sample_positions,
 )
-from .measurement import reduce_pair
+from .measurement import ReductionResult, reduce_pair
 from .params import (
     DetectorGeometry,
     GridSpec,
@@ -45,6 +45,7 @@ from .wavefunction import (
     position_stats,
     schmidt,
     WaveFunction1D,
+    WaveFunction2D,
 )
 
 # seed for the deterministic parameter sweeps below
@@ -86,6 +87,13 @@ def _bound_row(name: str, actual: float, tol: float, expected: str = "0") -> Che
                     tolerance=f"{tol:g}", passed=actual <= tol)
 
 
+def _pair_and_reduction(params: PhysicalParams, ms: MeasurementSpec,
+                        grid: GridSpec) -> tuple[WaveFunction2D, ReductionResult]:
+    """The dense pair on ``grid`` and, by convolution, its reduction behind ``ms``."""
+    psi = build_joint_state(JointStateRecipe(params, grid, grid))
+    return psi, reduce_pair(build_pointer_state(ms, grid), params, ms.epsilon)
+
+
 def _reduction_sweep(level: _Level) -> list[dict]:
     gen = Xoshiro256StarStar(_PARAM_SEED)
     lo, hi = level.box
@@ -96,7 +104,7 @@ def _reduction_sweep(level: _Level) -> list[dict]:
         eps = _log_uniform(gen, lo, hi)
         ms = MeasurementSpec(epsilon=eps)
         grid = auto_grid(params, ms, max_points=level.max_points)
-        psi, red = reduce_pair(params, ms, grid)
+        psi, red = _pair_and_reduction(params, ms, grid)
         rows.append({
             "params": params,
             "eps": eps,
@@ -151,7 +159,7 @@ def _check_no_extra_spread(rows: list[dict], level: _Level) -> list[CheckRow]:
         eps = _log_uniform(gen, lo, hi)
         ms = MeasurementSpec(epsilon=eps)
         grid = auto_grid(params, ms, max_points=level.max_points)
-        psi, red = reduce_pair(params, ms, grid)
+        psi, red = _pair_and_reduction(params, ms, grid)
         init_num = momentum_std_spectral(psi, particle=2)
         closed = reduced_spreads(params, eps)
         init_closed = initial_spreads(params).dp2y
@@ -166,7 +174,7 @@ def _check_fixed_point(level: _Level) -> list[CheckRow]:
     params = PhysicalParams(sigma=1.0, omega0=0.25)
     ms = MeasurementSpec(epsilon=0.3)
     grid = auto_grid(params, ms, max_points=level.max_points)
-    psi, red = reduce_pair(params, ms, grid)
+    psi, red = _pair_and_reduction(params, ms, grid)
     closed = reduced_spreads(params, ms.epsilon)
     dev = max(abs(closed.dp2y - math.sqrt(2.0)) / math.sqrt(2.0),
               abs(closed.dy2 - 0.5 / math.sqrt(2.0)) / (0.5 / math.sqrt(2.0)))
@@ -246,7 +254,7 @@ def _check_sampling(level: _Level) -> list[CheckRow]:
     params = PhysicalParams(sigma=1.0, omega0=2.0)
     ms = MeasurementSpec(epsilon=0.5)
     grid = auto_grid(params, ms, max_points=max(level.max_points, 1024))
-    psi, red = reduce_pair(params, ms, grid)
+    psi, red = _pair_and_reduction(params, ms, grid)
     n = level.n_samples
     samples = sample_positions(red.phi2, n, seed=20260814)
     grid_std = position_stats(red.phi2).std
@@ -276,7 +284,7 @@ def _check_convergence(level: _Level) -> list[CheckRow]:
     ms = MeasurementSpec(epsilon=0.5)
     base = auto_grid(params, ms, max_points=max(level.max_points, 512))
     fine = GridSpec(n_points=base.n_points * 2, y_min=base.y_min, y_max=base.y_max)
-    runs = [reduce_pair(params, ms, grid) for grid in (base, fine)]
+    runs = [_pair_and_reduction(params, ms, grid) for grid in (base, fine)]
     spreads = [(position_stats(psi, 2).std, momentum_std_spectral(psi, particle=2),
                 red.dy2_numeric, red.dp2_numeric) for psi, red in runs]
     drift = max(abs(a - b) / abs(b) for a, b in zip(*spreads))

@@ -146,6 +146,16 @@ class TestRun:
         ("n_samples", "true"),
         ("seed", "1.5"),
         ("seed", "false"),
+        # Float fields take JSON numbers only: no booleans, no strings.
+        ("params", '{"sigma": true, "omega0": 2.0}'),
+        ("params", '{"sigma": 1.0, "omega0": "2.0"}'),
+        ("params", '{"sigma": 1.0, "omega0": 2.0, "hbar": false}'),
+        ("grid", '{"n_points": 1024, "y_min": -16.2, "y_max": true}'),
+        ("detector", '{"n_bins": 48, "y_range": [-5.0, "5.0"]}'),
+        ("measurement", '{"epsilon": true}'),
+        ("measurement", '{"epsilon": 0.5, "center": "0"}'),
+        ("evolution_time", "true"),
+        ("evolution_time", '"1.0"'),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, raw):
         path = tmp_path / "cfg.json"
@@ -224,34 +234,42 @@ class TestSweep:
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("cores,workers", [(64, 3), (2, 2)])
-    def test_jobs_clamped_to_steps_and_cores(self, tmp_path, monkeypatch,
-                                             cores, workers):
-        # a pool forks all of its workers at once, so --jobs 5000 must not
-        # reach it; the fake pool starts no process
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    def test_jobs_accepted_and_steps_run_serially(self, tmp_path):
+        # --jobs is kept for scripts that pass it; no pool exists to start
+        # processes, so even 5000 must give the same bytes as 1
+        assert not hasattr(cli, "ProcessPoolExecutor")
         cfg = write_config(tmp_path / "cfg.json", n_samples=0)
+        outputs = []
+        for jobs in ("1", "5000"):
+            out = tmp_path / f"j{jobs}"
+            code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
+                             "--from", "0.3", "--to", "0.6", "--steps", "3",
+                             "--jobs", jobs, "--out", str(out)])
+            assert code == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_sweep_builds_no_pair_state(self, tmp_path, monkeypatch):
+        # every step reduces by convolution, including the 8192-point
+        # escalation of the 0.05 step, so no N×N amplitude is evaluated
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep step built the pair state")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("popperlab"):
+                for name in ("build_joint_state", "joint_amplitude"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, refuse)
+        cfg = write_config(tmp_path / "cfg.json",
+                           params={"sigma": 10.0, "omega0": 10.0},
+                           measurement={"epsilon": 0.2}, n_samples=0)
+        out = tmp_path / "out"
         code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
-                         "--from", "0.3", "--to", "0.6", "--steps", "3",
-                         "--jobs", "5000", "--out", str(tmp_path / "o")])
+                         "--from", "0.05", "--to", "0.5", "--steps", "4",
+                         "--out", str(out)])
         assert code == 0
-        assert started == [workers]
+        _, rows = read_rows(out / "sweep.csv")
+        assert len(rows) == 4
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_samples=0)
@@ -336,21 +354,21 @@ class TestVerifyCommand:
 # --- exit-code fuzzing -------------------------------------------------------
 # Every drawn case stays small: a grid that passes validation has at most 512
 # points (a 2 MiB pair state), at most 2000 samples are drawn, sweeps only run
-# on bases whose auto grids have at most 1024 points (8 MiB), --jobs never
-# exceeds 1 (no worker processes), and valid verify calls are left to the
-# tests above.  Sizes above the validation bounds are drawn too: validate
+# on bases whose auto grids have at most 1024 points, --jobs starts no worker
+# process whatever its value, and valid verify calls are left to the tests
+# above.  Sizes above the validation bounds are drawn too: validate
 # rejects them, with exit 2, before anything is allocated.
 
 RAW_1E400 = "__1e400__"  # written to the document as the bare literal 1e400
 DROP = object()  # removes the field from the document
 JUNK = [-1, 0, -2.5, float("nan"), float("-inf"), float("inf"), RAW_1E400,
-        "x", "", None, [1.0], {"a": 1}, DROP]
+        "x", "", "1.0", True, None, [1.0], {"a": 1}, DROP]
 # Positive finite, but they overflow the closed forms that size every grid,
 # so they stop a sweep before its first step.
 OVERFLOWING = [1e-300, 1e300]
 # Physics values that may pass validation: only safe where the document
 # bounds the grid, which holds for run but not for sweep's auto grids.
-RUN_EXTREMES = [True, 5e-324, 1e-8, 1e8]
+RUN_EXTREMES = [5e-324, 1e-8, 1e8]
 
 
 def usually(valid, junk, odds=3):
@@ -433,7 +451,7 @@ def sweep_case(draw):
     if draw(st.booleans()):
         argv.append("--log")
     if draw(st.booleans()):
-        argv += ["--jobs", draw(st.sampled_from(["1", "0", "-3", "x"]))]
+        argv += ["--jobs", draw(st.sampled_from(["1", "0", "-3", "5000", "x"]))]
     return draw(config_text(SWEEP_BASES, OVERFLOWING)), argv
 
 

@@ -1,6 +1,7 @@
 """Conditional reduction at station A and the aperture contrast."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from popperlab import (
     ApertureProfile,
     GridMismatchError,
+    WaveFunction1D,
     GridSpec,
     JointStateRecipe,
     MeasurementSpec,
     PhysicalParams,
     ZeroNormError,
     aperture_postselect,
+    auto_grid,
     build_joint_state,
     build_pointer_state,
     conditional_reduce,
@@ -23,6 +26,7 @@ from popperlab import (
     reduced_density_momentum_std,
     reduced_spreads,
 )
+from popperlab.measurement import reduce_pair
 from popperlab.wavefunction import norm
 
 import oracles
@@ -107,6 +111,102 @@ class TestConditionalReduce:
         assert red.dp2_numeric == pytest.approx(red.dp2_closed, rel=1e-9)
         init = initial_spreads(p).dp2y
         assert red.dp2_numeric == pytest.approx(init, rel=1e-5)
+
+
+# (sigma, omega0, eps, center, y_min, y_max); every grid resolves the
+# pointer at 64 points, so each case also runs at 512 and 4096.
+CONVOLUTION_CASES = {
+    "toeplitz": (1.0, 2.0, 1.0, 0.0, -17.0, 17.0),
+    "hankel": (0.1, 0.5, 1.2, 0.0, -22.0, 22.0),
+    "factorization line": (0.3, 1.0 / 1.2, 0.5, 0.0, -10.0, 10.0),
+    "off-centre pointer": (1.0, 2.0, 1.0, 3.0, -20.0, 20.0),
+    "asymmetric grid, toeplitz": (1.0, 2.0, 1.0, 1.5, -15.0, 21.0),
+    "asymmetric grid, hankel": (0.1, 0.5, 1.2, -1.0, -18.0, 26.0),
+}
+# The two routes sum the same quadrature in different orders; at float64
+# the measured gap is at most about 5e-14 of the peak amplitude.
+CONVOLUTION_TOL = 1e-13
+
+
+def assert_routes_agree(conv, dense):
+    peak = np.max(np.abs(dense.phi2.amps))
+    assert np.max(np.abs(conv.phi2.amps - dense.phi2.amps)) <= CONVOLUTION_TOL * peak
+    assert conv.dy2_numeric == pytest.approx(dense.dy2_numeric, rel=CONVOLUTION_TOL)
+    assert conv.dp2_numeric == pytest.approx(dense.dp2_numeric, rel=CONVOLUTION_TOL)
+    # the residual is already relative to the peak
+    assert abs(conv.residual - dense.residual) <= CONVOLUTION_TOL
+    assert (conv.dy2_closed, conv.dp2_closed) == (dense.dy2_closed, dense.dp2_closed)
+
+
+class TestReducePairByConvolution:
+    """``reduce_pair`` against the dense matvec of ``conditional_reduce``."""
+
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    @pytest.mark.parametrize("case", sorted(CONVOLUTION_CASES))
+    def test_matches_dense_route(self, case, n):
+        sigma, omega0, eps, center, lo, hi = CONVOLUTION_CASES[case]
+        p = PhysicalParams(sigma=sigma, omega0=omega0)
+        g = GridSpec(n_points=n, y_min=lo, y_max=hi)
+        phi1 = build_pointer_state(MeasurementSpec(epsilon=eps, center=center), g)
+        psi = build_joint_state(JointStateRecipe(p, g, g))
+        assert_routes_agree(reduce_pair(phi1, p, eps), conditional_reduce(psi, phi1, p, eps))
+
+    @pytest.mark.parametrize("center", [-30.0, 12.0, 30.0])
+    def test_far_off_centre_pointer(self, center):
+        # 15 pair widths out: an uncentred split loses 2e-2 of dy2 here
+        p = PhysicalParams(sigma=5.0, omega0=2.65)
+        g = auto_grid(p, MeasurementSpec(epsilon=0.25, center=center), max_points=2048)
+        phi1 = build_pointer_state(MeasurementSpec(epsilon=0.25, center=center), g)
+        psi = build_joint_state(JointStateRecipe(p, g, g))
+        assert_routes_agree(reduce_pair(phi1, p, 0.25), conditional_reduce(psi, phi1, p, 0.25))
+
+    def test_complex_pointer(self):
+        sigma, omega0, eps, center, lo, hi = CONVOLUTION_CASES["toeplitz"]
+        p = PhysicalParams(sigma=sigma, omega0=omega0)
+        g = GridSpec(n_points=512, y_min=lo, y_max=hi)
+        real = build_pointer_state(MeasurementSpec(epsilon=eps), g)
+        y = np.linspace(lo, hi, 512)
+        phi1 = WaveFunction1D(grid=g, amps=real.amps * np.exp(0.7j * y))
+        psi = build_joint_state(JointStateRecipe(p, g, g))
+        conv = reduce_pair(phi1, p, eps)
+        assert np.iscomplexobj(conv.phi2.amps)
+        assert_routes_agree(conv, conditional_reduce(psi, phi1, p, eps))
+
+    def test_matches_closed_form(self):
+        p = PhysicalParams(sigma=10.0, omega0=10.0)
+        ms = MeasurementSpec(epsilon=0.1)
+        g = auto_grid(p, ms, max_points=8192)
+        red = reduce_pair(build_pointer_state(ms, g), p, 0.1)
+        assert red.dy2_numeric == pytest.approx(red.dy2_closed, rel=1e-9)
+        assert red.dp2_numeric == pytest.approx(red.dp2_closed, rel=1e-9)
+        assert red.residual < 1e-9
+
+    def test_pointer_outside_the_pair_has_zero_norm(self):
+        # the overlap underflows far below the norm floor on both routes
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        g = GridSpec(n_points=1024, y_min=-100.0, y_max=100.0)
+        phi1 = build_pointer_state(MeasurementSpec(epsilon=0.5, center=90.0), g)
+        psi = build_joint_state(JointStateRecipe(p, g, g))
+        with pytest.raises(ZeroNormError):
+            conditional_reduce(psi, phi1, p, 0.5)
+        with pytest.raises(ZeroNormError):
+            reduce_pair(phi1, p, 0.5)
+
+    def test_peak_memory_is_a_few_vectors(self):
+        # the dense route holds a 4096² float64 state: 128 MiB, 256 MiB at peak
+        p = PhysicalParams(sigma=10.0, omega0=10.0)
+        ms = MeasurementSpec(epsilon=0.1)
+        g = auto_grid(p, ms, max_points=4096)
+        assert g.n_points == 4096
+        phi1 = build_pointer_state(ms, g)
+        reduce_pair(phi1, p, 0.1)  # fills the grid caches
+        tracemalloc.start()
+        try:
+            reduce_pair(phi1, p, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestAperture:
