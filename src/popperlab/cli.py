@@ -126,13 +126,13 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
     return 0
 
 
-def _sweep_step(task: tuple) -> tuple:
-    """One sweep row: reduce the source pair on the step's own auto grid."""
-    name, value, sigma, omega0, hbar, mass, epsilon, center = task
-    fields = {"sigma": sigma, "omega0": omega0, "epsilon": epsilon, name: value}
-    params = PhysicalParams(sigma=fields["sigma"], omega0=fields["omega0"],
-                            hbar=hbar, mass=mass)
-    ms = MeasurementSpec(epsilon=fields["epsilon"], center=center)
+def _sweep_step(params: PhysicalParams, ms: MeasurementSpec, name: str,
+                value: float) -> tuple:
+    """One sweep row: ``name`` set to ``value``, reduced on the step's own auto grid."""
+    if name == "epsilon":
+        ms = dataclasses.replace(ms, epsilon=value)
+    else:
+        params = dataclasses.replace(params, **{name: value})
     try:
         grid = auto_grid(params, ms, max_points=SWEEP_MAX_POINTS)
     except CapExceededError:
@@ -166,13 +166,11 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
 
     space = np.geomspace if log else np.linspace
     values = space(from_value, to_value, steps)
-    p = config.params
-    base_eps = ms.epsilon if ms is not None else 1.0
-    center = ms.center if ms is not None else 0.0
-    tasks = [(param, float(v), p.sigma, p.omega0, p.hbar, p.mass, base_eps, center)
-             for v in values]
+    # without a measurement block only ε is swept, so this ε is never used
+    ms = ms if ms is not None else MeasurementSpec(epsilon=1.0)
     try:
-        rows = sorted((_sweep_step(t) for t in tasks), key=lambda r: r[0])
+        rows = sorted((_sweep_step(config.params, ms, param, float(v)) for v in values),
+                      key=lambda r: r[0])
     except PopperLabError as e:
         return _report_failure(e)
 

@@ -269,10 +269,12 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         v.append("n_points must be a power of two")
     elif g.n_points > DEFAULT_MAX_POINTS:
         v.append(f"n_points must be <= {DEFAULT_MAX_POINTS}")
-    if not (math.isfinite(g.y_min) and math.isfinite(g.y_max) and g.y_max > g.y_min):
+    grid_ok = math.isfinite(g.y_min) and math.isfinite(g.y_max) and g.y_max > g.y_min
+    if not grid_ok:
         v.append("grid must satisfy y_max > y_min with finite bounds")
 
-    if not (math.isfinite(config.evolution_time) and config.evolution_time >= 0):
+    time_ok = math.isfinite(config.evolution_time) and config.evolution_time >= 0
+    if not time_ok:
         v.append("evolution_time must be >= 0 and finite")
     if not isinstance(config.n_samples, int) or not 0 <= config.n_samples <= MAX_SAMPLES:
         v.append(f"n_samples must be an integer in [0, {MAX_SAMPLES}]")
@@ -289,8 +291,6 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         v.append("detector side must be 'A' or 'B'")
 
     # Relational checks need sane params and grid bounds.
-    grid_ok = math.isfinite(g.y_min) and math.isfinite(g.y_max) and g.y_max > g.y_min
-    time_ok = math.isfinite(config.evolution_time) and config.evolution_time >= 0
     if not physics and grid_ok and time_ok:
         try:
             max_scale, _, dy_cap = _length_scales(p, m, config.evolution_time)

@@ -312,7 +312,9 @@ def schmidt(wf: WaveFunction2D, truncation: float = SCHMIDT_TRUNCATION) -> Schmi
     keep = s >= truncation * s[0] if s[0] > 0 else s >= 0
     coeff = s[keep]
     lam2 = coeff ** 2 / np.sum(coeff ** 2)
-    entropy = float(-np.sum(lam2 * np.log(lam2, where=lam2 > 0, out=np.zeros_like(lam2))))
+    terms = lam2 * np.log(lam2, where=lam2 > 0, out=np.zeros_like(lam2))
+    # + 0.0 turns the −0.0 of a lone retained coefficient into +0.0
+    entropy = float(-np.sum(terms)) + 0.0
     return SchmidtSpectrum(coefficients=coeff, entropy=entropy)
 
 

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from popperlab import cli
+from popperlab import analytic, cli, wavefunction
 from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
 
 
@@ -90,6 +92,17 @@ class TestRun:
         report = json.loads((out / "report.json").read_text(), parse_constant=reject)
         assert report["sampled"]["n"] == 1
         assert report["sampled"]["correlation"] is None
+
+    def test_product_state_entropy_is_positive_zero(self, tmp_path):
+        # Ω₀ = ħ/4σ keeps one Schmidt coefficient, whose entropy sum is −0.0
+        cfg = write_config(tmp_path / "cfg.json", params={"sigma": 1.0, "omega0": 0.25},
+                           grid={"n_points": 256, "y_min": -8.0, "y_max": 8.0},
+                           n_samples=0)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        entropy = json.loads((out / "report.json").read_text())["numeric"]["schmidt_entropy"]
+        assert entropy == 0.0
+        assert math.copysign(1.0, entropy) == 1.0
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -345,10 +358,33 @@ class TestVerifyCommand:
     def test_table_lists_every_check(self, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
-        for fragment in ("closed form vs grid", "never exceeds initial",
-                         "minimum-uncertainty", "chi-square",
+        for fragment in ("closed form vs grid", "route agreement", "never exceeds initial",
+                         "narrow strictly", "minimum-uncertainty", "chi-square",
                          "doubling the resolution"):
             assert fragment in out
+
+    @staticmethod
+    def scaled_omega(params, eps):
+        closed = analytic.reduced_spreads(params, eps)
+        k = 1.0 + 1e-5
+        return dataclasses.replace(closed, omega=closed.omega * k, dy2=closed.dy2 * k,
+                                   dp2y=closed.dp2y / k)
+
+    @pytest.mark.parametrize("target,fault,row", [
+        ("popperlab.measurement.reduced_spreads", scaled_omega,
+         "reduced spreads: closed form vs grid"),
+        ("popperlab.verify.momentum_std_spectral",
+         lambda wf, *a, **k: wavefunction.momentum_std_spectral(wf, *a, **k) * (1.0 + 1e-5),
+         "initial spreads: closed form vs grid"),
+        ("popperlab.verify.position_correlation",
+         lambda params: analytic.position_correlation(params) + 0.02,
+         "coincidence correlation vs closed form"),
+    ], ids=["omega", "spectral-dp2", "correlation"])
+    def test_injected_fault_fails_its_row(self, monkeypatch, capsys, target, fault, row):
+        monkeypatch.setattr(target, fault)
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert next(line for line in out.splitlines() if line.startswith(row)).endswith("FAIL")
 
 
 # --- exit-code fuzzing -------------------------------------------------------

@@ -222,6 +222,7 @@ class TestSchmidt:
         psi = pair_state(1.0, 0.25, half=10.0)
         ss = schmidt(psi)
         assert ss.entropy < 1e-6
+        assert math.copysign(1.0, ss.entropy) == 1.0
         lam2 = ss.coefficients ** 2 / np.sum(ss.coefficients ** 2)
         assert lam2[0] > 1.0 - 1e-9
 
