@@ -12,6 +12,17 @@ serves all three draws (slit-mode position, y₁, y₂).  It bisects each draw's
 CDF, probing O(log N) columns, so no blended row is ever built; it runs over
 fixed-size slices of draws, so its working set does not grow with n.
 
+The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
+``sampled.ks`` holds D and its exact two-sided p-value P(D_n ≥ D), both
+computed with numpy and equal to scipy's ``stats.ks_1samp`` bit for bit.
+The p-value ports scipy's ``kstwo.sf`` dispatch (Simard & L'Ecuyer 2011):
+Ruben-Gambino end cases, the Durbin matrix and, at typical sizes, the
+Pelz-Good series; where scipy would run Pomeranz (n ≤ 140) Durbin agrees to
+2e-14.  scipy is imported only on demand: ``scipy.special.smirnov`` for a
+p-value in the tail (D ≥ 0.5, or nD² ≥ 2.2; nD² > 4 for n ≤ 140), and
+``scipy.special.chdtrc`` for the χ² test that ``verify`` runs.  The stats
+package of scipy is never imported.
+
 ``run_scenario`` is the whole tabletop: build the pair, record closed-form
 and grid-measured spreads, optionally reduce the source pair behind the
 pointer (by convolution, without reading the built pair), fly to the
@@ -188,8 +199,7 @@ def chi_square_against_density(hist: DetectorHistogram, grid: GridSpec,
     remaining probabilities renormalized (conditional goodness of fit).
     Returns (statistic, degrees of freedom, p-value).
     """
-    # Imported here, as scipy.stats is in ks_against_density: a run or a
-    # sweep that never samples then imports numpy only.
+    # Imported here: only verify tests χ², so run and sweep import numpy only.
     from scipy import special
 
     y, c = cumulative_distribution(grid, density)
@@ -211,14 +221,140 @@ def chi_square_against_density(hist: DetectorHistogram, grid: GridSpec,
 
 def ks_against_density(samples: np.ndarray, grid: GridSpec,
                        density: np.ndarray) -> tuple[float, float]:
-    """Kolmogorov-Smirnov statistic and p-value against the grid CDF."""
-    # Imported here: scipy.stats is most of the package's import time, and
-    # only sampled runs reach this function.
-    from scipy import stats
+    """KS statistic D against the grid CDF and its exact two-sided p-value.
 
+    D is formed as scipy's ``_compute_d`` forms it, so both equal ``ks_1samp``'s.
+    """
+    n = len(samples)
+    if n == 0:
+        return math.nan, math.nan  # As ks_1samp gives for an empty sample.
     y, c = cumulative_distribution(grid, density)
-    result = stats.ks_1samp(samples, lambda x: np.interp(x, y, c, left=0.0, right=1.0))
-    return float(result.statistic), float(result.pvalue)
+    cdf = np.interp(np.sort(samples), y, c, left=0.0, right=1.0)
+    d = max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n))
+    return float(d), _kolmogorov_sf(n, d)
+
+
+# Constants of scipy's stats/_ksstats.py: long-double 2**±128 rescale the Durbin
+# powers; the Stirling series of log(n!/n**n) holds B_2j / (2j (2j-1)).
+_EP128, _EM128 = np.longdouble(2.0 ** 128), np.longdouble(2.0 ** -128)
+_STIRLING = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+             -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+             -5.952380952380952381e-4, 7.9365079365079365079e-4,
+             -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+_PI_SQUARED, _PI_FOUR, _PI_SIX = np.pi ** 2, np.pi ** 4, np.pi ** 6
+_SQRT2PI, _SQRT3 = np.sqrt(2 * np.pi), np.sqrt(3)
+
+
+def _kolmogorov_sf(n: int, x: float) -> float:
+    """P(D_n ≥ x): scipy's ``kstwo.sf`` dispatch (Simard & L'Ecuyer 2011).
+
+    Its operations in its order, on x as the 0-d array scipy passes on, give
+    scipy's bits; where scipy runs Pomeranz (n ≤ 140, 0.754693 < nx² ≤ 4) the
+    Durbin matrix runs instead, within 2e-14.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x >= 1.0:
+        return 0.0
+    t = n * x
+    if x <= 0.5 / n or t <= 0.5:
+        return 1.0
+    if t <= 1.0:  # Ruben-Gambino
+        if n <= 140:
+            cdf = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
+        else:
+            rn = 1.0 / n
+            cdf = np.exp(np.log(n) / 2 - n + np.log(2 * np.pi) / 2
+                         + rn * np.polyval(_STIRLING, rn / n) + n * np.log(2 * t - 1))
+        return float(np.clip(1.0 - cdf, 0.0, 1.0))
+    if t >= n - 1:  # Ruben-Gambino
+        return float(np.clip(2 * (1.0 - x) ** n, 0.0, 1.0))
+    nxx = t * x
+    if x < 0.5 and n > 140 and nxx >= 370.0:
+        return 0.0
+    if x >= 0.5 or (nxx > 4 if n <= 140 else nxx >= 2.2):
+        from scipy import special  # Exact for x ≥ 0.5; Miller's approximation below.
+        return float(np.clip(2 * special.smirnov(n, x), 0.0, 1.0))
+    if n <= 140 or (n <= 100000 and n * x ** 1.5 <= 1.4):
+        cdf = _durbin_cdf(n, x)
+    else:
+        cdf = _pelz_good_cdf(n, x)
+    return float(np.clip(1.0 - cdf, 0.0, 1.0))
+
+
+def _durbin_cdf(n, d):
+    """P(D_n ≤ d) by Durbin's matrix (Marsaglia, Tsang & Wang 2003), nd > 1."""
+    # d = (k - h)/n; the k-th diagonal entry of H**n, scaled by n!/n**n.
+    k = int(np.ceil(n * d))
+    h, m = k - n * d, 2 * k - 1
+    intm = np.arange(1, m + 1)
+    v, w, fac = 1.0 - h ** intm, np.empty(m), 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j
+        v[j - 1] *= fac
+    v[-1] = (1.0 + (max(2 * h - 1.0, 0) ** m - 2 * h ** m)) * fac
+    H = np.zeros([m, m])
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+    Hpwr, nn, expnt, Hexpnt = np.eye(m), n, 0, 0
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += 128
+        nn = nn // 2
+    p = Hpwr[k - 1, k - 1]
+    for i in range(1, n + 1):
+        p = i * p / n
+        if np.abs(p) < _EM128:
+            p *= _EP128
+            expnt -= 128
+    return np.ldexp(p, expnt)
+
+
+def _pelz_good_cdf(n, x):
+    """P(D_n ≤ x) by the Pelz-Good series (J. R. Stat. Soc. B 38, 1976)."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < -708:
+        return 0.0
+    q = np.exp(qlog)
+    k1a, k1b = -zsquared, _PI_SQUARED / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+    # K0..K3: Horner sums of c_m q**(m²) over odd m = 2k - 1 ...
+    K = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        K *= np.power(q, 8 * k)
+        K += np.array([1.0, k1a + k1b * m**2, k2a + k2b * m**2 + k2c * m**4,
+                       k3a + k3b * m**2 + k3c * m**4 + k3d * m**6])
+    K *= q
+    K *= _SQRT2PI
+    K /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+    # ... plus the K2 and K3 terms in exp(-π²k²/2z²) over every k.
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    qpwers = np.exp(-_PI_SQUARED / 2 / zsquared) ** ksquared
+    K[2] += np.sum(ksquared * qpwers) * (_PI_SQUARED * _SQRT2PI / (-36 * zthree))
+    sqrt3z, kspi = _SQRT3 * z, np.pi * ks
+    K[3] += (np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+             * (_PI_SQUARED * _SQRT2PI / (216 * zsix)))
+    K /= np.power(n * 1.0, np.arange(len(K)) / 2.0)
+    return sum(K)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ def _floor_pow2(n: int) -> int:
 
 
 def _integer(value, name: str) -> int:
-    """A config count as an int; fractions and booleans are errors, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A config count as an int; fractions, booleans and strings are errors, not coerced."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

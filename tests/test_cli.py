@@ -159,6 +159,10 @@ class TestRun:
         ("n_samples", "true"),
         ("seed", "1.5"),
         ("seed", "false"),
+        # Counts take JSON numbers only: a numeric string is not coerced.
+        ("grid", '{"n_points": "1024", "y_min": -16.2, "y_max": 16.2}'),
+        ("n_samples", '"100"'),
+        ("seed", '"7"'),
         # Float fields take JSON numbers only: no booleans, no strings.
         ("params", '{"sigma": true, "omega0": 2.0}'),
         ("params", '{"sigma": 1.0, "omega0": "2.0"}'),
@@ -340,6 +344,44 @@ class TestSweep:
         assert code == 2
 
 
+def scipy_loaded(tmp_path, seed=None):
+    """scipy and its public subpackages loaded in a fresh interpreter.
+
+    It imports ``popperlab.cli`` and, given a seed, runs the default slit
+    scenario with 2000 samples.  Returns (loaded names, the run's KS block).
+    """
+    code = "import json, sys\nfrom popperlab import cli\n"
+    if seed is not None:
+        cfg = write_config(tmp_path / "cfg.json", n_samples=2000, seed=seed)
+        out = tmp_path / "out"
+        code += f"assert cli.main(['run', '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
+    code += "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {".".join(m.split(".")[:2]) for m in json.loads(proc.stdout.splitlines()[-1])}
+    loaded = {m for m in loaded if not m.split(".")[-1].startswith("_") and m != "scipy.version"}
+    ks = None if seed is None else json.loads((out / "report.json").read_text())["sampled"]["ks"]
+    return loaded, ks
+
+
+class TestImportBudget:
+    """scipy loads only where a path needs it, and its stats package never."""
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert scipy_loaded(tmp_path) == (set(), None)
+
+    def test_run_with_pvalue_in_the_body_loads_no_scipy(self, tmp_path):
+        loaded, ks = scipy_loaded(tmp_path, seed=1)
+        assert 2000 * ks["statistic"] ** 2 < 2.2  # below the smirnov tail
+        assert loaded == set()
+
+    def test_run_with_pvalue_in_the_tail_loads_scipy_special_only(self, tmp_path):
+        loaded, ks = scipy_loaded(tmp_path, seed=75)
+        assert 2000 * ks["statistic"] ** 2 >= 2.2
+        assert loaded == {"scipy", "scipy.special"}
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes_in_subprocess(self):
         proc = subprocess.run(
@@ -398,7 +440,7 @@ class TestVerifyCommand:
 RAW_1E400 = "__1e400__"  # written to the document as the bare literal 1e400
 DROP = object()  # removes the field from the document
 JUNK = [-1, 0, -2.5, float("nan"), float("-inf"), float("inf"), RAW_1E400,
-        "x", "", "1.0", True, None, [1.0], {"a": 1}, DROP]
+        "x", "", "1.0", "1024", True, None, [1.0], {"a": 1}, DROP]
 # Positive finite, but they overflow the closed forms that size every grid,
 # so they stop a sweep before its first step.
 OVERFLOWING = [1e-300, 1e300]

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from popperlab import (
     DetectorGeometry,
@@ -32,7 +33,7 @@ from popperlab import (
 )
 from popperlab import experiment
 from popperlab.experiment import cumulative_distribution
-from popperlab.wavefunction import grid_points, trap_weights
+from popperlab.wavefunction import grid_points, marginal_density, trap_weights
 
 import oracles
 
@@ -102,6 +103,111 @@ class TestSampling:
         g = GridSpec(n_points=64, y_min=-1.0, y_max=1.0)
         with pytest.raises(ValueError):
             cumulative_distribution(g, np.zeros(64))
+
+
+def ks_branch(n, x):
+    """The branch of scipy's kstwo.sf dispatch that (n, x) takes."""
+    t, nxx = n * x, n * x * x
+    if t <= 0.5:
+        return "t<=0.5"
+    if t <= 1.0:
+        return "0.5<t<=1, n<=140" if n <= 140 else "0.5<t<=1, n>140"
+    if t >= n - 1:
+        return "t>=n-1"
+    if x >= 0.5:
+        return "x>=0.5"
+    if n <= 140:
+        return "durbin" if nxx <= 0.754693 else "pomeranz" if nxx <= 4 else "tail"
+    if nxx >= 370:
+        return "nD2>=370"
+    if nxx >= 2.2:
+        return "tail"
+    return "durbin" if n <= 100000 and n * x ** 1.5 <= 1.4 else "pelz-good"
+
+
+# Where scipy runs Pomeranz (n <= 140, 0.754693 < nD² <= 4) the port runs
+# the Durbin matrix.  Over 3,250 points of that band (n = 2..140, 25 values
+# of nD² each) the largest absolute difference was 1.35e-14.
+POMERANZ_ABS = 2e-14
+
+KS_POINTS = [
+    (10, 0.03), (10 ** 4, 4e-5),                           # t <= 0.5
+    (10, 0.08), (140, 0.006),                              # 0.5 < t <= 1, n <= 140
+    (141, 0.006), (10 ** 6, 8e-7),                         # 0.5 < t <= 1, n > 140
+    (10, 0.92), (141, 0.995),                              # t >= n - 1
+    (5, 0.6), (141, 0.5), (2000, 0.55),                    # x >= 0.5
+    (100, 0.25), (1000, 0.05), (2 * 10 ** 5, 0.004),       # tail: nD² > 4, >= 2.2
+    (10 ** 4, 0.2), (10 ** 7, 0.01),                       # nD² >= 370
+    (3, 0.45), (100, 0.08), (1000, 0.01), (10 ** 5, 5e-4),  # Durbin
+    (2 * 10 ** 4, 0.005), (2 * 10 ** 5, 0.002),            # Pelz-Good ...
+    (2 * 10 ** 5, 5e-4), (10 ** 7, 3e-4), (10 ** 7, 1e-5),  # ... and its z < 0.042 cut
+    (4, 0.45), (10, 0.35), (50, 0.2), (140, 0.15),         # the Pomeranz band
+] + [(n, float(z / math.sqrt(n))) for n in (141, 1000, 2 * 10 ** 4, 2 * 10 ** 5, 10 ** 7)
+     for z in np.linspace(0.05, 2.5, 12)]
+
+
+class TestKolmogorovPValue:
+    """The numpy port of kstwo.sf against scipy.stats.kstwo.sf, the oracle."""
+
+    def test_grid_reaches_every_branch(self):
+        assert {ks_branch(n, x) for n, x in KS_POINTS} == {
+            "t<=0.5", "0.5<t<=1, n<=140", "0.5<t<=1, n>140", "t>=n-1", "x>=0.5",
+            "tail", "nD2>=370", "durbin", "pelz-good", "pomeranz"}
+
+    @pytest.mark.parametrize("n,x", KS_POINTS)
+    def test_matches_kstwo_sf(self, n, x):
+        p, ref = experiment._kolmogorov_sf(n, x), float(stats.kstwo.sf(x, n))
+        if ks_branch(n, x) == "pomeranz":
+            assert p == pytest.approx(ref, rel=0, abs=POMERANZ_ABS)
+        else:
+            assert p == ref
+
+
+class TestKolmogorovStatistic:
+    """ks_against_density against scipy.stats.ks_1samp on the same grid CDF."""
+
+    @staticmethod
+    def check(samples, grid, density):
+        d, p = ks_against_density(samples, grid, density)
+        y, c = cumulative_distribution(grid, density)
+        ref = stats.ks_1samp(samples, lambda x: np.interp(x, y, c, left=0.0, right=1.0))
+        assert d == float(ref.statistic)
+        if ks_branch(len(samples), d) == "pomeranz":
+            assert p == pytest.approx(float(ref.pvalue), rel=0, abs=POMERANZ_ABS)
+        else:
+            assert p == float(ref.pvalue)
+
+    @pytest.mark.parametrize("n", [1, 2, 140, 141, 20_000])
+    def test_slit_samples(self, n):
+        _, phi2 = reduced_state()
+        self.check(sample_positions(phi2, n, seed=n), phi2.grid, np.abs(phi2.amps) ** 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 140, 141, 20_000])
+    @pytest.mark.parametrize("particle", [1, 2])
+    def test_coincidence_marginals(self, n, particle):
+        psi = source_pair(256)
+        pairs = sample_joint(psi, n, seed=n)
+        grid = psi.grid1 if particle == 1 else psi.grid2
+        self.check(pairs[:, particle - 1], grid, marginal_density(psi, particle))
+
+    def test_samples_outside_the_grid(self):
+        # np.interp clamps to 0 left of the grid and to 1 right of it.
+        _, phi2 = reduced_state()
+        g = phi2.grid
+        s = np.concatenate([sample_positions(phi2, 300, seed=3),
+                            [g.y_min - 1.0, g.y_max + 1.0, -1e9, 1e9, g.y_min, g.y_max]])
+        self.check(s, g, np.abs(phi2.amps) ** 2)
+
+    @pytest.mark.parametrize("n", [2, 140, 141])
+    def test_tied_samples(self, n):
+        _, phi2 = reduced_state()
+        s = np.repeat(sample_positions(phi2, n, seed=5), 3)[:n]
+        self.check(s, phi2.grid, np.abs(phi2.amps) ** 2)
+
+    def test_empty_sample_gives_nan(self):
+        _, phi2 = reduced_state()
+        d, p = ks_against_density(np.empty(0), phi2.grid, np.abs(phi2.amps) ** 2)
+        assert math.isnan(d) and math.isnan(p)
 
 
 class TestJointSampling:
