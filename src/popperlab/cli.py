@@ -148,9 +148,6 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
     config = _load_config(config_path)
     if config is None:
         return 2
-    if param not in ("epsilon", "sigma", "omega0"):
-        print(f"error: unknown sweep parameter '{param}'", file=sys.stderr)
-        return 2
     if steps < 2:
         print("error: a sweep needs at least 2 steps", file=sys.stderr)
         return 2

@@ -14,7 +14,8 @@ fixed-size slices of draws, so its working set does not grow with n.
 
 The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
 ``sampled.ks`` holds D and its exact two-sided p-value P(D_n ≥ D), both
-computed with numpy and equal to scipy's ``stats.ks_1samp`` bit for bit.
+computed with numpy and equal to scipy's ``stats.ks_1samp`` bit for bit,
+except where scipy's Durbin matrix overflows and scipy returns 0.
 The p-value ports scipy's ``kstwo.sf`` dispatch (Simard & L'Ecuyer 2011):
 Ruben-Gambino end cases, the Durbin matrix and, at typical sizes, the
 Pelz-Good series; where scipy would run Pomeranz (n ≤ 140) Durbin agrees to
@@ -33,6 +34,7 @@ reports stay byte-comparable across runs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass
@@ -249,8 +251,9 @@ def _kolmogorov_sf(n: int, x: float) -> float:
     """P(D_n ≥ x): scipy's ``kstwo.sf`` dispatch (Simard & L'Ecuyer 2011).
 
     Its operations in its order, on x as the 0-d array scipy passes on, give
-    scipy's bits; where scipy runs Pomeranz (n ≤ 140, 0.754693 < nx² ≤ 4) the
-    Durbin matrix runs instead, within 2e-14.
+    scipy's bits, except where scipy's Durbin powers overflow; where scipy
+    runs Pomeranz (n ≤ 140, 0.754693 < nx² ≤ 4) the Durbin matrix runs
+    instead, within 2e-14.
     """
     x = np.asarray(x, dtype=np.float64)
     if x >= 1.0:
@@ -302,12 +305,13 @@ def _durbin_cdf(n, d):
     while nn > 0:
         if nn % 2:
             Hpwr = np.matmul(Hpwr, H)
-            expnt += Hexpnt
+            expnt += Hexpnt + 128 * _shrink(Hpwr)
         H = np.matmul(H, H)
         Hexpnt *= 2
         if np.abs(H[k - 1, k - 1]) > _EP128:
             H /= _EP128
             Hexpnt += 128
+        Hexpnt += 128 * _shrink(H)
         nn = nn // 2
     p = Hpwr[k - 1, k - 1]
     for i in range(1, n + 1):
@@ -316,6 +320,20 @@ def _durbin_cdf(n, d):
             p *= _EP128
             expnt -= 128
     return np.ldexp(p, expnt)
+
+
+def _shrink(a) -> int:
+    """Divide ``a`` in place by 2**128 until no entry exceeds 2**500; the count.
+
+    scipy rescales only the (k, k) entry, so other entries of the Durbin powers
+    can overflow.  With m = 2k - 1 <= 115 rows, a product of two matrices with
+    entries <= 2**500 stays far below the float range.
+    """
+    count = 0
+    while np.abs(a).max() > 2.0 ** 500:
+        a /= _EP128
+        count += 1
+    return count
 
 
 def _pelz_good_cdf(n, x):
@@ -387,17 +405,21 @@ class ScenarioReport:
         return doc
 
 
+@contextlib.contextmanager
 def _stage(timings: dict, name: str):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
+    """Time one stage into ``timings``; an error inside it fails that stage.
 
-        def __exit__(self, exc_type, exc, tb):
-            timings[name] = time.perf_counter() - self.t0
-            if exc is not None and not isinstance(exc, ScenarioFailure):
-                raise ScenarioFailure(name, exc) from exc
-
-    return _Timer()
+    Only ``Exception`` is wrapped, so Ctrl-C and ``SystemExit`` pass through.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    except ScenarioFailure:
+        raise
+    except Exception as exc:
+        raise ScenarioFailure(name, exc) from exc
+    finally:
+        timings[name] = time.perf_counter() - t0
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:

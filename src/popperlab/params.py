@@ -216,8 +216,9 @@ def _physics_violations(params: PhysicalParams,
 
 
 def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
-                   evolution_time: float) -> tuple[float, float, float]:
-    """(largest spread to contain, conservative feature proxy, spacing cap).
+                   evolution_time: float) -> tuple[float, float, float, float]:
+    """(largest spread to contain, conservative feature proxy, spacing cap,
+    initial position spread).
 
     The proxy drives the 8-points target; the true widths drive the accuracy
     floor, the spacing cap min(narrowest true width / 1.2, ε / 1.5), where
@@ -252,7 +253,7 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     dy_cap = min(true_widths) / FLOOR_POINTS_PER_WIDTH
     if measurement is not None:
         dy_cap = min(dy_cap, measurement.epsilon / POINTER_MIN_POINTS_PER_WIDTH)
-    return max(scales), min(proxy), dy_cap
+    return max(scales), min(proxy), dy_cap, dy_init
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
@@ -294,13 +295,10 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     # Relational checks need sane params and grid bounds.
     if not physics and grid_ok and time_ok:
         try:
-            max_scale, _, dy_cap = _length_scales(p, m, config.evolution_time)
+            max_scale, _, dy_cap, dy_init = _length_scales(p, m, config.evolution_time)
         except UserParameterError as e:
             return ValidationReport(violations=tuple(v + [str(e)]))
         extent = min(-g.y_min, g.y_max)
-        from .analytic import initial_spreads
-
-        dy_init = initial_spreads(p).dy2
         if extent < EXTENT_SIGMAS * dy_init:
             v.append(
                 f"grid extent {extent:.6g} < {EXTENT_SIGMAS:g} x initial position "
@@ -336,7 +334,7 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     violations = _physics_violations(params, measurement)
     if violations:
         raise UserParameterError("; ".join(violations))
-    max_scale, proxy_min, dy_cap = _length_scales(params, measurement, evolution_time)
+    max_scale, proxy_min, dy_cap, _ = _length_scales(params, measurement, evolution_time)
     center = abs(measurement.center) if measurement is not None else 0.0
     extent = AUTO_EXTENT_SIGMAS * max_scale + center
     span = 2.0 * extent

@@ -383,14 +383,6 @@ class TestImportBudget:
 
 
 class TestVerifyCommand:
-    def test_quick_suite_passes_in_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "popperlab.cli", "verify"],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "checks passed" in proc.stdout
-        assert "FAIL" not in proc.stdout
-
     def test_quick_and_full_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", "--quick", "--full"])

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -161,6 +162,17 @@ class TestKolmogorovPValue:
             assert p == pytest.approx(ref, rel=0, abs=POMERANZ_ABS)
         else:
             assert p == ref
+
+    # scipy's Durbin matrix overflows at both points and kstwo.sf returns 0,
+    # while P(D_n >= D) is about 1: the first overflows in the squared H, the
+    # second in the accumulated power.
+    @pytest.mark.parametrize("n,x", [(68050, 2.7716724294036745e-05),
+                                     (65016, 0.00028956296578442107)])
+    def test_durbin_powers_do_not_overflow(self, n, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = experiment._kolmogorov_sf(n, x)
+        assert p > 0.999999
 
 
 class TestKolmogorovStatistic:
@@ -536,6 +548,13 @@ class TestRunScenario:
         assert err.value.stage == "numeric_initial"
         from popperlab import TailLeakError
         assert isinstance(err.value.cause, TailLeakError)
+
+    def test_interrupt_is_not_a_stage_failure(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(experiment, "build_joint_state", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(self.base_config())
 
     def test_schmidt_skipped_on_large_grids(self):
         p = PhysicalParams(sigma=1.0, omega0=2.0)
