@@ -1,9 +1,10 @@
 """Command-line interface: scenario runs, parameter sweeps and self-checks.
 
 Exit codes form the scripting contract: 0 means success, 2 means the request
-itself was unusable (bad config, impossible grid, invalid parameter), and 3
-means the computation ran but violated a numerical guarantee (norm collapse,
-tail leakage, memory bound).  ``verify`` exits 0 only if every check passes.
+itself was unusable (bad config, impossible grid, invalid parameter,
+unwritable output), and 3 means the computation ran but violated a numerical
+guarantee (norm collapse, tail leakage, memory bound).  ``verify`` exits 0
+only if every check passes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .wavefunction import save_wavefunction
 # cannot fit the cap retry once at the escalated cap before giving up.
 SWEEP_MAX_POINTS = 4096
 SWEEP_MAX_POINTS_ESCALATED = 8192
+# Steps take 1-3 ms each, so the largest sweep runs for a few minutes.
+MAX_SWEEP_STEPS = 10 ** 5
 # Joint states above this amplitude count are reported but not written out.
 SAVE_MAX_AMPLITUDES = 2048 * 2048
 
@@ -58,7 +61,7 @@ def _failure_code(exc: PopperLabError) -> int | None:
     cause = exc.cause if isinstance(exc, ScenarioFailure) else exc
     if isinstance(cause, UserParameterError):
         return 2
-    if isinstance(cause, NumericalContractError):
+    if isinstance(cause, (NumericalContractError, MemoryError)):
         return 3
     return None
 
@@ -108,20 +111,24 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
         return _report_failure(e)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    (out / "report.json").write_text(doc + "\n")
-    written = ["report.json"]
-    if report.sampled is not None:
-        _write_histogram_csv(out / "histogram.csv", report.sampled["histogram"])
-        written.append("histogram.csv")
-    for name, wf in report.states.items():
-        if wf.amps.size > SAVE_MAX_AMPLITUDES:
-            print(f"note: {name}.wf skipped, {wf.amps.size} amplitudes exceeds "
-                  f"the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
-            continue
-        save_wavefunction(wf, out / f"{name}.wf")
-        written.append(f"{name}.wf")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(doc + "\n")
+        written = ["report.json"]
+        if report.sampled is not None:
+            _write_histogram_csv(out / "histogram.csv", report.sampled["histogram"])
+            written.append("histogram.csv")
+        for name, wf in report.states.items():
+            if wf.amps.size > SAVE_MAX_AMPLITUDES:
+                print(f"note: {name}.wf skipped, {wf.amps.size} amplitudes exceeds "
+                      f"the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
+                continue
+            save_wavefunction(wf, out / f"{name}.wf")
+            written.append(f"{name}.wf")
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
     print(f"wrote {', '.join(written)} to {out}")
     return 0
 
@@ -151,6 +158,9 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
     if steps < 2:
         print("error: a sweep needs at least 2 steps", file=sys.stderr)
         return 2
+    if steps > MAX_SWEEP_STEPS:
+        print(f"error: a sweep takes at most {MAX_SWEEP_STEPS} steps", file=sys.stderr)
+        return 2
     if not (from_value > 0 and to_value > 0 and np.isfinite(from_value)
             and np.isfinite(to_value)):
         print("error: sweep endpoints must be positive and finite", file=sys.stderr)
@@ -172,12 +182,16 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
         return _report_failure(e)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "sweep.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(_SWEEP_COLUMNS)
+            for row in rows:
+                writer.writerow([_fmt(x) for x in row])
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
     print(f"wrote sweep.csv ({len(rows)} rows) to {out}")
     return 0
 

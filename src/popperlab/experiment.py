@@ -414,8 +414,6 @@ def _stage(timings: dict, name: str):
     t0 = time.perf_counter()
     try:
         yield
-    except ScenarioFailure:
-        raise
     except Exception as exc:
         raise ScenarioFailure(name, exc) from exc
     finally:
@@ -491,7 +489,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             "dp2_post_over_initial_closed": red.dp2_closed / init.dp2y,
             "dp2_post_over_initial_numeric": red.dp2_numeric / dp2_initial,
         }
-        side_state = red.phi2 if config.detector.side == "B" else phi1
+        # Side B holds the reduced particle 2, side A the pointer itself.
+        side_state, side_width = ((red.phi2, red.dy2_closed) if config.detector.side == "B"
+                                  else (phi1, ms.epsilon))
         if t_flight > 0:
             with _stage(timings, "propagate"):
                 side_state = free_propagate(side_state, ep)
@@ -505,7 +505,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 samples = sample_positions(side_state, config.n_samples, config.seed)
                 grid, dens = side_state.grid, np.abs(side_state.amps) ** 2
                 corr = None
-                predicted = gaussian_width_at(red.dy2_closed, ep)
+                predicted = gaussian_width_at(side_width, ep)
             else:
                 # Coincidence mode: both particles sampled at the slit plane.
                 pairs = sample_joint(psi, config.n_samples, config.seed)

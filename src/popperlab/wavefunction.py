@@ -109,12 +109,7 @@ class WaveFunction2D:
         object.__setattr__(self, "amps", _frozen_amps(self.amps, shape))
 
 
-class PositionStats(NamedTuple):
-    mean: float
-    std: float
-
-
-class MomentumStats(NamedTuple):
+class Moments(NamedTuple):
     mean: float
     std: float
 
@@ -172,17 +167,20 @@ def marginal_density(wf: WaveFunction2D, particle: int) -> np.ndarray:
     return _axis_view(wf, particle).marginal(np.abs(wf.amps) ** 2)
 
 
+def _moments(x: np.ndarray, density: np.ndarray, weights: np.ndarray | float) -> Moments:
+    """Mean and spread of ``x`` under ``weights * density``, whose scale cancels."""
+    total = np.sum(weights * density)
+    mean = float(np.sum(weights * x * density) / total)
+    var = float(np.sum(weights * (x - mean) ** 2 * density) / total)
+    return Moments(mean=mean, std=math.sqrt(max(var, 0.0)))
+
+
 def position_stats(wf: WaveFunction1D | WaveFunction2D,
-                   particle: int | None = None) -> PositionStats:
+                   particle: int | None = None) -> Moments:
     """Mean and standard deviation of position under |ψ|² quadrature."""
     view = _axis_view(wf, particle)
     dens = view.marginal(np.abs(wf.amps) ** 2)
-    y = grid_points(view.grid)
-    w = trap_weights(view.grid)
-    total = np.sum(w * dens)
-    mean = float(np.sum(w * y * dens) / total)
-    var = float(np.sum(w * (y - mean) ** 2 * dens) / total)
-    return PositionStats(mean=mean, std=math.sqrt(max(var, 0.0)))
+    return _moments(grid_points(view.grid), dens, trap_weights(view.grid))
 
 
 def tail_ratio(wf: WaveFunction1D | WaveFunction2D) -> float:
@@ -204,26 +202,17 @@ def _require_tails(wf) -> None:
         )
 
 
-def _momentum_moments_from_dist(k: np.ndarray, pk: np.ndarray, dk: float,
-                                hbar: float) -> MomentumStats:
-    total = float(np.sum(pk) * dk)
-    mean = float(np.sum(hbar * k * pk) * dk / total)
-    var = float(np.sum((hbar * k - mean) ** 2 * pk) * dk / total)
-    return MomentumStats(mean=mean, std=math.sqrt(max(var, 0.0)))
-
-
 def momentum_stats_spectral(wf: WaveFunction1D | WaveFunction2D,
                             particle: int | None = None,
-                            hbar: float = 1.0) -> MomentumStats:
-    """Momentum mean and spread from the FFT momentum distribution."""
+                            hbar: float = 1.0) -> Moments:
+    """Momentum mean and spread from the FFT momentum distribution.
+
+    k is uniform, so |FFT|² needs no weights; its scale cancels in the moments.
+    """
     _require_tails(wf)
     view = _axis_view(wf, particle)
-    grid = view.grid
-    psit = np.fft.fft(wf.amps, axis=view.axis) * grid.dy / math.sqrt(2.0 * math.pi)
-    pk = view.marginal(np.abs(psit) ** 2)
-    k = wavenumbers(grid)
-    dk = 2.0 * math.pi / (grid.n_points * grid.dy)
-    return _momentum_moments_from_dist(k, pk, dk, hbar)
+    pk = view.marginal(np.abs(np.fft.fft(wf.amps, axis=view.axis)) ** 2)
+    return _moments(hbar * wavenumbers(view.grid), pk, 1.0)
 
 
 def momentum_std_spectral(wf: WaveFunction1D | WaveFunction2D,
@@ -250,7 +239,7 @@ def _fd_second(a: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 
 def momentum_stats_derivative(wf: WaveFunction1D | WaveFunction2D,
                               particle: int | None = None,
-                              hbar: float = 1.0) -> MomentumStats:
+                              hbar: float = 1.0) -> Moments:
     """Momentum mean and spread from ψ*(−iħ∂)ψ and ψ*(−ħ²∂²)ψ quadrature.
 
     Entirely finite-difference based; shares nothing with the spectral route
@@ -266,7 +255,7 @@ def momentum_stats_derivative(wf: WaveFunction1D | WaveFunction2D,
     p1 = float(np.real(view.integral(np.conj(a) * (-1j * hbar) * d1)) / total)
     p2 = float(np.real(view.integral(np.conj(a) * (-(hbar ** 2)) * d2)) / total)
     var = max(p2 - p1 ** 2, 0.0)
-    return MomentumStats(mean=p1, std=math.sqrt(var))
+    return Moments(mean=p1, std=math.sqrt(var))
 
 
 def momentum_std_derivative(wf: WaveFunction1D | WaveFunction2D,
@@ -327,26 +316,19 @@ def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,
     route to the same observable, deliberately independent of the marginal
     shortcuts above; it also covers genuinely mixed reductions.
     """
-    grid = _axis_view(wf, particle).grid
-    n = grid.n_points
+    view = _axis_view(wf, particle)
+    n = view.grid.n_points
     if n > DENSITY_MATRIX_MAX_POINTS:
         raise MemoryBoundError(
             f"density matrix would be {n}x{n}; cap is "
             f"{DENSITY_MATRIX_MAX_POINTS} points per axis"
         )
-    a = wf.amps
-    if particle == 2:
-        w_other = trap_weights(wf.grid1)
-        rho = (a * w_other[:, None]).T @ a.conj()
-    else:
-        w_other = trap_weights(wf.grid2)
-        rho = (a * w_other[None, :]) @ a.conj().T
+    # Rows of b run along this particle's axis, columns along the partner's.
+    b = wf.amps if view.axis == 0 else wf.amps.T
+    rho = (b * trap_weights(view.grids[1 - view.axis])) @ b.conj().T
     s1 = np.fft.fft(rho, axis=0)
     s2 = np.fft.ifft(s1, axis=1)
-    pk = np.real(np.diagonal(s2)).copy() * n * grid.dy ** 2 / (2.0 * math.pi)
-    k = wavenumbers(grid)
-    dk = 2.0 * math.pi / (n * grid.dy)
-    return _momentum_moments_from_dist(k, pk, dk, hbar).std
+    return _moments(hbar * wavenumbers(view.grid), np.real(np.diagonal(s2)), 1.0).std
 
 
 def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:

@@ -5,7 +5,8 @@ adaptive quadrature (scipy.integrate) on the analytic integrands, with the
 momentum route going through the analytic derivative of the pair amplitude
 (differentiation under the integral), plus straight-from-the-paper-trail
 reference implementations of the generators, a searchsorted inverse-CDF
-sampler and a row-materializing joint sampler.  Frozen constants below were
+sampler, a row-materializing joint sampler, and grid-state moments with every
+continuum normalization written out.  Frozen constants below were
 produced by these functions; ``python oracles.py`` regenerates them.
 """
 
@@ -236,6 +237,75 @@ def oracle_schmidt_entropy(sigma: float, omega0: float, hbar: float = 1.0) -> fl
     if mu == 0.0:
         return 0.0
     return -math.log(1.0 - mu) - mu / (1.0 - mu) * math.log(mu)
+
+
+# ---------------------------------------------------------------------------
+# Reference moments of a grid state, written with every continuum constant
+# spelled out: ψ̃ = FFT·dy/√(2π) on the wavenumber step dk = 2π/(N dy), and
+# the transformed density matrix's diagonal scaled by N dy²/(2π).  The
+# package drops these constants because they cancel in the moments.
+
+def _ref_trap_weights(g) -> np.ndarray:
+    w = np.full(g.n_points, g.dy)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _ref_axis(wf, particle):
+    """(grid of the particle, grid of its partner or None, axis)."""
+    if wf.amps.ndim == 1:
+        return wf.grid, None, 0
+    return (wf.grid1, wf.grid2, 0) if particle == 1 else (wf.grid2, wf.grid1, 1)
+
+
+def _ref_marginal(values, other, axis):
+    if other is None:
+        return values
+    w = _ref_trap_weights(other)
+    return values @ w if axis == 0 else w @ values
+
+
+def ref_position_stats(wf, particle=None) -> tuple[float, float]:
+    """(mean, std) of position under |ψ|² quadrature."""
+    g, other, axis = _ref_axis(wf, particle)
+    dens = _ref_marginal(np.abs(wf.amps) ** 2, other, axis)
+    y = np.linspace(g.y_min, g.y_max, g.n_points)
+    w = _ref_trap_weights(g)
+    total = np.sum(w * dens)
+    mean = float(np.sum(w * y * dens) / total)
+    var = float(np.sum(w * (y - mean) ** 2 * dens) / total)
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def _ref_momentum_std(g, pk, hbar):
+    k = 2.0 * np.pi * np.fft.fftfreq(g.n_points, d=g.dy)
+    dk = 2.0 * math.pi / (g.n_points * g.dy)
+    total = float(np.sum(pk) * dk)
+    mean = float(np.sum(hbar * k * pk) * dk / total)
+    var = float(np.sum((hbar * k - mean) ** 2 * pk) * dk / total)
+    return math.sqrt(max(var, 0.0))
+
+
+def ref_momentum_std_spectral(wf, particle=None, hbar: float = 1.0) -> float:
+    """Momentum spread from the normalized continuum transform |ψ̃(k)|²."""
+    g, other, axis = _ref_axis(wf, particle)
+    psit = np.fft.fft(wf.amps, axis=axis) * g.dy / math.sqrt(2.0 * math.pi)
+    return _ref_momentum_std(g, _ref_marginal(np.abs(psit) ** 2, other, axis), hbar)
+
+
+def ref_reduced_density_momentum_std(psi, particle: int, hbar: float = 1.0) -> float:
+    """Momentum spread off the transformed reduced density matrix's diagonal."""
+    g, other, _ = _ref_axis(psi, particle)
+    a = psi.amps
+    w = _ref_trap_weights(other)
+    if particle == 2:
+        rho = (a * w[:, None]).T @ a.conj()
+    else:
+        rho = (a * w[None, :]) @ a.conj().T
+    s2 = np.fft.ifft(np.fft.fft(rho, axis=0), axis=1)
+    pk = np.real(np.diagonal(s2)).copy() * g.n_points * g.dy ** 2 / (2.0 * math.pi)
+    return _ref_momentum_std(g, pk, hbar)
 
 
 # Frozen outputs of the functions above (17 significant digits as printed by

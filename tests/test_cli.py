@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from popperlab import analytic, cli, wavefunction
+from popperlab import analytic, cli, experiment, wavefunction
 from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
 
 
@@ -130,6 +130,25 @@ class TestRun:
         code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+        monkeypatch.setattr(experiment, "build_joint_state", exhausted)
+        cfg = write_config(tmp_path / "cfg.json")
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "stage 'build' failed: Unable to allocate" in err
+        assert "Traceback" not in err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", n_samples=0)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = cli.main(["run", "--config", cfg, "--out", str(taken)])
+        assert code == 2
+        assert "error: cannot write output" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
@@ -327,6 +346,25 @@ class TestSweep:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("steps", [10 ** 13, cli.MAX_SWEEP_STEPS + 1])
+    def test_too_many_steps_exits_2(self, tmp_path, capsys, steps):
+        cfg = write_config(tmp_path / "cfg.json")
+        code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
+                         "--from", "0.1", "--to", "0.2", "--steps", str(steps),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "at most" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
+                         "--from", "0.1", "--to", "0.2", "--steps", "2",
+                         "--out", str(taken)])
+        assert code == 2
+        assert "error: cannot write output" in capsys.readouterr().err
+
     def test_unknown_parameter_exits_2(self, tmp_path):
         # argparse rejects the choice itself, also with status 2
         cfg = write_config(tmp_path / "cfg.json")
@@ -517,7 +555,9 @@ def sweep_case(draw):
             "--from", draw(usually(st.floats(lo, hi).map(repr), JUNK_ARG, odds=9)),
             "--to", draw(usually(st.floats(lo, hi).map(repr), JUNK_ARG, odds=9)),
             "--steps", draw(usually(st.sampled_from(["2", "3"]),
-                                    st.sampled_from(["1", "0", "-2", "2.5", "x"]), odds=9))]
+                                    st.sampled_from(["1", "0", "-2", "2.5", "x", str(10 ** 13),
+                                                     str(cli.MAX_SWEEP_STEPS + 1)]),
+                                    odds=9))]
     if draw(st.booleans()):
         argv.append("--log")
     if draw(st.booleans()):

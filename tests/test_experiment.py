@@ -12,6 +12,7 @@ from scipy import stats
 
 from popperlab import (
     DetectorGeometry,
+    EvolutionParams,
     GridSpec,
     JointStateRecipe,
     MeasurementSpec,
@@ -25,6 +26,7 @@ from popperlab import (
     build_joint_state,
     build_pointer_state,
     chi_square_against_density,
+    gaussian_width_at,
     histogram,
     ks_against_density,
     position_correlation,
@@ -525,11 +527,16 @@ class TestRunScenario:
         assert report.sampled["predicted_detector_width"] is None
 
     def test_detector_side_a_samples_pointer_plane(self):
-        cfg = self.base_config(
-            detector=DetectorGeometry(n_bins=48, y_range=(-3.0, 3.0), side="A"))
-        report = run_scenario(cfg)
-        # station A sees the pointer width, far narrower than side B
-        assert report.sampled["std"] == pytest.approx(0.5, rel=0.02)
+        # station A sees the pointer, far narrower than side B: width ε at
+        # t = 0, spreading freely from ε after
+        for t in (0.0, 0.8):
+            cfg = self.base_config(
+                evolution_time=t,
+                detector=DetectorGeometry(n_bins=48, y_range=(-3.0, 3.0), side="A"))
+            sampled = run_scenario(cfg).sampled
+            predicted = gaussian_width_at(0.5, EvolutionParams(time=t))
+            assert sampled["predicted_detector_width"] == predicted
+            assert sampled["std"] == pytest.approx(predicted, rel=0.02)
 
     def test_invalid_config_raises_user_error(self):
         cfg = self.base_config(measurement=MeasurementSpec(epsilon=0.0))

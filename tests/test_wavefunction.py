@@ -8,6 +8,7 @@ import pytest
 
 from popperlab import (
     ApertureProfile,
+    EvolutionParams,
     GridSpec,
     JointStateRecipe,
     MemoryBoundError,
@@ -18,6 +19,7 @@ from popperlab import (
     ZeroNormError,
     aperture_postselect,
     build_joint_state,
+    free_propagate,
     load_wavefunction,
     marginal_density,
     momentum_stats_derivative,
@@ -246,6 +248,54 @@ class TestReducedDensity:
             reduced_density_momentum_std(wf, particle=1)
         # tracing out the big axis instead is fine
         assert reduced_density_momentum_std(wf, particle=2) > 0
+
+
+def moment_state(name):
+    """The states the moments are held to their continuum formulas on."""
+    y = grid_points(GRID)
+    real_1d = normalize(WaveFunction1D(grid=GRID, amps=np.exp(-y ** 2 / (4.0 * 0.8 ** 2))))
+    if name == "1d-real":
+        return real_1d
+    if name == "1d-complex":
+        return free_propagate(real_1d, EvolutionParams(time=0.8))
+    psi = pair_state(1.0, 2.0, n=512)
+    if name == "2d-real":
+        return psi
+    if name == "2d-unequal":
+        g2 = GridSpec(n_points=384, y_min=-18.0, y_max=18.0)
+        return build_joint_state(JointStateRecipe(PhysicalParams(1.0, 2.0), psi.grid1, g2))
+    y1 = grid_points(psi.grid1)[:, None]
+    y2 = grid_points(psi.grid2)[None, :]
+    phase = np.exp(1j * (0.7 * y1 - 0.3 * y2 + 0.05 * y1 * y2))
+    return WaveFunction2D(grid1=psi.grid1, grid2=psi.grid2, amps=psi.amps * phase)
+
+
+TWO_D_STATES = ("2d-real", "2d-unequal", "2d-complex")
+MOMENT_CASES = [("1d-real", None), ("1d-complex", None),
+                *[(name, p) for name in TWO_D_STATES for p in (1, 2)]]
+
+
+class TestMomentsMatchContinuumFormulas:
+    """The momentum routes drop normalization constants that cancel; with
+    them written out (``oracles``) the spreads differ only by rounding."""
+
+    @pytest.mark.parametrize("name,particle", MOMENT_CASES)
+    def test_spectral_route(self, name, particle):
+        wf = moment_state(name)
+        ref = oracles.ref_momentum_std_spectral(wf, particle)
+        assert momentum_std_spectral(wf, particle) == pytest.approx(ref, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("name", TWO_D_STATES)
+    @pytest.mark.parametrize("particle", [1, 2])
+    def test_density_matrix_route(self, name, particle):
+        wf = moment_state(name)
+        ref = oracles.ref_reduced_density_momentum_std(wf, particle)
+        assert reduced_density_momentum_std(wf, particle) == pytest.approx(ref, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("name,particle", MOMENT_CASES)
+    def test_position_stats_unchanged(self, name, particle):
+        wf = moment_state(name)
+        assert tuple(position_stats(wf, particle)) == oracles.ref_position_stats(wf, particle)
 
 
 class TestContainerFormat:
