@@ -89,14 +89,27 @@ def _load_config(config_path: str):
         return None
 
 
-def _write_histogram_csv(path: Path, hist: dict) -> None:
-    lo, hi = hist["y_range"]
-    width = (hi - lo) / hist["n_bins"]
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for i, count in enumerate(hist["counts"]):
-            writer.writerow([_fmt(lo + i * width), _fmt(lo + (i + 1) * width), count])
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 2
+
+
+def _claim_out(out_dir: str) -> Path | None:
+    """Create ``out_dir`` before any compute, so an unusable --out fails fast."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        _cannot_write(e)
+        return None
+    return out
 
 
 def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
@@ -105,19 +118,25 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
         return 2
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
+    out = _claim_out(out_dir)
+    if out is None:
+        return 2
     try:
         report = run_scenario(config)
     except PopperLabError as e:
         return _report_failure(e)
 
-    out = Path(out_dir)
     doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(doc + "\n")
         written = ["report.json"]
         if report.sampled is not None:
-            _write_histogram_csv(out / "histogram.csv", report.sampled["histogram"])
+            hist = report.sampled["histogram"]
+            lo, hi = hist["y_range"]
+            width = (hi - lo) / hist["n_bins"]
+            _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
+                       ((lo + i * width, lo + (i + 1) * width, count)
+                        for i, count in enumerate(hist["counts"])))
             written.append("histogram.csv")
         for name, wf in report.states.items():
             if wf.amps.size > SAVE_MAX_AMPLITUDES:
@@ -127,8 +146,7 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
             save_wavefunction(wf, out / f"{name}.wf")
             written.append(f"{name}.wf")
     except OSError as e:
-        print(f"error: cannot write output: {e}", file=sys.stderr)
-        return 2
+        return _cannot_write(e)
     print(f"wrote {', '.join(written)} to {out}")
     return 0
 
@@ -175,23 +193,19 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
     values = space(from_value, to_value, steps)
     # without a measurement block only ε is swept, so this ε is never used
     ms = ms if ms is not None else MeasurementSpec(epsilon=1.0)
+    out = _claim_out(out_dir)
+    if out is None:
+        return 2
     try:
         rows = sorted((_sweep_step(config.params, ms, param, float(v)) for v in values),
                       key=lambda r: r[0])
     except PopperLabError as e:
         return _report_failure(e)
 
-    out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(_SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
+        _write_csv(out / "sweep.csv", _SWEEP_COLUMNS, rows)
     except OSError as e:
-        print(f"error: cannot write output: {e}", file=sys.stderr)
-        return 2
+        return _cannot_write(e)
     print(f"wrote sweep.csv ({len(rows)} rows) to {out}")
     return 0
 

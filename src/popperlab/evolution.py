@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailLeakError
-from .wavefunction import (
-    TAIL_RATIO_MAX,
-    WaveFunction1D,
-    position_stats,
-    tail_ratio,
-    wavenumbers,
-)
+from .wavefunction import WaveFunction1D, position_stats, require_tails, wavenumbers
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +56,5 @@ def free_propagate(wf: WaveFunction1D, ep: EvolutionParams) -> WaveFunction1D:
     phase = np.exp(-1j * ep.hbar * k ** 2 * ep.time / (2.0 * ep.mass))
     amps = np.fft.ifft(np.fft.fft(wf.amps) * phase)
     out = WaveFunction1D(grid=wf.grid, amps=amps, norm_tag=wf.norm_tag)
-    if tail_ratio(out) > TAIL_RATIO_MAX:
-        raise TailLeakError("propagated state reached the grid boundary")
+    require_tails(out)
     return out

@@ -37,7 +37,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -437,8 +437,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     init = initial_spreads(params)
     analytic = {
-        "initial": {"dy1": init.dy1, "dy2": init.dy2,
-                    "dp1y": init.dp1y, "dp2y": init.dp2y},
+        "initial": asdict(init),
         "position_correlation": position_correlation(params),
         "disentangled": is_disentangled(params),
         "reduced": None,
@@ -448,13 +447,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         closed = reduced_spreads(params, ms.epsilon)
         approx = approx_dp2_strong_correlation(params, ms.epsilon)
         analytic["reduced"] = {
-            "omega": closed.omega,
-            "alpha": closed.alpha,
-            "dy2": closed.dy2,
-            "dp2y": closed.dp2y,
-            "dp1y": closed.dp1y,
+            **asdict(closed),
             "dp2y_eps_to_zero": init.dp2y,
-            "strong_correlation": {"value": approx.value, "regime_ok": approx.regime_ok},
+            "strong_correlation": asdict(approx),
             "detector_width_at_t": gaussian_width_at(closed.dy2, ep),
         }
 
@@ -463,8 +458,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         st2 = position_stats(psi, particle=2)
         dp2_initial = momentum_std_spectral(psi, particle=2, hbar=params.hbar)
     numeric = {
-        "grid": {"n_points": config.grid.n_points, "y_min": config.grid.y_min,
-                 "y_max": config.grid.y_max, "dy": config.grid.dy},
+        "grid": {**asdict(config.grid), "dy": config.grid.dy},
         "initial": {"dy1": st1.std, "dy2": st2.std, "dp2y": dp2_initial},
         "schmidt_entropy": None,
         "reduced": None,
@@ -545,9 +539,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 def _histogram_dict(hist: DetectorHistogram) -> dict:
     return {
-        "n_bins": hist.geometry.n_bins,
+        **asdict(hist.geometry),
         "y_range": list(hist.geometry.y_range),
-        "side": hist.geometry.side,
         "counts": [int(x) for x in hist.counts],
         "underflow": hist.underflow,
         "overflow": hist.overflow,

@@ -45,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import reduced_spreads
-from .errors import GridMismatchError, ZeroNormError
+from .errors import GridMismatchError
 from .params import GridSpec, PhysicalParams
 from .wavefunction import (
-    NORM_FLOOR,
     WaveFunction1D,
     WaveFunction2D,
     grid_points,
@@ -195,12 +194,7 @@ def aperture_postselect(psi: WaveFunction2D, profile: ApertureProfile) -> PostSe
     t = profile.transmission(grid_points(psi.grid1))
     if np.any(t < 0) or np.any(t > 1):
         raise ValueError("transmission values must lie in [0, 1]")
-    cut = WaveFunction2D(grid1=psi.grid1, grid2=psi.grid2, amps=t[:, None] * psi.amps)
-    n_before = norm(psi)
-    n_after = norm(cut)
-    if n_after < NORM_FLOOR:
-        raise ZeroNormError(
-            f"aperture blocks essentially everything (norm {n_after:.3g})"
-        )
-    pass_probability = float((n_after / n_before) ** 2)
-    return PostSelectionResult(psi_after=normalize(cut), pass_probability=pass_probability)
+    after = normalize(WaveFunction2D(grid1=psi.grid1, grid2=psi.grid2,
+                                     amps=t[:, None] * psi.amps))
+    return PostSelectionResult(psi_after=after,
+                               pass_probability=float((after.norm_tag / norm(psi)) ** 2))

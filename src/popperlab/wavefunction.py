@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,6 +42,7 @@ SCHMIDT_TRUNCATION = 1e-12
 
 _MAGIC = b"EPWF"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIII4d")
 # Amplitudes widened to complex128 per write: 1 MiB.
 _WRITE_BLOCK_AMPLITUDES = 2 ** 16
 
@@ -193,7 +195,8 @@ def tail_ratio(wf: WaveFunction1D | WaveFunction2D) -> float:
     return edge / peak
 
 
-def _require_tails(wf) -> None:
+def require_tails(wf: WaveFunction1D | WaveFunction2D) -> None:
+    """Raise ``TailLeakError`` unless the boundary stays below 1e-6 of the peak."""
     r = tail_ratio(wf)
     if r > TAIL_RATIO_MAX:
         raise TailLeakError(
@@ -209,7 +212,7 @@ def momentum_stats_spectral(wf: WaveFunction1D | WaveFunction2D,
 
     k is uniform, so |FFT|² needs no weights; its scale cancels in the moments.
     """
-    _require_tails(wf)
+    require_tails(wf)
     view = _axis_view(wf, particle)
     pk = view.marginal(np.abs(np.fft.fft(wf.amps, axis=view.axis)) ** 2)
     return _moments(hbar * wavenumbers(view.grid), pk, 1.0)
@@ -245,7 +248,7 @@ def momentum_stats_derivative(wf: WaveFunction1D | WaveFunction2D,
     Entirely finite-difference based; shares nothing with the spectral route
     beyond the input state.
     """
-    _require_tails(wf)
+    require_tails(wf)
     view = _axis_view(wf, particle)
     a = wf.amps
     h = view.grid.dy
@@ -323,6 +326,7 @@ def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,
             f"density matrix would be {n}x{n}; cap is "
             f"{DENSITY_MATRIX_MAX_POINTS} points per axis"
         )
+    require_tails(wf)
     # Rows of b run along this particle's axis, columns along the partner's.
     b = wf.amps if view.axis == 0 else wf.amps.T
     rho = (b * trap_weights(view.grids[1 - view.axis])) @ b.conj().T
@@ -345,25 +349,28 @@ def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
     rows = np.atleast_2d(wf.amps)
     step = max(1, _WRITE_BLOCK_AMPLITUDES // max(1, rows.shape[1]))
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", _MAGIC, _VERSION, *sizes[:2]))
-        f.write(struct.pack("<4d", *bounds[:4]))
+        f.write(_HEADER.pack(_MAGIC, _VERSION, *sizes[:2], *bounds[:4]))
         for start in range(0, rows.shape[0], step):
             f.write(np.ascontiguousarray(rows[start:start + step], dtype=np.dtype("<c16")))
 
 
 def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:
-    """Read an EPWF container back into a wavefunction."""
+    """Read an EPWF container back into a wavefunction; malformed files raise ValueError."""
     with open(path, "rb") as f:
-        magic, version, n1, n2 = struct.unpack("<4sIII", f.read(16))
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"truncated EPWF header ({len(head)} of {_HEADER.size} bytes)")
+        magic, version, n1, n2, y1_min, y1_max, y2_min, y2_max = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ValueError(f"not an EPWF file (magic {magic!r})")
         if version != _VERSION:
             raise ValueError(f"unsupported EPWF version {version}")
-        y1_min, y1_max, y2_min, y2_max = struct.unpack("<4d", f.read(32))
+        if n1 < 2 or n2 == 1:
+            raise ValueError(f"EPWF grid of {n1} x {n2} points; each axis needs at least 2")
         count = n1 * (n2 if n2 > 0 else 1)
+        if 16 * count > os.fstat(f.fileno()).st_size - _HEADER.size:
+            raise ValueError("truncated EPWF payload")
         data = np.frombuffer(f.read(16 * count), dtype=np.dtype("<c16"))
-    if data.size != count:
-        raise ValueError("truncated EPWF payload")
     if n2 == 0:
         return WaveFunction1D(grid=GridSpec(n1, y1_min, y1_max), amps=data)
     return WaveFunction2D(

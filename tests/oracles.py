@@ -308,6 +308,24 @@ def ref_reduced_density_momentum_std(psi, particle: int, hbar: float = 1.0) -> f
     return _ref_momentum_std(g, pk, hbar)
 
 
+def _ref_norm(amps, g1, g2) -> float:
+    marginal = np.abs(amps) ** 2 @ _ref_trap_weights(g2)
+    return float(np.sqrt(np.sum(_ref_trap_weights(g1) * marginal)))
+
+
+def ref_aperture_postselect(psi, profile) -> tuple[np.ndarray, float]:
+    """(surviving amplitudes, pass probability) of a y₁ aperture, from both norms.
+
+    The cut pair is divided by its own norm, and the pass probability is the
+    squared ratio of that norm to the uncut pair's.
+    """
+    g1 = psi.grid1
+    t = profile.transmission(np.linspace(g1.y_min, g1.y_max, g1.n_points))
+    cut = t[:, None] * psi.amps
+    n_after = _ref_norm(cut, psi.grid1, psi.grid2)
+    return cut / n_after, float((n_after / _ref_norm(psi.amps, psi.grid1, psi.grid2)) ** 2)
+
+
 # Frozen outputs of the functions above (17 significant digits as printed by
 # the regeneration run; agreement with closed forms was at machine epsilon).
 INITIAL_ORACLE = {

@@ -97,10 +97,10 @@ def test_criterion_10_convergence_and_cross_method(full_run, capsys):
     assert_criterion(full_run, capsys, 10, "convergence and route agreement")
 
 
-def test_criterion_11_verification_suite_runtimes(full_run, capsys):
+def test_criterion_11_verification_suite_runtimes(full_run, capsys, child_env):
     t0 = time.perf_counter()
     quick = subprocess.run([sys.executable, "-m", "popperlab.cli", "verify"],
-                           capture_output=True, text=True, timeout=120)
+                           capture_output=True, text=True, timeout=120, env=child_env)
     quick_s = time.perf_counter() - t0
     levels = [level for level, _ in full_run.calls]
     ok = (quick.returncode == 0 and quick_s < 60.0

@@ -34,6 +34,10 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def refuse_compute(*args, **kwargs):
+    raise AssertionError("computed before --out was claimed")
+
+
 def read_rows(csv_path):
     lines = csv_path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -142,13 +146,29 @@ class TestRun:
         assert "stage 'build' failed: Unable to allocate" in err
         assert "Traceback" not in err
 
-    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        # --out is claimed before the scenario is computed
+        monkeypatch.setattr(cli, "run_scenario", refuse_compute)
         cfg = write_config(tmp_path / "cfg.json", n_samples=0)
         taken = tmp_path / "taken"
         taken.write_text("")
         code = cli.main(["run", "--config", cfg, "--out", str(taken)])
         assert code == 2
         assert "error: cannot write output" in capsys.readouterr().err
+
+    def test_pair_above_the_save_bound_is_reported_not_written(self, tmp_path, capsys,
+                                                               monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json", evolution_time=0.8,
+                           grid={"n_points": 256, "y_min": -16.2, "y_max": 16.2})
+        monkeypatch.setattr(cli, "SAVE_MAX_AMPLITUDES", 256 * 256 - 1)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "note: joint.wf skipped, 65536 amplitudes exceeds the 65535" in captured.err
+        assert not (out / "joint.wf").exists()
+        written = ["report.json", "histogram.csv", "pointer.wf", "reduced.wf", "detector.wf"]
+        assert sorted(f.name for f in out.iterdir()) == sorted(written)
+        assert f"wrote {', '.join(written)} to {out}" in captured.out
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
@@ -355,7 +375,9 @@ class TestSweep:
         assert code == 2
         assert "at most" in capsys.readouterr().err
 
-    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        # --out is claimed before any step is computed
+        monkeypatch.setattr(cli, "_sweep_step", refuse_compute)
         cfg = write_config(tmp_path / "cfg.json")
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -382,7 +404,76 @@ class TestSweep:
         assert code == 2
 
 
-def scipy_loaded(tmp_path, seed=None):
+def key_tree(doc):
+    """The nested key set of a JSON document; a leaf, list or null is None."""
+    return {k: key_tree(v) for k, v in doc.items()} if isinstance(doc, dict) else None
+
+
+def leaves(*names):
+    return dict.fromkeys(names)
+
+
+CONFIG_KEYS = {
+    "detector": leaves("n_bins", "side", "y_range"),
+    "grid": leaves("n_points", "y_max", "y_min"),
+    "measurement": leaves("center", "epsilon"),
+    "params": leaves("hbar", "mass", "omega0", "sigma"),
+    **leaves("evolution_time", "n_samples", "seed"),
+}
+SAMPLED_KEYS = {
+    "histogram": leaves("counts", "n_bins", "overflow", "side", "total", "underflow",
+                        "y_range"),
+    "ks": leaves("pvalue", "statistic"),
+    **leaves("correlation", "mean", "n", "predicted_detector_width", "side", "std"),
+}
+SLIT_REPORT_KEYS = {
+    "analytic": {
+        "initial": leaves("dp1y", "dp2y", "dy1", "dy2"),
+        "reduced": {
+            "strong_correlation": leaves("regime_ok", "value"),
+            **leaves("alpha", "detector_width_at_t", "dp1y", "dp2y", "dp2y_eps_to_zero",
+                     "dy2", "omega"),
+        },
+        **leaves("disentangled", "position_correlation"),
+    },
+    "config": CONFIG_KEYS,
+    "numeric": {
+        "grid": leaves("dy", "n_points", "y_max", "y_min"),
+        "initial": leaves("dp2y", "dy1", "dy2"),
+        "ratios": leaves("dp2_post_over_initial_closed", "dp2_post_over_initial_numeric"),
+        "reduced": leaves("dp2y", "dy2", "residual"),
+        "schmidt_entropy": None,
+    },
+    "sampled": SAMPLED_KEYS,
+    "seed": None,
+    "timings": leaves("build", "numeric_initial", "propagate", "reduce", "sample", "schmidt"),
+}
+COINCIDENCE_REPORT_KEYS = {
+    **SLIT_REPORT_KEYS,
+    "analytic": {**SLIT_REPORT_KEYS["analytic"], "reduced": None},
+    "config": {**CONFIG_KEYS, "measurement": None},
+    "numeric": {**SLIT_REPORT_KEYS["numeric"], "ratios": None, "reduced": None},
+    "timings": leaves("build", "numeric_initial", "sample", "schmidt"),
+}
+
+
+class TestReportLayout:
+    """report.json's full nested key set, in slit and in coincidence mode."""
+
+    @pytest.mark.parametrize("overrides,expected", [
+        ({"evolution_time": 0.8}, SLIT_REPORT_KEYS),
+        ({"measurement": None}, COINCIDENCE_REPORT_KEYS),
+    ], ids=["slit", "coincidence"])
+    def test_key_tree(self, tmp_path, overrides, expected):
+        cfg = write_config(tmp_path / "cfg.json", n_samples=200,
+                           grid={"n_points": 256, "y_min": -16.2, "y_max": 16.2},
+                           **overrides)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert key_tree(json.loads((out / "report.json").read_text())) == expected
+
+
+def scipy_loaded(tmp_path, env, seed=None):
     """scipy and its public subpackages loaded in a fresh interpreter.
 
     It imports ``popperlab.cli`` and, given a seed, runs the default slit
@@ -395,7 +486,7 @@ def scipy_loaded(tmp_path, seed=None):
         code += f"assert cli.main(['run', '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
     code += "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = {".".join(m.split(".")[:2]) for m in json.loads(proc.stdout.splitlines()[-1])}
     loaded = {m for m in loaded if not m.split(".")[-1].startswith("_") and m != "scipy.version"}
@@ -406,16 +497,16 @@ def scipy_loaded(tmp_path, seed=None):
 class TestImportBudget:
     """scipy loads only where a path needs it, and its stats package never."""
 
-    def test_cli_import_loads_no_scipy(self, tmp_path):
-        assert scipy_loaded(tmp_path) == (set(), None)
+    def test_cli_import_loads_no_scipy(self, tmp_path, child_env):
+        assert scipy_loaded(tmp_path, child_env) == (set(), None)
 
-    def test_run_with_pvalue_in_the_body_loads_no_scipy(self, tmp_path):
-        loaded, ks = scipy_loaded(tmp_path, seed=1)
+    def test_run_with_pvalue_in_the_body_loads_no_scipy(self, tmp_path, child_env):
+        loaded, ks = scipy_loaded(tmp_path, child_env, seed=1)
         assert 2000 * ks["statistic"] ** 2 < 2.2  # below the smirnov tail
         assert loaded == set()
 
-    def test_run_with_pvalue_in_the_tail_loads_scipy_special_only(self, tmp_path):
-        loaded, ks = scipy_loaded(tmp_path, seed=75)
+    def test_run_with_pvalue_in_the_tail_loads_scipy_special_only(self, tmp_path, child_env):
+        loaded, ks = scipy_loaded(tmp_path, child_env, seed=75)
         assert 2000 * ks["statistic"] ** 2 >= 2.2
         assert loaded == {"scipy", "scipy.special"}
 

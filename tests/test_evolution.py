@@ -98,6 +98,14 @@ class TestFreePropagation:
         with pytest.raises(TailLeakError, match="predicted"):
             free_propagate(packet(), EvolutionParams(time=50.0))
 
+    def test_boundary_reached_in_flight_raises_after(self):
+        # the width law fits the grid, but the boosted packet drifts to its edge
+        wf = packet()
+        y = np.linspace(GRID.y_min, GRID.y_max, GRID.n_points)
+        boosted = type(wf)(grid=GRID, amps=wf.amps * np.exp(10j * y))
+        with pytest.raises(TailLeakError, match="boundary amplitude is .* of peak"):
+            free_propagate(boosted, EvolutionParams(time=2.0))
+
     def test_mass_slows_spreading(self):
         heavy = free_propagate(packet(), EvolutionParams(time=2.0, mass=10.0))
         light = free_propagate(packet(), EvolutionParams(time=2.0, mass=1.0))

@@ -111,6 +111,8 @@ class TestSampling:
 def ks_branch(n, x):
     """The branch of scipy's kstwo.sf dispatch that (n, x) takes."""
     t, nxx = n * x, n * x * x
+    if x >= 1.0:
+        return "x>=1"
     if t <= 0.5:
         return "t<=0.5"
     if t <= 1.0:
@@ -134,6 +136,7 @@ def ks_branch(n, x):
 POMERANZ_ABS = 2e-14
 
 KS_POINTS = [
+    (10, 1.0), (2 * 10 ** 5, 1.0),                         # x >= 1
     (10, 0.03), (10 ** 4, 4e-5),                           # t <= 0.5
     (10, 0.08), (140, 0.006),                              # 0.5 < t <= 1, n <= 140
     (141, 0.006), (10 ** 6, 8e-7),                         # 0.5 < t <= 1, n > 140
@@ -154,7 +157,7 @@ class TestKolmogorovPValue:
 
     def test_grid_reaches_every_branch(self):
         assert {ks_branch(n, x) for n, x in KS_POINTS} == {
-            "t<=0.5", "0.5<t<=1, n<=140", "0.5<t<=1, n>140", "t>=n-1", "x>=0.5",
+            "x>=1", "t<=0.5", "0.5<t<=1, n<=140", "0.5<t<=1, n>140", "t>=n-1", "x>=0.5",
             "tail", "nD2>=370", "durbin", "pelz-good", "pomeranz"}
 
     @pytest.mark.parametrize("n,x", KS_POINTS)
@@ -249,6 +252,12 @@ class TestJointSampling:
         psi = build_joint_state(JointStateRecipe(p, g, g))
         assert np.array_equal(sample_joint(psi, 500, seed=9),
                               sample_joint(psi, 500, seed=9))
+
+    def test_zero_pairs(self):
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        g = GridSpec(n_points=128, y_min=-16.2, y_max=16.2)
+        psi = build_joint_state(JointStateRecipe(p, g, g))
+        assert sample_joint(psi, 0, seed=1).shape == (0, 2)
 
     def test_anticorrelated_source(self):
         # omega0 below the product line flips the correlation sign

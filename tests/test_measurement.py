@@ -252,6 +252,18 @@ class TestAperture:
         dp_aperture = reduced_density_momentum_std(res.psi_after, particle=2)
         assert red.dp2_numeric < 0.99 * dp_aperture
 
+    @pytest.mark.parametrize("profile", [
+        ApertureProfile(kind="tophat", width=1e6),
+        *[ApertureProfile(kind="tophat", width=w) for w in (4.0, 2.0, 1.0, 0.5)],
+        ApertureProfile(kind="gaussian", width=0.5),
+        ApertureProfile(kind="tophat", width=0.3, center=0.8),
+    ])
+    def test_matches_the_two_norm_formula(self, profile):
+        res = aperture_postselect(self.psi, profile)
+        amps, pass_probability = oracles.ref_aperture_postselect(self.psi, profile)
+        assert np.array_equal(res.psi_after.amps, amps)
+        assert res.pass_probability == pass_probability
+
     def test_transmission_bounds_enforced(self):
         class Bad(ApertureProfile):
             def transmission(self, y):

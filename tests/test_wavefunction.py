@@ -2,6 +2,7 @@
 spectra, reduced density matrices and the binary container."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -43,6 +44,10 @@ def gaussian_1d(grid, width, center=0.0, k0=0.0):
     y = grid_points(grid)
     amps = np.exp(-((y - center) ** 2) / (4.0 * width ** 2)) * np.exp(1j * k0 * y)
     return normalize(WaveFunction1D(grid=grid, amps=amps))
+
+
+def epwf_header(n1, n2):
+    return struct.pack("<4sIII4d", b"EPWF", 1, n1, n2, -3.0, 3.0, -3.0, 3.0)
 
 
 def pair_state(sigma, omega0, n=1024, half=16.2):
@@ -237,6 +242,14 @@ class TestReducedDensity:
             marg_route = momentum_std_spectral(psi, particle=particle)
             assert rho_route == pytest.approx(marg_route, rel=1e-9)
 
+    def test_leaking_state_raises(self):
+        # on ±3 the σ = 1, Ω₀ = 2 pair keeps 0.57 of its peak at the edge;
+        # read off the wrapped transform its spread would be 2.49, not 1.008
+        psi = pair_state(1.0, 2.0, n=256, half=3.0)
+        assert tail_ratio(psi) > 0.5
+        with pytest.raises(TailLeakError):
+            reduced_density_momentum_std(psi, particle=2)
+
     def test_memory_bound(self):
         g_big = GridSpec(n_points=8192, y_min=-16.0, y_max=16.0)
         g_small = GridSpec(n_points=64, y_min=-16.0, y_max=16.0)
@@ -379,6 +392,20 @@ class TestContainerFormat:
             load_wavefunction(path)
         path.write_bytes(blob[:-24])  # ragged tail
         with pytest.raises(ValueError):
+            load_wavefunction(path)
+        path.write_bytes(blob[:40])  # shorter than the 48-byte header
+        with pytest.raises(ValueError, match="truncated EPWF header"):
+            load_wavefunction(path)
+        # 2³¹ x 2³¹ amplitudes claimed: refused before anything is read
+        path.write_bytes(epwf_header(2 ** 31, 2 ** 31) + blob[48:])
+        with pytest.raises(ValueError, match="truncated"):
+            load_wavefunction(path)
+
+    @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 0), (0, 64), (64, 1)])
+    def test_axis_without_two_points_rejected(self, tmp_path, n1, n2):
+        path = tmp_path / "n.wf"
+        path.write_bytes(epwf_header(n1, n2) + bytes(16 * 64))
+        with pytest.raises(ValueError, match="at least 2"):
             load_wavefunction(path)
 
 
