@@ -132,11 +132,9 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
         written = ["report.json"]
         if report.sampled is not None:
             hist = report.sampled["histogram"]
-            lo, hi = hist["y_range"]
-            width = (hi - lo) / hist["n_bins"]
+            edges = np.linspace(*hist["y_range"], hist["n_bins"] + 1)
             _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
-                       ((lo + i * width, lo + (i + 1) * width, count)
-                        for i, count in enumerate(hist["counts"])))
+                       zip(edges, edges[1:], hist["counts"]))
             written.append("histogram.csv")
         for name, wf in report.states.items():
             if wf.amps.size > SAVE_MAX_AMPLITUDES:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailLeakError
+from .params import EXTENT_SIGMAS
 from .wavefunction import WaveFunction1D, position_stats, require_tails, wavenumbers
 
 
@@ -47,10 +48,11 @@ def free_propagate(wf: WaveFunction1D, ep: EvolutionParams) -> WaveFunction1D:
     w_now = position_stats(wf).std
     if w_now > 0:
         w_pred = gaussian_width_at(w_now, ep)
-        if w_pred > wf.grid.half_extent / 6.0:
+        limit = wf.grid.half_extent / EXTENT_SIGMAS
+        if w_pred > limit:
             raise TailLeakError(
-                f"predicted width {w_pred:.3g} exceeds grid half-extent/6 "
-                f"({wf.grid.half_extent / 6.0:.3g}); enlarge the grid"
+                f"predicted width {w_pred:.3g} exceeds grid half-extent/{EXTENT_SIGMAS:g} "
+                f"({limit:.3g}); enlarge the grid"
             )
     k = wavenumbers(wf.grid)
     phase = np.exp(-1j * ep.hbar * k ** 2 * ep.time / (2.0 * ep.mass))

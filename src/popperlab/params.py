@@ -54,20 +54,6 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
-
-
-def _floor_pow2(n: int) -> int:
-    p = 1
-    while (p << 1) <= n:
-        p <<= 1
-    return p
-
-
 def _integer(value, name: str) -> int:
     """A config count as an int; fractions, booleans and strings are errors, not coerced."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -339,12 +325,13 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     extent = AUTO_EXTENT_SIGMAS * max_scale + center
     span = 2.0 * extent
     target_dy = proxy_min / TARGET_POINTS_PER_SCALE
-    n = _next_pow2(max(MIN_GRID_POINTS, math.ceil(span / target_dy) + 1))
+    # The least power of two >= m is 1 << (m - 1).bit_length().
+    n = 1 << (max(MIN_GRID_POINTS, math.ceil(span / target_dy) + 1) - 1).bit_length()
     if n > max_points:
-        n = _floor_pow2(max_points)
+        n = 1 << (max_points.bit_length() - 1)
         dy = span / (n - 1)
         if dy > dy_cap:
-            need = _next_pow2(math.ceil(span / dy_cap) + 1)
+            need = 1 << math.ceil(span / dy_cap).bit_length()
             raise CapExceededError(
                 f"scale ratio needs >= {need} points for spacing "
                 f"{dy_cap:.3g} over span {span:.3g}; cap is {max_points}"

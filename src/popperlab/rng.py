@@ -48,11 +48,9 @@ class Xoshiro256StarStar:
             raise ValueError("seed must be an integer in [0, 2^64)")
         self.seed = seed
         stream = splitmix64_stream(seed)
+        # splitmix64 is a bijection of its counter and the four counters differ,
+        # so at most one word is 0: never xoshiro's forbidden all-zero state.
         self._s = [next(stream) for _ in range(4)]
-        if not any(self._s):
-            # All-zero is the one forbidden xoshiro state; unreachable from
-            # splitmix64 in practice, but cheap to rule out.
-            self._s[0] = 1
 
     def _outputs(self, n: int) -> np.ndarray:
         """The next n outputs as a uint64 array, in stream order."""

@@ -1,17 +1,18 @@
 """Self-verification suite: every closed form against its grid oracle.
 
 ``run_checks`` is the one implementation of acceptance criteria 1-10; each
-row names the criterion it belongs to, and the acceptance gate
-(``tests/test_acceptance.py``) runs the ``full`` level and asserts on its
-rows.  ``quick`` keeps grids at 512 points and a tame parameter box so it
-finishes in seconds.  ``full`` takes the gate's inputs: 100 reduction triples
-and 20 initial-spread pairs drawn log-uniformly from [0.1, 10] at ħ = 1, on
-grids up to 4096 points.  Every reduction is the dense ``conditional_reduce``
-of the pair state its site builds; ``reduce_pair``, the route ``run`` and
-``sweep`` take, is checked against it at every sweep triple.  Where a bound
-could be read as absolute or relative, the row takes the larger deviation.
-Each row reports expectation, observation and tolerance so a failure is
-directly actionable.
+row names the criterion it belongs to, rows come back sorted by it, and the
+acceptance gate (``tests/test_acceptance.py``) runs the ``full`` level and
+asserts on its rows.  ``quick`` keeps grids at 512 points and a tame
+parameter box so it finishes in seconds.  ``full`` takes the gate's inputs:
+100 reduction triples and 20 initial-spread pairs drawn log-uniformly from
+[0.1, 10] at ħ = 1, on grids up to 4096 points.  One pass over the triples
+writes the sweep's rows of criteria 1, 3 and 7.  Every reduction is the dense
+``conditional_reduce`` of the pair state its site builds; ``reduce_pair``,
+the route ``run`` and ``sweep`` take, is checked against it at every sweep
+triple.  Where a bound could be read as absolute or relative, the row takes
+the larger deviation.  Each row reports expectation, observation and
+tolerance so a failure is directly actionable.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ def _bound_row(criterion: int, name: str, actual: float, tol: float,
                     actual=f"{actual:.3e}", tolerance=f"{tol:g}", passed=actual < tol)
 
 
+def _floor_row(criterion: int, name: str, actual: float, floor: float) -> CheckRow:
+    return CheckRow(criterion=criterion, name=name, expected=f"> {floor:g}",
+                    actual=f"{actual:.3e}", tolerance="strict", passed=actual > floor)
+
+
 def _abs_rel(value: float, ref: float) -> float:
     """The larger of the absolute and the relative deviation of ``value``."""
     dev = abs(value - ref)
@@ -113,10 +119,13 @@ def _reduce(params: PhysicalParams, ms: MeasurementSpec, grid: GridSpec
     return psi, phi1, conditional_reduce(psi, phi1, params, ms.epsilon)
 
 
-def _reduction_sweep(level: _Level) -> tuple[list[dict], float]:
+def _check_sweep(level: _Level) -> list[CheckRow]:
+    """Criteria 1, 3 and 7 over the seeded (σ, Ω₀, ε) triples, in one pass."""
     gen = Xoshiro256StarStar(SWEEP_SEED)
     lo, hi = level.box
-    rows = []
+    biggest = 0
+    dev = route_dev = dev_closed = dev_grid = 0.0
+    worst, gap = -math.inf, math.inf
     t0 = time.perf_counter()
     for _ in range(level.n_triples):
         params = PhysicalParams(sigma=_log_uniform(gen, lo, hi),
@@ -125,28 +134,27 @@ def _reduction_sweep(level: _Level) -> tuple[list[dict], float]:
         grid = auto_grid(params, ms, max_points=level.max_points)
         psi, phi1, red = _reduce(params, ms, grid)
         conv = reduce_pair(phi1, params, ms.epsilon)
-        peak = float(np.max(np.abs(red.phi2.amps)))
-        rows.append({
-            "params": params,
-            "red": red,
-            "n_points": grid.n_points,
-            "dp2_init_numeric": momentum_std_spectral(psi, particle=2),
-            "route_dev": max(
-                float(np.max(np.abs(conv.phi2.amps - red.phi2.amps))) / peak,
-                abs(conv.dy2_numeric - red.dy2_numeric) / red.dy2_numeric,
-                abs(conv.dp2_numeric - red.dp2_numeric) / red.dp2_numeric),
-        })
-    return rows, time.perf_counter() - t0
-
-
-def _check_reduction(sweep: list[dict], elapsed: float, level: _Level) -> list[CheckRow]:
-    dev = 0.0
-    for r in sweep:
-        red = r["red"]
+        biggest = max(biggest, grid.n_points)
         dev = max(dev,
                   abs(red.dy2_numeric - red.dy2_closed) / red.dy2_closed,
                   abs(red.dp2_numeric - red.dp2_closed) / red.dp2_closed)
-    biggest = max(r["n_points"] for r in sweep)
+        route_dev = max(
+            route_dev,
+            float(np.max(np.abs(conv.phi2.amps - red.phi2.amps)))
+            / float(np.max(np.abs(red.phi2.amps))),
+            abs(conv.dy2_numeric - red.dy2_numeric) / red.dy2_numeric,
+            abs(conv.dp2_numeric - red.dp2_numeric) / red.dp2_numeric)
+        dp2_init = momentum_std_spectral(psi, particle=2)
+        worst = max(worst, red.dp2_numeric - dp2_init)
+        # Clearly off the line Ω₀ = ħ/4σ the remote spread must strictly narrow.
+        if abs(params.omega0 - 0.25 / params.sigma) > 0.05 * params.omega0:
+            gap = min(gap, dp2_init - red.dp2_numeric)
+        half_hbar = 0.5 * params.hbar
+        dev_closed = max(dev_closed,
+                         abs(red.dy2_closed * red.dp2_closed - half_hbar) / half_hbar)
+        dev_grid = max(dev_grid,
+                       abs(red.dy2_numeric * red.dp2_numeric - half_hbar) / half_hbar)
+    elapsed = time.perf_counter() - t0
     return [
         _bound_row(1, "reduced spreads: closed form vs grid (max rel dev)", dev, 1e-6),
         CheckRow(criterion=1, name="reduction sweep: largest grid, wall time",
@@ -154,7 +162,12 @@ def _check_reduction(sweep: list[dict], elapsed: float, level: _Level) -> list[C
                  actual=f"{biggest}, {elapsed:.1f} s", tolerance="-",
                  passed=biggest <= level.max_points and elapsed < 300.0),
         _bound_row(1, "reduce_pair route agreement with the dense reduction (max dev)",
-                   max(r["route_dev"] for r in sweep), 1e-13),
+                   route_dev, 1e-13),
+        _bound_row(3, "remote momentum never exceeds initial (numeric)", worst, 1e-8,
+                   expected="<= 0"),
+        _floor_row(3, "off-line triples narrow strictly (min gap)", gap, 1e-9),
+        _bound_row(7, "reduced state is minimum-uncertainty (closed)", dev_closed, 1e-9),
+        _bound_row(7, "reduced state is minimum-uncertainty (grid)", dev_grid, 1e-6),
     ]
 
 
@@ -174,20 +187,7 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
     return [_bound_row(2, "initial spreads: closed form vs grid (max rel dev)", dev, 1e-6)]
 
 
-def _check_no_extra_spread(sweep: list[dict], level: _Level) -> list[CheckRow]:
-    worst = max(r["red"].dp2_numeric - r["dp2_init_numeric"] for r in sweep)
-    # Clearly off the line Ω₀ = ħ/4σ the remote spread must strictly narrow.
-    gap = min(r["dp2_init_numeric"] - r["red"].dp2_numeric for r in sweep
-              if abs(r["params"].omega0 - 0.25 / r["params"].sigma)
-              > 0.05 * r["params"].omega0)
-    rows = [
-        CheckRow(criterion=3, name="remote momentum never exceeds initial (numeric)",
-                 expected="<= 0", actual=f"{worst:.3e}", tolerance="1e-08",
-                 passed=worst < 1e-8),
-        CheckRow(criterion=3, name="off-line triples narrow strictly (min gap)",
-                 expected="> 1e-09", actual=f"{gap:.3e}", tolerance="strict",
-                 passed=gap > 1e-9),
-    ]
+def _check_factorization_line(level: _Level) -> list[CheckRow]:
     dev = 0.0
     for sigma in _LINE_SIGMAS:
         params = PhysicalParams(sigma=sigma, omega0=0.25 / sigma)
@@ -196,9 +196,7 @@ def _check_no_extra_spread(sweep: list[dict], level: _Level) -> list[CheckRow]:
         dev = max(dev,
                   _abs_rel(red.dp2_numeric, momentum_std_spectral(psi, particle=2)),
                   _abs_rel(red.dp2_closed, initial_spreads(params).dp2y))
-    rows.append(_bound_row(3, "equality on the factorization line (max abs/rel dev)",
-                           dev, 1e-9))
-    return rows
+    return [_bound_row(3, "equality on the factorization line (max abs/rel dev)", dev, 1e-9)]
 
 
 def _check_fixed_point(level: _Level) -> list[CheckRow]:
@@ -235,35 +233,14 @@ def _check_strong_correlation() -> list[CheckRow]:
     params = PhysicalParams(sigma=10.0, omega0=10.0)
     exact = reduced_spreads(params, 0.1).dp2y
     approx = approx_dp2_strong_correlation(params, 0.1).value
-    rows = [
+    seq = [reduced_spreads(params, e).dp2y for e in (0.2, 0.1, 0.05)]
+    return [
         _bound_row(6, "strong-correlation approximation vs 4.472136 (abs dev)",
                    abs(approx - 4.472136), 5e-7, expected="4.472136"),
         _bound_row(6, "strong-correlation approximation vs exact (rel dev)",
                    abs(approx - exact) / exact, 1e-3),
-    ]
-    seq = [reduced_spreads(params, e).dp2y for e in (0.2, 0.1, 0.05)]
-    min_gain = min(b - a for a, b in zip(seq, seq[1:]))
-    rows.append(CheckRow(
-        criterion=6, name="remote spread grows as the slit narrows",
-        expected="> 0", actual=f"{min_gain:.3e}", tolerance="strict",
-        passed=min_gain > 0,
-    ))
-    return rows
-
-
-def _check_uncertainty_product(sweep: list[dict]) -> list[CheckRow]:
-    dev_closed = 0.0
-    dev_grid = 0.0
-    for r in sweep:
-        red, params = r["red"], r["params"]
-        half_hbar = 0.5 * params.hbar
-        dev_closed = max(dev_closed,
-                         abs(red.dy2_closed * red.dp2_closed - half_hbar) / half_hbar)
-        dev_grid = max(dev_grid,
-                       abs(red.dy2_numeric * red.dp2_numeric - half_hbar) / half_hbar)
-    return [
-        _bound_row(7, "reduced state is minimum-uncertainty (closed)", dev_closed, 1e-9),
-        _bound_row(7, "reduced state is minimum-uncertainty (grid)", dev_grid, 1e-6),
+        _floor_row(6, "remote spread grows as the slit narrows",
+                   min(b - a for a, b in zip(seq, seq[1:])), 0.0),
     ]
 
 
@@ -339,23 +316,20 @@ def run_checks(level: str = "quick") -> list[CheckRow]:
         raise ValueError("level must be 'quick' or 'full'")
     cfg = _LEVELS[level]
     try:
-        sweep, elapsed = _reduction_sweep(cfg)
+        rows = _check_sweep(cfg)
     except CapExceededError as e:
         return [CheckRow(criterion=1, name="parameter sweep grid construction",
                          expected="grids fit", actual=str(e), tolerance="-",
                          passed=False)]
-    rows: list[CheckRow] = []
-    rows += _check_reduction(sweep, elapsed, cfg)
     rows += _check_initial_closed_vs_grid(cfg)
-    rows += _check_no_extra_spread(sweep, cfg)
+    rows += _check_factorization_line(cfg)
     rows += _check_fixed_point(cfg)
     rows += _check_eps_to_zero()
     rows += _check_strong_correlation()
-    rows += _check_uncertainty_product(sweep)
     rows += _check_evolution()
     rows += _check_sampling(cfg)
     rows += _check_convergence(cfg)
-    return rows
+    return sorted(rows, key=lambda r: r.criterion)
 
 
 def format_table(rows: list[CheckRow]) -> str:

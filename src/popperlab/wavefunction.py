@@ -367,6 +367,10 @@ def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:
             raise ValueError(f"unsupported EPWF version {version}")
         if n1 < 2 or n2 == 1:
             raise ValueError(f"EPWF grid of {n1} x {n2} points; each axis needs at least 2")
+        for lo, hi in ((y1_min, y1_max), (y2_min, y2_max))[:2 if n2 else 1]:
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise ValueError(f"EPWF grid bounds [{lo}, {hi}]; each axis needs finite "
+                                 f"y_min < y_max")
         count = n1 * (n2 if n2 > 0 else 1)
         if 16 * count > os.fstat(f.fileno()).st_size - _HEADER.size:
             raise ValueError("truncated EPWF payload")

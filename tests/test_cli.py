@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from popperlab import analytic, cli, experiment, wavefunction
+from popperlab import analytic, cli, experiment, measurement, wavefunction
 from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
 
 
@@ -61,13 +61,18 @@ class TestRun:
         assert "report.json" in capsys.readouterr().out
 
     def test_histogram_csv_layout(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
-        cli.main(["run", "--config", cfg, "--out", str(out)])
-        header, rows = read_rows(out / "histogram.csv")
-        assert header == ["bin_lo", "bin_hi", "count"]
-        assert len(rows) == 48
-        assert sum(int(r["count"]) for r in rows) <= 2000
+        # lo + 48 * (10.3 / 48) rounds to 5.300000000000001; the edges end at hi.
+        for lo, hi in ((-5.0, 5.0), (-5.0, 5.3)):
+            cfg = write_config(tmp_path / "cfg.json",
+                               detector={"n_bins": 48, "y_range": [lo, hi], "side": "B"})
+            out = tmp_path / f"out{hi}"
+            cli.main(["run", "--config", cfg, "--out", str(out)])
+            header, rows = read_rows(out / "histogram.csv")
+            assert header == ["bin_lo", "bin_hi", "count"]
+            assert len(rows) == 48
+            assert sum(int(r["count"]) for r in rows) <= 2000
+            assert float(rows[0]["bin_lo"]) == lo and float(rows[-1]["bin_hi"]) == hi
+            assert all(a["bin_hi"] == b["bin_lo"] for a, b in zip(rows, rows[1:]))
 
     def test_deterministic_reports(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -518,13 +523,19 @@ class TestVerifyCommand:
         assert err.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
-    def test_table_lists_every_check(self, capsys):
+    def test_table_lists_every_check(self, monkeypatch, capsys):
+        rows = []
+        real = cli.run_checks
+        monkeypatch.setattr(cli, "run_checks", lambda level: rows.extend(real(level)) or rows)
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         for fragment in ("closed form vs grid", "route agreement", "never exceeds initial",
                          "narrow strictly", "minimum-uncertainty", "chi-square",
                          "doubling the resolution"):
             assert fragment in out
+        criteria = [r.criterion for r in rows]
+        assert criteria == sorted(criteria)
+        assert set(criteria) == set(range(1, 11))
 
     @staticmethod
     def scaled_omega(params, eps):
@@ -532,6 +543,21 @@ class TestVerifyCommand:
         k = 1.0 + 1e-5
         return dataclasses.replace(closed, omega=closed.omega * k, dy2=closed.dy2 * k,
                                    dp2y=closed.dp2y / k)
+
+    @staticmethod
+    def widened_omega(params, eps):
+        closed = analytic.reduced_spreads(params, eps)
+        k = 1.0 + 1e-5
+        return dataclasses.replace(closed, omega=closed.omega * k, dy2=closed.dy2 * k)
+
+    @staticmethod
+    def route_off(*args, **kwargs):
+        red = measurement.reduce_pair(*args, **kwargs)
+        return dataclasses.replace(red, dp2_numeric=red.dp2_numeric * (1.0 + 1e-12))
+
+    @staticmethod
+    def scaled(func, k):
+        return lambda *args, **kwargs: func(*args, **kwargs) * k
 
     @pytest.mark.parametrize("target,fault,row", [
         ("popperlab.measurement.reduced_spreads", scaled_omega,
@@ -542,7 +568,18 @@ class TestVerifyCommand:
         ("popperlab.verify.position_correlation",
          lambda params: analytic.position_correlation(params) + 0.02,
          "coincidence correlation vs closed form"),
-    ], ids=["omega", "spectral-dp2", "correlation"])
+        ("popperlab.verify.reduce_pair", route_off,
+         "reduce_pair route agreement with the dense reduction"),
+        ("popperlab.verify.momentum_std_spectral",
+         scaled(wavefunction.momentum_std_spectral, 1.0 - 1e-4),
+         "remote momentum never exceeds initial (numeric)"),
+        ("popperlab.measurement.reduced_spreads", widened_omega,
+         "reduced state is minimum-uncertainty (closed)"),
+        ("popperlab.measurement.momentum_std_spectral",
+         scaled(wavefunction.momentum_std_spectral, 1.0 + 1e-5),
+         "reduced state is minimum-uncertainty (grid)"),
+    ], ids=["omega", "spectral-dp2", "correlation", "route-dp2", "initial-dp2",
+            "closed-product", "grid-product"])
     def test_injected_fault_fails_its_row(self, monkeypatch, capsys, target, fault, row):
         monkeypatch.setattr(target, fault)
         assert cli.main(["verify"]) == 1

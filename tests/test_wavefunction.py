@@ -46,8 +46,8 @@ def gaussian_1d(grid, width, center=0.0, k0=0.0):
     return normalize(WaveFunction1D(grid=grid, amps=amps))
 
 
-def epwf_header(n1, n2):
-    return struct.pack("<4sIII4d", b"EPWF", 1, n1, n2, -3.0, 3.0, -3.0, 3.0)
+def epwf_header(n1, n2, bounds=(-3.0, 3.0, -3.0, 3.0)):
+    return struct.pack("<4sIII4d", b"EPWF", 1, n1, n2, *bounds)
 
 
 def pair_state(sigma, omega0, n=1024, half=16.2):
@@ -399,6 +399,18 @@ class TestContainerFormat:
         # 2³¹ x 2³¹ amplitudes claimed: refused before anything is read
         path.write_bytes(epwf_header(2 ** 31, 2 ** 31) + blob[48:])
         with pytest.raises(ValueError, match="truncated"):
+            load_wavefunction(path)
+
+    @pytest.mark.parametrize("n2,bounds", [
+        (0, (3.0, -3.0, 0.0, 0.0)),
+        (0, (math.nan, 3.0, 0.0, 0.0)),
+        (8, (-3.0, 3.0, -math.inf, math.inf)),
+        (8, (-3.0, 3.0, 2.0, 2.0)),
+    ], ids=["reversed", "nan", "infinite-y2", "empty-y2"])
+    def test_bad_grid_bounds_rejected(self, tmp_path, n2, bounds):
+        path = tmp_path / "b.wf"
+        path.write_bytes(epwf_header(64, n2, bounds) + bytes(16 * 64 * max(n2, 1)))
+        with pytest.raises(ValueError, match="bounds"):
             load_wavefunction(path)
 
     @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 0), (0, 64), (64, 1)])
