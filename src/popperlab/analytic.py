@@ -106,10 +106,10 @@ def approx_dp2_strong_correlation(params: PhysicalParams, eps: float) -> StrongC
     return StrongCorrelationApprox(value=value, regime_ok=regime_ok)
 
 
-def is_disentangled(params: PhysicalParams, rel_tol: float = 1e-12) -> bool:
-    """True iff Ω₀ = ħ/4σ within rel_tol, where the pair state factorizes."""
+def is_disentangled(params: PhysicalParams) -> bool:
+    """True iff Ω₀ = ħ/4σ to 1e-12 relative, where the pair state factorizes."""
     pivot = params.hbar / (4.0 * params.sigma)
-    return abs(params.omega0 - pivot) <= rel_tol * pivot
+    return abs(params.omega0 - pivot) <= 1e-12 * pivot
 
 
 def position_correlation(params: PhysicalParams) -> float:

@@ -4,12 +4,18 @@ Exit codes form the scripting contract: 0 means success, 2 means the request
 itself was unusable (bad config, impossible grid, invalid parameter,
 unwritable output), and 3 means the computation ran but violated a numerical
 guarantee (norm collapse, tail leakage, memory bound).  ``verify`` exits 0
-only if every check passes.
+only if every check passes, and 1 if a check fails.
+
+Commands raise rather than print their failures.  One handler in ``main``
+maps every ``PopperLabError`` or ``MemoryError`` of ``run``, ``sweep`` and
+``verify`` to its exit code and its one-line ``error:`` (2) or ``numerical
+failure:`` (3) message; an error with neither meaning is re-raised.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -31,6 +37,7 @@ from .measurement import reduce_pair
 from .params import (
     MeasurementSpec,
     PhysicalParams,
+    ScenarioConfig,
     auto_grid,
     config_from_json,
 )
@@ -57,7 +64,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _failure_code(exc: PopperLabError) -> int | None:
+def _failure_code(exc: PopperLabError | MemoryError) -> int | None:
     cause = exc.cause if isinstance(exc, ScenarioFailure) else exc
     if isinstance(cause, UserParameterError):
         return 2
@@ -66,27 +73,21 @@ def _failure_code(exc: PopperLabError) -> int | None:
     return None
 
 
-def _report_failure(exc: PopperLabError) -> int:
-    code = _failure_code(exc)
-    if code is None:
-        raise exc
-    label = "error" if code == 2 else "numerical failure"
-    print(f"{label}: {exc}", file=sys.stderr)
-    return code
-
-
-def _load_config(config_path: str):
+@contextlib.contextmanager
+def _bad_input(prefix: str, *kinds: type[Exception]):
+    """Re-raise ``kinds`` as ``UserParameterError``, so they exit 2 with ``prefix``."""
     try:
+        yield
+    except kinds as e:
+        raise UserParameterError(f"{prefix}: {e}") from e
+
+
+def _load_config(config_path: str) -> ScenarioConfig:
+    with _bad_input("cannot read config", OSError, UnicodeDecodeError):
         text = Path(config_path).read_text()
-    except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return None
-    try:
+    with _bad_input("bad config", KeyError, TypeError, ValueError, IndexError,
+                    OverflowError):
         return config_from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError,
-            OverflowError) as e:
-        print(f"error: bad config: {e}", file=sys.stderr)
-        return None
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -96,38 +97,23 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
-def _cannot_write(exc: OSError) -> int:
-    print(f"error: cannot write output: {exc}", file=sys.stderr)
-    return 2
-
-
-def _claim_out(out_dir: str) -> Path | None:
+def _claim_out(out_dir: str) -> Path:
     """Create ``out_dir`` before any compute, so an unusable --out fails fast."""
     out = Path(out_dir)
-    try:
+    with _bad_input("cannot write output", OSError):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        _cannot_write(e)
-        return None
     return out
 
 
 def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
     config = _load_config(config_path)
-    if config is None:
-        return 2
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     out = _claim_out(out_dir)
-    if out is None:
-        return 2
-    try:
-        report = run_scenario(config)
-    except PopperLabError as e:
-        return _report_failure(e)
+    report = run_scenario(config)
 
     doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    try:
+    with _bad_input("cannot write output", OSError):
         (out / "report.json").write_text(doc + "\n")
         written = ["report.json"]
         if report.sampled is not None:
@@ -143,8 +129,6 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
                 continue
             save_wavefunction(wf, out / f"{name}.wf")
             written.append(f"{name}.wf")
-    except OSError as e:
-        return _cannot_write(e)
     print(f"wrote {', '.join(written)} to {out}")
     return 0
 
@@ -169,41 +153,27 @@ def _sweep_step(params: PhysicalParams, ms: MeasurementSpec, name: str,
 def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
               steps: int, log: bool, out_dir: str) -> int:
     config = _load_config(config_path)
-    if config is None:
-        return 2
     if steps < 2:
-        print("error: a sweep needs at least 2 steps", file=sys.stderr)
-        return 2
+        raise UserParameterError("a sweep needs at least 2 steps")
     if steps > MAX_SWEEP_STEPS:
-        print(f"error: a sweep takes at most {MAX_SWEEP_STEPS} steps", file=sys.stderr)
-        return 2
+        raise UserParameterError(f"a sweep takes at most {MAX_SWEEP_STEPS} steps")
     if not (from_value > 0 and to_value > 0 and np.isfinite(from_value)
             and np.isfinite(to_value)):
-        print("error: sweep endpoints must be positive and finite", file=sys.stderr)
-        return 2
+        raise UserParameterError("sweep endpoints must be positive and finite")
     ms = config.measurement
     if ms is None and param != "epsilon":
-        print("error: sweeping sigma or omega0 needs a measurement block "
-              "to fix epsilon", file=sys.stderr)
-        return 2
+        raise UserParameterError("sweeping sigma or omega0 needs a measurement block "
+                                 "to fix epsilon")
 
     space = np.geomspace if log else np.linspace
     values = space(from_value, to_value, steps)
     # without a measurement block only ε is swept, so this ε is never used
     ms = ms if ms is not None else MeasurementSpec(epsilon=1.0)
     out = _claim_out(out_dir)
-    if out is None:
-        return 2
-    try:
-        rows = sorted((_sweep_step(config.params, ms, param, float(v)) for v in values),
-                      key=lambda r: r[0])
-    except PopperLabError as e:
-        return _report_failure(e)
-
-    try:
+    rows = sorted((_sweep_step(config.params, ms, param, float(v)) for v in values),
+                  key=lambda r: r[0])
+    with _bad_input("cannot write output", OSError):
         _write_csv(out / "sweep.csv", _SWEEP_COLUMNS, rows)
-    except OSError as e:
-        return _cannot_write(e)
     print(f"wrote sweep.csv ({len(rows)} rows) to {out}")
     return 0
 
@@ -255,12 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out, args.seed)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.param, args.from_value, args.to_value,
-                         args.steps, args.log, args.out)
-    return cmd_verify("full" if args.full else "quick")
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.out, args.seed)
+        if args.command == "sweep":
+            return cmd_sweep(args.config, args.param, args.from_value, args.to_value,
+                             args.steps, args.log, args.out)
+        return cmd_verify("full" if args.full else "quick")
+    except (PopperLabError, MemoryError) as e:
+        code = _failure_code(e)
+        if code is None:
+            raise
+        label = "error" if code == 2 else "numerical failure"
+        # a bare MemoryError() has no message of its own
+        print(f"{label}: {str(e) or type(e).__name__}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

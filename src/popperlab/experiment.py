@@ -193,11 +193,10 @@ def histogram(samples: np.ndarray, geometry: DetectorGeometry) -> DetectorHistog
 
 
 def chi_square_against_density(hist: DetectorHistogram, grid: GridSpec,
-                               density: np.ndarray,
-                               min_expected: float = 5.0) -> tuple[float, int, float]:
+                               density: np.ndarray) -> tuple[float, int, float]:
     """χ² of observed bin counts against quadrature bin probabilities.
 
-    Bins with expected count below ``min_expected`` are excluded and the
+    Bins with expected count below 5 are excluded and the
     remaining probabilities renormalized (conditional goodness of fit).
     Returns (statistic, degrees of freedom, p-value).
     """
@@ -209,7 +208,7 @@ def chi_square_against_density(hist: DetectorHistogram, grid: GridSpec,
     probs = np.diff(cdf_at)
     counts = hist.counts.astype(float)
     expected = probs * hist.total
-    keep = expected >= min_expected
+    keep = expected >= 5.0
     if keep.sum() < 2:
         raise ValueError("fewer than two usable histogram bins")
     p = probs[keep] / probs[keep].sum()
@@ -392,17 +391,15 @@ class ScenarioReport:
     timings: dict
     states: dict
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "config": self.config.to_json_dict(),
             "seed": self.seed,
             "analytic": self.analytic,
             "numeric": self.numeric,
             "sampled": self.sampled,
+            "timings": self.timings,
         }
-        if include_timings:
-            doc["timings"] = self.timings
-        return doc
 
 
 @contextlib.contextmanager

@@ -9,7 +9,8 @@ propagation, sampling) reads these values; nothing else carries hidden state.
 Grid policy
 -----------
 A uniform grid must simultaneously contain the widest state it will hold
-(8 position spreads per side when auto-built; 6 is the validation minimum)
+(8 position spreads per side when auto-built; 6 is the validation minimum,
+measured around the reduced state's own centre behind an off-centre pointer)
 and resolve the narrowest feature it will represent.  ``auto_grid`` targets
 8 points per conservative feature scale min(ε, ħ/4σ, Ω₀); when that demand
 overflows the point cap it degrades to the largest allowed power of two,
@@ -242,6 +243,30 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     return max(scales), min(proxy), dy_cap, dy_init
 
 
+def _reduced_band(params: PhysicalParams, measurement: MeasurementSpec,
+                  evolution_time: float, side: str) -> tuple[float, float]:
+    """(centre, width) of the reduced particle 2 behind the pointer.
+
+    With a = σ²/ħ², b = 1/16Ω₀² and e = 1/4ε², a pointer at c leaves the
+    reduced state at c₂ = (a−b)·e·c / (4ab + (a+b)e), computed below divided
+    through by e.  Its width is Ω; on side B it then flies, widening but
+    keeping c₂, since the reduced state is real and carries no mean momentum.
+    Call only with parameters ``_length_scales`` accepted.
+    """
+    from .analytic import reduced_spreads
+    from .evolution import EvolutionParams, gaussian_width_at
+
+    a = params.sigma ** 2 / params.hbar ** 2
+    b = 1.0 / (16.0 * params.omega0 ** 2)
+    e = 1.0 / (4.0 * measurement.epsilon ** 2)
+    center = (a - b) * measurement.center / (4.0 * a * b / e + a + b)
+    width = reduced_spreads(params, measurement.epsilon).dy2
+    if side == "B":
+        ep = EvolutionParams(time=evolution_time, mass=params.mass, hbar=params.hbar)
+        width = gaussian_width_at(width, ep)
+    return center, width
+
+
 def validate(config: ScenarioConfig) -> ValidationReport:
     """Check a scenario for runnability; report every violation found."""
     p = config.params
@@ -295,6 +320,16 @@ def validate(config: ScenarioConfig) -> ValidationReport:
                 f"grid extent {extent:.6g} < {EXTENT_SIGMAS:g} x post-evolution "
                 f"width {max_scale:.6g}"
             )
+        elif m is not None:
+            c2, width = _reduced_band(p, m, config.evolution_time, d.side)
+            low, high = c2 - EXTENT_SIGMAS * width, c2 + EXTENT_SIGMAS * width
+            # written so that a NaN centre is refused too
+            if not (g.y_min <= low and high <= g.y_max):
+                v.append(
+                    f"pointer centre {m.center:.6g} leaves the reduced state at "
+                    f"{c2:.6g}; {EXTENT_SIGMAS:g} x its width {width:.6g} spans "
+                    f"[{low:.6g}, {high:.6g}], outside the grid"
+                )
         # The accuracy floor auto_grid enforces on degraded grids.
         if points_ok and g.dy > dy_cap:
             v.append(

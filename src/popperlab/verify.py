@@ -29,7 +29,6 @@ from .analytic import (
     position_correlation,
     reduced_spreads,
 )
-from .errors import CapExceededError
 from .evolution import EvolutionParams, free_propagate, gaussian_width_at
 from .experiment import (
     chi_square_against_density,
@@ -315,12 +314,7 @@ def run_checks(level: str = "quick") -> list[CheckRow]:
     if level not in _LEVELS:
         raise ValueError("level must be 'quick' or 'full'")
     cfg = _LEVELS[level]
-    try:
-        rows = _check_sweep(cfg)
-    except CapExceededError as e:
-        return [CheckRow(criterion=1, name="parameter sweep grid construction",
-                         expected="grids fit", actual=str(e), tolerance="-",
-                         passed=False)]
+    rows = _check_sweep(cfg)
     rows += _check_initial_closed_vs_grid(cfg)
     rows += _check_factorization_line(cfg)
     rows += _check_fixed_point(cfg)

@@ -280,7 +280,7 @@ class SchmidtSpectrum:
         object.__setattr__(self, "coefficients", c)
 
 
-def schmidt(wf: WaveFunction2D, truncation: float = SCHMIDT_TRUNCATION) -> SchmidtSpectrum:
+def schmidt(wf: WaveFunction2D) -> SchmidtSpectrum:
     """Schmidt decomposition from the singular values of the weighted kernel.
 
     The amplitude matrix is scaled by √w₁ ⊗ √w₂ so the singular values carry
@@ -301,7 +301,7 @@ def schmidt(wf: WaveFunction2D, truncation: float = SCHMIDT_TRUNCATION) -> Schmi
         s = np.sort(np.abs(np.linalg.eigvalsh(kernel)))[::-1]
     else:
         s = np.linalg.svd(kernel, compute_uv=False)
-    keep = s >= truncation * s[0] if s[0] > 0 else s >= 0
+    keep = s >= SCHMIDT_TRUNCATION * s[0] if s[0] > 0 else s >= 0
     coeff = s[keep]
     lam2 = coeff ** 2 / np.sum(coeff ** 2)
     terms = lam2 * np.log(lam2, where=lam2 > 0, out=np.zeros_like(lam2))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from popperlab import analytic, cli, experiment, measurement, wavefunction
+from popperlab import UserParameterError, analytic, cli, experiment, measurement, wavefunction
 from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
 
 
@@ -175,6 +175,22 @@ class TestRun:
         assert sorted(f.name for f in out.iterdir()) == sorted(written)
         assert f"wrote {', '.join(written)} to {out}" in captured.out
 
+    @pytest.mark.parametrize("center", [16.2, 17.2, 1e6])
+    def test_pointer_centre_off_the_grid_exits_2(self, tmp_path, capsys, center):
+        # the reduced state sits near the pointer, too close to the edge
+        cfg = write_config(tmp_path / "cfg.json", n_samples=0,
+                           measurement={"epsilon": 0.5, "center": center})
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: pointer centre {center:.6g} leaves the reduced state at" in err
+
+    def test_wide_pointer_at_the_edge_exits_0(self, tmp_path):
+        # a wide pointer barely moves the reduced state off zero
+        cfg = write_config(tmp_path / "cfg.json", n_samples=0,
+                           measurement={"epsilon": 10.0, "center": 16.2})
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")])
@@ -186,6 +202,15 @@ class TestRun:
         bad.write_text("{not json")
         code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: cannot read config:" in err
+        assert "Traceback" not in err
 
     def test_wrong_field_type_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", params={"sigma": "wide"})
@@ -392,6 +417,19 @@ class TestSweep:
         assert code == 2
         assert "error: cannot write output" in capsys.readouterr().err
 
+    def test_memory_error_in_a_step_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 64.0 MiB")
+        monkeypatch.setattr(cli, "_sweep_step", exhausted)
+        cfg = write_config(tmp_path / "cfg.json")
+        code = cli.main(["sweep", "--config", cfg, "--param", "epsilon",
+                         "--from", "0.1", "--to", "0.2", "--steps", "2",
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical failure: Unable to allocate 64.0 MiB" in err
+        assert "Traceback" not in err
+
     def test_unknown_parameter_exits_2(self, tmp_path):
         # argparse rejects the choice itself, also with status 2
         cfg = write_config(tmp_path / "cfg.json")
@@ -536,6 +574,22 @@ class TestVerifyCommand:
         criteria = [r.criterion for r in rows]
         assert criteria == sorted(criteria)
         assert set(criteria) == set(range(1, 11))
+
+    @pytest.mark.parametrize("error,code,message", [
+        (MemoryError("Unable to allocate 256 MiB"), 3,
+         "numerical failure: Unable to allocate 256 MiB"),
+        (MemoryError(), 3, "numerical failure: MemoryError"),
+        (UserParameterError("scale ratio needs >= 16384 points"), 2,
+         "error: scale ratio needs >= 16384 points"),
+    ], ids=["memory", "bare-memory", "user"])
+    def test_failure_maps_to_exit_code(self, monkeypatch, capsys, error, code, message):
+        def fail(level):
+            raise error
+        monkeypatch.setattr(cli, "run_checks", fail)
+        assert cli.main(["verify"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert "Traceback" not in captured.out + captured.err
 
     @staticmethod
     def scaled_omega(params, eps):

@@ -1,5 +1,6 @@
 """Detector statistics and the end-to-end scenario pipeline."""
 
+import inspect
 import json
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from popperlab import (
     PhysicalParams,
     ScenarioConfig,
     ScenarioFailure,
+    ScenarioReport,
     UserParameterError,
     WaveFunction1D,
     WaveFunction2D,
@@ -28,11 +30,13 @@ from popperlab import (
     chi_square_against_density,
     gaussian_width_at,
     histogram,
+    is_disentangled,
     ks_against_density,
     position_correlation,
     run_scenario,
     sample_joint,
     sample_positions,
+    schmidt,
 )
 from popperlab import experiment
 from popperlab.experiment import cumulative_distribution
@@ -514,14 +518,20 @@ class TestRunScenario:
         assert doc["sampled"]["std"] == pytest.approx(predicted, rel=0.02)
         assert set(report.states) == {"joint", "pointer", "reduced", "detector"}
 
+    @staticmethod
+    def untimed_doc(config):
+        doc = run_scenario(config).to_json_dict()
+        del doc["timings"]
+        return doc
+
     def test_reports_identical_up_to_timings(self):
-        a = run_scenario(self.base_config()).to_json_dict(include_timings=False)
-        b = run_scenario(self.base_config()).to_json_dict(include_timings=False)
+        a = self.untimed_doc(self.base_config())
+        b = self.untimed_doc(self.base_config())
         assert a == b
 
     def test_seed_changes_samples_not_numerics(self):
-        a = run_scenario(self.base_config(seed=1)).to_json_dict(include_timings=False)
-        b = run_scenario(self.base_config(seed=2)).to_json_dict(include_timings=False)
+        a = self.untimed_doc(self.base_config(seed=1))
+        b = self.untimed_doc(self.base_config(seed=2))
         assert a["numeric"] == b["numeric"]
         assert a["analytic"] == b["analytic"]
         assert a["sampled"]["histogram"]["counts"] != b["sampled"]["histogram"]["counts"]
@@ -585,3 +595,14 @@ class TestRunScenario:
         for stage in ("build", "numeric_initial", "reduce", "propagate", "sample"):
             assert stage in report.timings
             assert report.timings[stage] >= 0.0
+
+
+@pytest.mark.parametrize("func,names", [
+    (schmidt, ["wf"]),
+    (chi_square_against_density, ["hist", "grid", "density"]),
+    (is_disentangled, ["params"]),
+    (ScenarioReport.to_json_dict, ["self"]),
+])
+def test_fixed_constants_take_no_argument(func, names):
+    # SCHMIDT_TRUNCATION, 5 expected counts a bin, 1e-12 relative, timings always
+    assert list(inspect.signature(func).parameters) == names

@@ -15,6 +15,7 @@ from popperlab import (
     ScenarioConfig,
     UserParameterError,
     auto_grid,
+    build_pointer_state,
     config_from_json,
     config_to_json,
     validate,
@@ -25,7 +26,10 @@ from popperlab.params import (
     FLOOR_POINTS_PER_WIDTH,
     MAX_BINS,
     MAX_SAMPLES,
+    _reduced_band,
 )
+from popperlab.measurement import reduce_pair
+from popperlab.wavefunction import position_stats
 
 
 def make_config(**overrides):
@@ -149,6 +153,62 @@ class TestValidate:
 
         assert not any(field in v for v in validate(config(ok)).violations)
         assert any(field in v for v in validate(config(too_big)).violations)
+
+    @pytest.mark.parametrize("center", [16.2, 17.2, -17.2, 1e6])
+    def test_reduced_state_must_fit_around_its_centre(self, center):
+        # README source: the reduced state sits at 0.913 x the pointer centre
+        cfg = make_config(params=PhysicalParams(sigma=1.0, omega0=2.0),
+                          grid=GridSpec(n_points=1024, y_min=-16.2, y_max=16.2),
+                          measurement=MeasurementSpec(epsilon=0.5, center=center))
+        (violation,) = validate(cfg).violations
+        assert violation.startswith(f"pointer centre {center:.6g} leaves the reduced state at")
+
+    @pytest.mark.parametrize("eps,center,side,ok", [
+        # a wide pointer leaves the reduced state near zero: no 6ε band is held
+        (10.0, 16.2, "B", True),
+        # the reduced state at 10.96 holds 6 x 0.684 on side A; on side B
+        # it flies to width 0.900 and 6 x 0.900 passes the edge at 16.2
+        (0.5, 12.0, "A", True),
+        (0.5, 12.0, "B", False),
+    ])
+    def test_flight_widens_the_band_on_side_b_only(self, eps, center, side, ok):
+        cfg = make_config(params=PhysicalParams(sigma=1.0, omega0=2.0),
+                          grid=GridSpec(n_points=1024, y_min=-16.2, y_max=16.2),
+                          detector=DetectorGeometry(n_bins=32, y_range=(-5.0, 5.0), side=side),
+                          measurement=MeasurementSpec(epsilon=eps, center=center),
+                          evolution_time=0.8)
+        assert validate(cfg).ok == ok
+
+    @pytest.mark.parametrize("sigma,omega0,eps,center", [
+        (1.0, 2.0, 0.5, 3.0),
+        (0.3, 5.0, 0.2, -4.0),
+        (0.1, 0.5, 1.0, 2.0),  # a < b: the reduced state sits across zero
+        (1.0, 0.25, 0.5, 3.0),  # factorized pair: it stays at zero
+    ])
+    def test_reduced_centre_matches_the_grid_mean(self, sigma, omega0, eps, center):
+        p = PhysicalParams(sigma=sigma, omega0=omega0)
+        ms = MeasurementSpec(epsilon=eps, center=center)
+        red = reduce_pair(build_pointer_state(ms, auto_grid(p, ms)), p, eps)
+        c2, width = _reduced_band(p, ms, 0.0, "B")
+        assert width == red.dy2_closed
+        assert c2 == pytest.approx(position_stats(red.phi2).mean, rel=1e-12, abs=1e-12)
+
+    @given(sigma=st.floats(0.1, 10.0), omega0=st.floats(0.1, 10.0),
+           eps=st.floats(0.1, 10.0), center=st.floats(-20.0, 20.0),
+           side=st.sampled_from(["A", "B"]), time=st.floats(0.0, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_auto_grid_holds_the_reduced_state(self, sigma, omega0, eps, center, side,
+                                               time):
+        p = PhysicalParams(sigma=sigma, omega0=omega0)
+        ms = MeasurementSpec(epsilon=eps, center=center)
+        try:
+            grid = auto_grid(p, ms, time)
+        except CapExceededError:
+            return
+        cfg = make_config(params=p, grid=grid, measurement=ms, evolution_time=time,
+                          detector=DetectorGeometry(n_bins=32, y_range=(-5.0, 5.0),
+                                                    side=side))
+        assert validate(cfg).ok
 
     def test_all_violations_reported_at_once(self):
         cfg = make_config(params=PhysicalParams(sigma=-1.0, omega0=1.0),
