@@ -40,8 +40,8 @@ def free_propagate(wf: WaveFunction1D, ep: EvolutionParams) -> WaveFunction1D:
     """Evolve freely for ep.time; unitary, so the norm is preserved.
 
     Raises ``TailLeakError`` up front when the predicted final width cannot
-    sit inside the grid with 6-spread clearance, and again after the fact if
-    the propagated amplitudes actually reach the boundary.
+    sit inside the grid with ``EXTENT_SIGMAS`` clearance, and again after the
+    fact if the propagated amplitudes actually reach the boundary.
     """
     if ep.time < 0:
         raise ValueError("evolution time must be >= 0")
@@ -49,9 +49,10 @@ def free_propagate(wf: WaveFunction1D, ep: EvolutionParams) -> WaveFunction1D:
     if w_now > 0:
         w_pred = gaussian_width_at(w_now, ep)
         limit = wf.grid.half_extent / EXTENT_SIGMAS
+        # Not redundant with require_tails: flight revives clean tails at t = m(N·dy)²/πħ.
         if w_pred > limit:
             raise TailLeakError(
-                f"predicted width {w_pred:.3g} exceeds grid half-extent/{EXTENT_SIGMAS:g} "
+                f"predicted width {w_pred:.3g} exceeds grid half-extent/{EXTENT_SIGMAS:.3g} "
                 f"({limit:.3g}); enlarge the grid"
             )
     k = wavenumbers(wf.grid)

@@ -61,6 +61,7 @@ from .wavefunction import (
     marginal_density,
     momentum_std_spectral,
     position_stats,
+    require_tails,
     schmidt,
     trap_weights,
 )
@@ -174,20 +175,14 @@ def sample_joint(psi: WaveFunction2D, n: int, seed: int) -> np.ndarray:
 
 
 def histogram(samples: np.ndarray, geometry: DetectorGeometry) -> DetectorHistogram:
-    """Bin samples on the detector; bins are [lo+iw, lo+(i+1)w), last bin closed."""
+    """Counts per ``histogram.csv`` row: [bin_lo, bin_hi), the last row closed."""
     lo, hi = geometry.y_range
-    width = (hi - lo) / geometry.n_bins
-    idx = np.floor((samples - lo) / width).astype(np.int64)
-    idx[samples == hi] = geometry.n_bins - 1
-    underflow = int(np.sum(idx < 0))
-    overflow = int(np.sum(idx >= geometry.n_bins))
-    kept = idx[(idx >= 0) & (idx < geometry.n_bins)]
-    counts = np.bincount(kept, minlength=geometry.n_bins)
+    counts, _ = np.histogram(samples, bins=geometry.n_bins, range=(lo, hi))
     return DetectorHistogram(
         geometry=geometry,
         counts=counts,
-        underflow=underflow,
-        overflow=overflow,
+        underflow=int(np.sum(samples < lo)),
+        overflow=int(np.sum(samples > hi)),
         total=int(samples.size),
     )
 
@@ -493,6 +488,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         with _stage(timings, "sample"):
             if ms is not None:
                 # Slit mode: one particle at the detector plane on its side.
+                require_tails(side_state)  # validate cannot hold the side-A pointer
                 samples = sample_positions(side_state, config.n_samples, config.seed)
                 grid, dens = side_state.grid, np.abs(side_state.amps) ** 2
                 corr = None

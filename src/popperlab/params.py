@@ -9,17 +9,19 @@ propagation, sampling) reads these values; nothing else carries hidden state.
 Grid policy
 -----------
 A uniform grid must simultaneously contain the widest state it will hold
-(8 position spreads per side when auto-built; 6 is the validation minimum,
-measured around the reduced state's own centre behind an off-centre pointer)
-and resolve the narrowest feature it will represent.  ``auto_grid`` targets
-8 points per conservative feature scale min(ε, ħ/4σ, Ω₀); when that demand
-overflows the point cap it degrades to the largest allowed power of two,
-provided the spacing still samples every *actual* Gaussian width (pointer
-width, conditional width ħ/2σ, reduced width) at ≥ 1.2 points, and the
-pointer width ε at ≥ 1.5, the pointer builder's own floor.  Below that
-floor spectral aliasing enters the 1e-6 accuracy band and the request is
-refused with ``CapExceededError``; ``validate`` holds user grids to the same
-spacing cap.
+and resolve the narrowest feature it will represent.  Containment is one
+rule: ``validate`` asks ``EXTENT_SIGMAS`` ≈ 7.43 position spreads, where a
+Gaussian falls to the 1e-6 tail contract, around each state a run builds
+(the pair at zero; the reduced state at its own centre c₂, flown on side B),
+and auto-built grids keep 8.  ``auto_grid`` targets 8 points per
+conservative feature scale min(ε, ħ/4σ, Ω₀); when that demand overflows the
+point cap it degrades to the largest allowed power of two, provided the
+spacing still samples every *actual* Gaussian width (pointer width,
+conditional width ħ/2σ, reduced width) at ≥ 1.2 points, and the pointer
+width ε at ≥ 1.5, the pointer builder's own floor.  Below that floor
+spectral aliasing enters the 1e-6 accuracy band and the request is refused
+with ``CapExceededError``; ``validate`` holds user grids to the same spacing
+cap.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ DEFAULT_MAX_POINTS = 2 ** 14
 # histogram.csv list every bin.
 MAX_SAMPLES = 10 ** 7
 MAX_BINS = 10 ** 5
-# Validation floor: user grids must cover 6 spreads per side of zero.
-EXTENT_SIGMAS = 6.0
-# Auto-built grids use 8 spreads so boundary amplitude stays below the
-# 1e-6 tail contract (exp(-8^2/4) ~ 1e-7; 6 spreads would give ~1e-4).
+# Tail contract: a state's boundary amplitude is at most this share of its peak.
+TAIL_RATIO_MAX = 1e-6
+# Validation floor: at x spreads a Gaussian's amplitude is exp(-x^2/4), which
+# reaches TAIL_RATIO_MAX at x ~ 7.43; auto-built grids keep 8 (exp(-16) ~ 1e-7).
+EXTENT_SIGMAS = 2.0 * math.sqrt(math.log(1.0 / TAIL_RATIO_MAX))
 AUTO_EXTENT_SIGMAS = 8.0
 TARGET_POINTS_PER_SCALE = 8.0
 FLOOR_POINTS_PER_WIDTH = 1.2
@@ -306,29 +309,24 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     # Relational checks need sane params and grid bounds.
     if not physics and grid_ok and time_ok:
         try:
-            max_scale, _, dy_cap, dy_init = _length_scales(p, m, config.evolution_time)
+            _, _, dy_cap, dy_init = _length_scales(p, m, config.evolution_time)
         except UserParameterError as e:
             return ValidationReport(violations=tuple(v + [str(e)]))
-        extent = min(-g.y_min, g.y_max)
-        if extent < EXTENT_SIGMAS * dy_init:
-            v.append(
-                f"grid extent {extent:.6g} < {EXTENT_SIGMAS:g} x initial position "
-                f"spread {dy_init:.6g}"
-            )
-        elif extent < EXTENT_SIGMAS * max_scale:
-            v.append(
-                f"grid extent {extent:.6g} < {EXTENT_SIGMAS:g} x post-evolution "
-                f"width {max_scale:.6g}"
-            )
-        elif m is not None:
+        # (what, centre, which width, width) of each state require_tails checks.
+        held = [("the pair is", 0.0, "initial position spread", dy_init)]
+        if m is not None:
             c2, width = _reduced_band(p, m, config.evolution_time, d.side)
-            low, high = c2 - EXTENT_SIGMAS * width, c2 + EXTENT_SIGMAS * width
+            flown = d.side == "B" and config.evolution_time > 0
+            held.append((f"pointer centre {m.center:.6g} leaves the reduced state", c2,
+                         "post-evolution width" if flown else "width", width))
+        for what, centre, which, width in held:
+            low, high = centre - EXTENT_SIGMAS * width, centre + EXTENT_SIGMAS * width
             # written so that a NaN centre is refused too
             if not (g.y_min <= low and high <= g.y_max):
                 v.append(
-                    f"pointer centre {m.center:.6g} leaves the reduced state at "
-                    f"{c2:.6g}; {EXTENT_SIGMAS:g} x its width {width:.6g} spans "
-                    f"[{low:.6g}, {high:.6g}], outside the grid"
+                    f"{what} at {centre:.6g}; {EXTENT_SIGMAS:.3g} x its {which} "
+                    f"{width:.6g} spans [{low:.6g}, {high:.6g}], outside the grid "
+                    f"extent [{g.y_min:.6g}, {g.y_max:.6g}]"
                 )
         # The accuracy floor auto_grid enforces on degraded grids.
         if points_ok and g.dy > dy_cap:

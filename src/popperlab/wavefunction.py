@@ -33,10 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MemoryBoundError, TailLeakError, ZeroNormError
-from .params import GridSpec
+from .params import TAIL_RATIO_MAX, GridSpec
 
 NORM_FLOOR = 1e-30
-TAIL_RATIO_MAX = 1e-6
 DENSITY_MATRIX_MAX_POINTS = 4096
 SCHMIDT_TRUNCATION = 1e-12
 

@@ -131,14 +131,31 @@ class TestRun:
         assert "epsilon must be > 0" in capsys.readouterr().err
 
     def test_numerical_contract_violation_exits_3(self, tmp_path, capsys):
-        # extent clears the 6-spread validation floor but the boundary
-        # amplitude still breaks the tail contract once momentum is taken
+        # the config validates, but the side-A pointer flies to the grid edge
+        # and breaks the tail contract in stage 'propagate'
+        cfg = write_config(tmp_path / "cfg.json", evolution_time=0.8, n_samples=0,
+                           detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"},
+                           measurement={"epsilon": 0.5, "center": 12.0})
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical failure" in err and "stage 'propagate' failed" in err
+
+    def test_grid_short_of_the_tail_contract_exits_2(self, tmp_path, capsys):
+        # ±13 holds 6 pair spreads of 2.016 but not the 7.43 the tail contract needs
         cfg = write_config(tmp_path / "cfg.json",
                            grid={"n_points": 1024, "y_min": -13.0, "y_max": 13.0},
                            n_samples=0)
         code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: the pair is at 0" in err and "initial position spread" in err
+
+    def test_coincidence_flight_needs_no_room(self, tmp_path):
+        # coincidence runs sample the pair at the slit plane, so a flight
+        # time that would spread it past the grid adds no containment
+        cfg = write_config(tmp_path / "cfg.json", measurement=None, evolution_time=8.0)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -14,7 +14,8 @@ from popperlab import (
     momentum_std_spectral,
     position_stats,
 )
-from popperlab.wavefunction import norm
+from popperlab.params import TAIL_RATIO_MAX
+from popperlab.wavefunction import norm, tail_ratio, wavenumbers
 
 import oracles
 
@@ -97,6 +98,21 @@ class TestFreePropagation:
     def test_predicted_overflow_raises_up_front(self):
         with pytest.raises(TailLeakError, match="predicted"):
             free_propagate(packet(), EvolutionParams(time=50.0))
+
+    def test_revival_time_raises_up_front(self):
+        # the periodic propagator revives the packet at t = m(N·dy)²/πħ: its
+        # tails are clean and its grid std is ε again, so require_tails alone
+        # would pass a state whose true width is 326.6
+        grid = GridSpec(n_points=1024, y_min=-16.0, y_max=16.0)
+        t = (grid.n_points * grid.dy) ** 2 / np.pi
+        wf = packet(width=0.5, grid=grid)
+        phase = np.exp(-1j * wavenumbers(grid) ** 2 * t / 2.0)
+        revived = type(wf)(grid=grid, amps=np.fft.ifft(np.fft.fft(wf.amps) * phase))
+        assert tail_ratio(revived) < TAIL_RATIO_MAX
+        assert position_stats(revived).std == pytest.approx(0.5, rel=1e-9)
+        assert gaussian_width_at(0.5, EvolutionParams(time=t)) > 326.0
+        with pytest.raises(TailLeakError, match="predicted"):
+            free_propagate(wf, EvolutionParams(time=t))
 
     def test_boundary_reached_in_flight_raises_after(self):
         # the width law fits the grid, but the boosted packet drifts to its edge

@@ -449,6 +449,18 @@ class TestHistogram:
         h = histogram(np.array([0.0]), geom)
         assert np.allclose(h.edges, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("n_bins,y_range", [
+        (48, (-5.0, 5.0)),  # the workloads' detector: 2 of its 47 edges went astray
+        (30, (0.1, 0.7)),
+    ])
+    def test_a_sample_on_an_edge_counts_in_the_row_it_opens(self, n_bins, y_range):
+        # histogram.csv's bin_lo column is DetectorHistogram.edges[:-1]
+        geom = DetectorGeometry(n_bins=n_bins, y_range=y_range)
+        edges = histogram(np.empty(0), geom).edges
+        for row, bin_lo in enumerate(edges[1:-1], start=1):
+            h = histogram(np.array([bin_lo]), geom)
+            assert h.counts[row] == 1 and h.counts.sum() == 1, (row, bin_lo)
+
 
 class TestRunScenario:
     def base_config(self, **kw):
@@ -562,18 +574,36 @@ class TestRunScenario:
         with pytest.raises(UserParameterError, match="epsilon must be > 0"):
             run_scenario(cfg)
 
-    def test_stage_failures_are_labelled(self):
-        # grid passes static validation but breaks the tail contract when
-        # momentum is measured, so the failure carries the stage name
-        p = PhysicalParams(sigma=1.0, omega0=1.0)
+    def test_grid_inside_the_tail_contract_extent_is_refused(self):
+        # ±6.5 holds 6 spreads of Δy = 1.03 but not the 7.43 the 1e-6 tail
+        # contract needs, so validate refuses it before anything is built
         cfg = self.base_config(
-            params=p, measurement=None, n_samples=0,
+            params=PhysicalParams(sigma=1.0, omega0=1.0), measurement=None, n_samples=0,
             grid=GridSpec(n_points=1024, y_min=-6.5, y_max=6.5))
+        with pytest.raises(UserParameterError, match="initial position spread"):
+            run_scenario(cfg)
+
+    def side_a_failure(self, eps, center, t, n_samples):
+        cfg = self.base_config(
+            measurement=MeasurementSpec(epsilon=eps, center=center), evolution_time=t,
+            n_samples=n_samples, grid=GridSpec(n_points=1024, y_min=-16.2, y_max=16.2),
+            detector=DetectorGeometry(n_bins=48, y_range=(-5.0, 5.0), side="A"))
         with pytest.raises(ScenarioFailure) as err:
             run_scenario(cfg)
-        assert err.value.stage == "numeric_initial"
         from popperlab import TailLeakError
         assert isinstance(err.value.cause, TailLeakError)
+        return err.value.stage
+
+    def test_stage_failures_are_labelled(self):
+        # validate holds the reduced state but cannot see the side-A pointer,
+        # which flies to width 0.943 and reaches the grid edge, so the
+        # failure carries the stage name
+        assert self.side_a_failure(0.5, 12.0, 0.8, 0) == "propagate"
+
+    def test_side_a_pointer_is_tail_checked_where_sampled(self):
+        # unflown, the pointer sits at 0.344 of peak on the boundary; sampled
+        # unchecked, its std read 2.84 against the predicted 3.0
+        assert self.side_a_failure(3.0, 10.0, 0.0, 2000) == "sample"
 
     def test_interrupt_is_not_a_stage_failure(self, monkeypatch):
         def interrupted(*args, **kwargs):

@@ -23,9 +23,11 @@ from popperlab import (
 from popperlab.params import (
     AUTO_EXTENT_SIGMAS,
     DEFAULT_MAX_POINTS,
+    EXTENT_SIGMAS,
     FLOOR_POINTS_PER_WIDTH,
     MAX_BINS,
     MAX_SAMPLES,
+    TAIL_RATIO_MAX,
     _reduced_band,
 )
 from popperlab.measurement import reduce_pair
@@ -164,10 +166,10 @@ class TestValidate:
         assert violation.startswith(f"pointer centre {center:.6g} leaves the reduced state at")
 
     @pytest.mark.parametrize("eps,center,side,ok", [
-        # a wide pointer leaves the reduced state near zero: no 6ε band is held
+        # a wide pointer leaves the reduced state near zero: no band of ε is held
         (10.0, 16.2, "B", True),
-        # the reduced state at 10.96 holds 6 x 0.684 on side A; on side B
-        # it flies to width 0.900 and 6 x 0.900 passes the edge at 16.2
+        # the reduced state at 10.96 holds 7.43 x 0.684 on side A; on side B
+        # it flies to width 0.900 and 7.43 x 0.900 passes the edge at 16.2
         (0.5, 12.0, "A", True),
         (0.5, 12.0, "B", False),
     ])
@@ -214,6 +216,19 @@ class TestValidate:
         cfg = make_config(params=PhysicalParams(sigma=-1.0, omega0=1.0),
                           seed=-1, n_samples=-1)
         assert len(validate(cfg).violations) >= 3
+
+
+class TestContainmentRule:
+    def test_validation_floor_is_the_tail_contract(self):
+        # a Gaussian's amplitude exp(-x²/4σ²) reaches the contract at the floor
+        assert math.exp(-EXTENT_SIGMAS ** 2 / 4) == pytest.approx(TAIL_RATIO_MAX)
+
+    def test_auto_grids_keep_a_margin_over_the_floor(self):
+        assert EXTENT_SIGMAS < AUTO_EXTENT_SIGMAS
+
+    def test_one_tail_contract(self):
+        from popperlab import wavefunction
+        assert wavefunction.TAIL_RATIO_MAX is TAIL_RATIO_MAX
 
 
 class TestGridSpec:
