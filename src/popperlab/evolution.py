@@ -47,7 +47,10 @@ def free_propagate(wf: WaveFunction1D, ep: EvolutionParams) -> WaveFunction1D:
         raise ValueError("evolution time must be >= 0")
     w_now = position_stats(wf).std
     if w_now > 0:
-        w_pred = gaussian_width_at(w_now, ep)
+        try:
+            w_pred = gaussian_width_at(w_now, ep)
+        except OverflowError:  # a width past the float range is past any grid
+            w_pred = math.inf
         limit = wf.grid.half_extent / EXTENT_SIGMAS
         # Not redundant with require_tails: flight revives clean tails at t = m(N·dy)²/πħ.
         if w_pred > limit:

@@ -488,7 +488,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         with _stage(timings, "sample"):
             if ms is not None:
                 # Slit mode: one particle at the detector plane on its side.
-                require_tails(side_state)  # validate cannot hold the side-A pointer
+                # validate holds no band around the side-A pointer: auto grids
+                # have no side, and a side-B run may cut a wide pointer.
+                require_tails(side_state)
                 samples = sample_positions(side_state, config.n_samples, config.seed)
                 grid, dens = side_state.grid, np.abs(side_state.amps) ** 2
                 corr = None

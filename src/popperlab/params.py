@@ -13,15 +13,19 @@ and resolve the narrowest feature it will represent.  Containment is one
 rule: ``validate`` asks ``EXTENT_SIGMAS`` ≈ 7.43 position spreads, where a
 Gaussian falls to the 1e-6 tail contract, around each state a run builds
 (the pair at zero; the reduced state at its own centre c₂, flown on side B),
-and auto-built grids keep 8.  ``auto_grid`` targets 8 points per
-conservative feature scale min(ε, ħ/4σ, Ω₀); when that demand overflows the
-point cap it degrades to the largest allowed power of two, provided the
-spacing still samples every *actual* Gaussian width (pointer width,
-conditional width ħ/2σ, reduced width) at ≥ 1.2 points, and the pointer
-width ε at ≥ 1.5, the pointer builder's own floor.  Below that floor
-spectral aliasing enters the 1e-6 accuracy band and the request is refused
-with ``CapExceededError``; ``validate`` holds user grids to the same spacing
-cap.
+and auto-built grids keep 8.  No band is asked around the side-A pointer:
+``auto_grid`` has no side, so its grids must validate on both, and a side-B
+run may legitimately cut a wide pointer (ε = 10 at 16.2 on the README
+source).  The pointer is checked where it is sampled.
+
+``auto_grid`` targets 8 points per conservative feature scale
+min(ε, ħ/4σ, Ω₀); when that demand overflows the point cap it degrades to
+the largest allowed power of two, provided the spacing still samples every
+*actual* Gaussian width (pointer width, conditional width ħ/2σ, reduced
+width) at ≥ 1.2 points, and the pointer width ε at ≥ 1.5, the pointer
+builder's own floor.  Below that floor spectral aliasing enters the 1e-6
+accuracy band and the request is refused with ``CapExceededError``;
+``validate`` holds user grids to the same spacing cap.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .errors import CapExceededError, UserParameterError
 
@@ -205,18 +210,30 @@ def _physics_violations(params: PhysicalParams,
     return v
 
 
-def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
-                   evolution_time: float) -> tuple[float, float, float, float]:
-    """(largest spread to contain, conservative feature proxy, spacing cap,
-    initial position spread).
+class _Scales(NamedTuple):
+    """What ``validate`` and ``auto_grid`` read of the closed forms."""
 
-    The proxy drives the 8-points target; the true widths drive the accuracy
-    floor, the spacing cap min(narrowest true width / 1.2, ε / 1.5), where
-    ε / 1.5 is the pointer builder's own floor.  Both are needed: the proxy
-    is intentionally pessimistic (ħ/4σ is ~2.8x below the actual
-    conditional width ħ/√2σ of the pair amplitude).
-    Positive finite parameters can still overflow or underflow the closed
-    forms (σ = 1e300, Ω₀ = 1e-300); that raises ``UserParameterError``.
+    widest: float  # the largest spread an auto grid contains
+    proxy: float  # the conservative feature scale behind the 8-points target
+    dy_cap: float  # the coarsest spacing that resolves every true width
+    held: list  # (what, centre, which width, width) of each state validate holds
+
+
+def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
+                   evolution_time: float, side: str = "B") -> _Scales:
+    """Each closed form a grid must honour, computed once.
+
+    The proxy drives the 8-points target; the true widths drive the spacing
+    cap min(narrowest true width / 1.2, ε / 1.5), ε / 1.5 being the pointer
+    builder's own floor.  The proxy is intentionally pessimistic (ħ/4σ is
+    ~2.8x below the actual conditional width ħ/√2σ of the pair amplitude).
+    With a = σ²/ħ², b = 1/16Ω₀² and e = 1/4ε², a pointer at c leaves the
+    reduced state at c₂ = (a−b)·e·c / (4ab + (a+b)e), computed below divided
+    through by e.  Its width is Ω; on side B it flies, widening but keeping
+    c₂, since the reduced state is real and carries no mean momentum.  The
+    widest spread counts the flown width on either side: ``auto_grid`` has
+    no side.  Positive finite parameters can still overflow or underflow the
+    closed forms (σ = 1e300, Ω₀ = 1e-300); that raises ``UserParameterError``.
     """
     from .analytic import initial_spreads, reduced_spreads
     from .evolution import EvolutionParams, gaussian_width_at
@@ -224,50 +241,30 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     try:
         sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
         dy_init = initial_spreads(params).dy2
-        scales = [dy_init]
-        proxy = [hbar / (4.0 * sigma), omega0]
+        widest, proxy = dy_init, min(hbar / (4.0 * sigma), omega0)
         true_widths = [hbar / (2.0 * sigma), 2.0 * omega0]
-        ep = EvolutionParams(time=evolution_time, mass=params.mass, hbar=hbar)
+        held = [("the pair is", 0.0, "initial position spread", dy_init)]
         if measurement is not None:
-            eps = measurement.epsilon
+            eps, c = measurement.epsilon, measurement.center
             red = reduced_spreads(params, eps)
-            scales.append(red.dy2)
+            flown = red.dy2
             if evolution_time > 0:
-                scales.append(gaussian_width_at(red.dy2, ep))
-            proxy.append(eps)
-            true_widths.extend([eps, 1.0 / math.sqrt(2.0 * red.alpha), red.dy2])
-        elif evolution_time > 0:
-            scales.append(gaussian_width_at(dy_init, ep))
-    except ArithmeticError as e:
-        raise UserParameterError(f"parameters overflow the closed forms ({e})") from e
+                ep = EvolutionParams(time=evolution_time, mass=params.mass, hbar=hbar)
+                flown = gaussian_width_at(red.dy2, ep)
+            widest, proxy = max(dy_init, flown), min(proxy, eps)
+            true_widths += [1.0 / math.sqrt(2.0 * red.alpha), red.dy2]
+            a, b, e = sigma ** 2 / hbar ** 2, 1.0 / (16.0 * omega0 ** 2), 1.0 / (4.0 * eps ** 2)
+            flies = side == "B" and evolution_time > 0
+            held.append((f"pointer centre {c:.6g} leaves the reduced state",
+                         (a - b) * c / (4.0 * a * b / e + a + b),
+                         "post-evolution width" if flies else "width",
+                         flown if flies else red.dy2))
+    except ArithmeticError as exc:
+        raise UserParameterError(f"parameters overflow the closed forms ({exc})") from exc
     dy_cap = min(true_widths) / FLOOR_POINTS_PER_WIDTH
     if measurement is not None:
         dy_cap = min(dy_cap, measurement.epsilon / POINTER_MIN_POINTS_PER_WIDTH)
-    return max(scales), min(proxy), dy_cap, dy_init
-
-
-def _reduced_band(params: PhysicalParams, measurement: MeasurementSpec,
-                  evolution_time: float, side: str) -> tuple[float, float]:
-    """(centre, width) of the reduced particle 2 behind the pointer.
-
-    With a = σ²/ħ², b = 1/16Ω₀² and e = 1/4ε², a pointer at c leaves the
-    reduced state at c₂ = (a−b)·e·c / (4ab + (a+b)e), computed below divided
-    through by e.  Its width is Ω; on side B it then flies, widening but
-    keeping c₂, since the reduced state is real and carries no mean momentum.
-    Call only with parameters ``_length_scales`` accepted.
-    """
-    from .analytic import reduced_spreads
-    from .evolution import EvolutionParams, gaussian_width_at
-
-    a = params.sigma ** 2 / params.hbar ** 2
-    b = 1.0 / (16.0 * params.omega0 ** 2)
-    e = 1.0 / (4.0 * measurement.epsilon ** 2)
-    center = (a - b) * measurement.center / (4.0 * a * b / e + a + b)
-    width = reduced_spreads(params, measurement.epsilon).dy2
-    if side == "B":
-        ep = EvolutionParams(time=evolution_time, mass=params.mass, hbar=params.hbar)
-        width = gaussian_width_at(width, ep)
-    return center, width
+    return _Scales(widest, proxy, dy_cap, held)
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
@@ -309,17 +306,10 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     # Relational checks need sane params and grid bounds.
     if not physics and grid_ok and time_ok:
         try:
-            _, _, dy_cap, dy_init = _length_scales(p, m, config.evolution_time)
+            scales = _length_scales(p, m, config.evolution_time, d.side)
         except UserParameterError as e:
             return ValidationReport(violations=tuple(v + [str(e)]))
-        # (what, centre, which width, width) of each state require_tails checks.
-        held = [("the pair is", 0.0, "initial position spread", dy_init)]
-        if m is not None:
-            c2, width = _reduced_band(p, m, config.evolution_time, d.side)
-            flown = d.side == "B" and config.evolution_time > 0
-            held.append((f"pointer centre {m.center:.6g} leaves the reduced state", c2,
-                         "post-evolution width" if flown else "width", width))
-        for what, centre, which, width in held:
+        for what, centre, which, width in scales.held:
             low, high = centre - EXTENT_SIGMAS * width, centre + EXTENT_SIGMAS * width
             # written so that a NaN centre is refused too
             if not (g.y_min <= low and high <= g.y_max):
@@ -329,9 +319,9 @@ def validate(config: ScenarioConfig) -> ValidationReport:
                     f"extent [{g.y_min:.6g}, {g.y_max:.6g}]"
                 )
         # The accuracy floor auto_grid enforces on degraded grids.
-        if points_ok and g.dy > dy_cap:
+        if points_ok and g.dy > scales.dy_cap:
             v.append(
-                f"grid spacing {g.dy:.6g} > {dy_cap:.6g}, the coarsest that "
+                f"grid spacing {g.dy:.6g} > {scales.dy_cap:.6g}, the coarsest that "
                 f"resolves every width (narrowest / {FLOOR_POINTS_PER_WIDTH:g}, "
                 f"pointer / {POINTER_MIN_POINTS_PER_WIDTH:g}); use more points "
                 f"or a smaller extent"
@@ -353,11 +343,11 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     violations = _physics_violations(params, measurement)
     if violations:
         raise UserParameterError("; ".join(violations))
-    max_scale, proxy_min, dy_cap, _ = _length_scales(params, measurement, evolution_time)
+    widest, proxy, dy_cap, _ = _length_scales(params, measurement, evolution_time)
     center = abs(measurement.center) if measurement is not None else 0.0
-    extent = AUTO_EXTENT_SIGMAS * max_scale + center
+    extent = AUTO_EXTENT_SIGMAS * widest + center
     span = 2.0 * extent
-    target_dy = proxy_min / TARGET_POINTS_PER_SCALE
+    target_dy = proxy / TARGET_POINTS_PER_SCALE
     # The least power of two >= m is 1 << (m - 1).bit_length().
     n = 1 << (max(MIN_GRID_POINTS, math.ceil(span / target_dy) + 1) - 1).bit_length()
     if n > max_points:

@@ -141,6 +141,17 @@ class TestRun:
         assert code == 3
         assert "numerical failure" in err and "stage 'propagate' failed" in err
 
+    def test_side_a_flight_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # the reduced state's flown width is finite at this time, so the config
+        # validates; the pointer's predicted width overflows a float
+        cfg = write_config(tmp_path / "cfg.json", evolution_time=9.4e153,
+                           detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"})
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical failure: stage 'propagate' failed: predicted width inf" in err
+        assert "Traceback" not in err
+
     def test_grid_short_of_the_tail_contract_exits_2(self, tmp_path, capsys):
         # ±13 holds 6 pair spreads of 2.016 but not the 7.43 the tail contract needs
         cfg = write_config(tmp_path / "cfg.json",
@@ -156,6 +167,16 @@ class TestRun:
         # time that would spread it past the grid adds no containment
         cfg = write_config(tmp_path / "cfg.json", measurement=None, evolution_time=8.0)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_coincidence_runs_take_any_finite_flight_time(self, tmp_path):
+        # nothing flies in coincidence mode, so no flight time can overflow it
+        hists = []
+        for t in (0.0, 1e300):
+            cfg = write_config(tmp_path / f"cfg{t}.json", measurement=None, evolution_time=t)
+            out = tmp_path / f"o{t}"
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+            hists.append((out / "histogram.csv").read_bytes())
+        assert hists[0] == hists[1]
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -675,7 +696,9 @@ JUNK = [-1, 0, -2.5, float("nan"), float("-inf"), float("inf"), RAW_1E400,
 OVERFLOWING = [1e-300, 1e300]
 # Physics values that may pass validation: only safe where the document
 # bounds the grid, which holds for run but not for sweep's auto grids.
-RUN_EXTREMES = [5e-324, 1e-8, 1e8]
+# A flight of 1e154 overflows the pointer's predicted width but not the
+# reduced state's.
+RUN_EXTREMES = [5e-324, 1e-8, 1e8, 1e154]
 
 
 def usually(valid, junk, odds=3):

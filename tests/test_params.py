@@ -28,7 +28,7 @@ from popperlab.params import (
     MAX_BINS,
     MAX_SAMPLES,
     TAIL_RATIO_MAX,
-    _reduced_band,
+    _length_scales,
 )
 from popperlab.measurement import reduce_pair
 from popperlab.wavefunction import position_stats
@@ -191,7 +191,7 @@ class TestValidate:
         p = PhysicalParams(sigma=sigma, omega0=omega0)
         ms = MeasurementSpec(epsilon=eps, center=center)
         red = reduce_pair(build_pointer_state(ms, auto_grid(p, ms)), p, eps)
-        c2, width = _reduced_band(p, ms, 0.0, "B")
+        _, (_, c2, _, width) = _length_scales(p, ms, 0.0).held
         assert width == red.dy2_closed
         assert c2 == pytest.approx(position_stats(red.phi2).mean, rel=1e-12, abs=1e-12)
 
@@ -305,6 +305,45 @@ class TestAutoGrid:
             auto_grid(p, MeasurementSpec(epsilon=0.05), max_points=4096)
         g = auto_grid(p, MeasurementSpec(epsilon=0.05), max_points=8192)
         assert g.dy <= 0.05 / 1.5
+
+    @pytest.mark.parametrize("sigma,omega0,ms,time,cap,expected", [
+        # plain pair, no pointer
+        (1.0, 1.0, None, 0.0, DEFAULT_MAX_POINTS,
+         GridSpec(1024, -8.246211251235321, 8.246211251235321)),
+        # the README source, a >= b, centred and off centre
+        (1.0, 2.0, (0.5, 0.0), 0.0, DEFAULT_MAX_POINTS,
+         GridSpec(2048, -16.1245154965971, 16.1245154965971)),
+        (1.0, 2.0, (0.5, 3.0), 0.0, DEFAULT_MAX_POINTS,
+         GridSpec(2048, -19.1245154965971, 19.1245154965971)),
+        # a < b, centred and off centre
+        (0.1, 0.5, (1.0, 0.0), 0.0, DEFAULT_MAX_POINTS,
+         GridSpec(1024, -20.396078054371138, 20.396078054371138)),
+        (0.1, 0.5, (1.0, -2.0), 0.0, DEFAULT_MAX_POINTS,
+         GridSpec(1024, -22.396078054371138, 22.396078054371138)),
+        # slit flight: the pair is still the widest at t = 0.8, the flown
+        # reduced state is at t = 20
+        (1.0, 2.0, (0.5, 0.0), 0.8, DEFAULT_MAX_POINTS,
+         GridSpec(2048, -16.1245154965971, 16.1245154965971)),
+        (1.0, 2.0, (0.5, 1.0), 20.0, DEFAULT_MAX_POINTS,
+         GridSpec(8192, -118.14493714750209, 118.14493714750209)),
+        # degraded to the cap
+        (10.0, 10.0, (0.1, 0.0), 0.0, 4096,
+         GridSpec(4096, -80.00024999960938, 80.00024999960938)),
+        # refused: the conditional width, then the pointer, sets the cap
+        (100.0, 10.0, (0.005, 0.0), 0.0, 256,
+         "scale ratio needs >= 65536 points for spacing 0.00333 over span 160; cap is 256"),
+        (10.0, 10.0, (0.05, 0.0), 0.0, 4096,
+         "scale ratio needs >= 8192 points for spacing 0.0333 over span 160; cap is 4096"),
+    ])
+    def test_pinned_grids(self, sigma, omega0, ms, time, cap, expected):
+        p = PhysicalParams(sigma=sigma, omega0=omega0)
+        ms = None if ms is None else MeasurementSpec(epsilon=ms[0], center=ms[1])
+        if isinstance(expected, GridSpec):
+            assert auto_grid(p, ms, time, max_points=cap) == expected
+        else:
+            with pytest.raises(CapExceededError) as err:
+                auto_grid(p, ms, time, max_points=cap)
+            assert str(err.value) == expected
 
     def test_extent_contains_widest_state(self):
         p = PhysicalParams(sigma=0.2, omega0=5.0)
