@@ -13,14 +13,20 @@ Detecting particle 1 behind a Gaussian pointer of width ε collapses particle
 remote momentum spread ħ/2Ω never exceeds the pre-measurement value: the
 measurement at station A cannot *add* momentum spread at station B.  The two
 coincide exactly when Ω₀ = ħ/4σ, where the pair factorizes.
+
+The pair is a two-mode Gaussian, so its Schmidt spectrum is geometric:
+λₙ² = (1−μ)μⁿ with μ = ((√a−√b)/(√a+√b))² (Law, Walmsley & Eberly, PRL 84,
+5304 (2000)), and the entanglement entropy is −ln(1−μ) − μ ln μ/(1−μ).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import PhysicalParams
+from .wavefunction import SCHMIDT_TRUNCATION
 
 # A "strong correlation" source satisfies σ >> ħ/4Ω₀; a "narrow slit"
 # satisfies ε << Ω₀.  Both >> and << are operationalized as this factor.
@@ -54,6 +60,47 @@ class StrongCorrelationApprox:
 
     value: float
     regime_ok: bool
+
+
+class _PairSpectrum(NamedTuple):
+    """The pair's exponents a = σ²/ħ², b = 1/16Ω₀² and its Schmidt spectrum.
+
+    μ, the entropy and the mode count are read on demand, so a caller of a
+    and b meets no failure of theirs.
+    """
+
+    a: float
+    b: float
+
+    @property
+    def mu(self) -> float:
+        ra, rb = math.sqrt(self.a), math.sqrt(self.b)
+        return ((ra - rb) / (ra + rb)) ** 2
+
+    @property
+    def entropy(self) -> float:
+        mu = self.mu
+        if mu == 0.0:
+            return 0.0
+        if mu == 1.0:
+            return math.inf
+        return -math.log(1.0 - mu) - mu / (1.0 - mu) * math.log(mu)
+
+    @property
+    def modes(self) -> float:
+        """Modes with λₙ/λ₀ = μ^{n/2} >= SCHMIDT_TRUNCATION; inf once μ rounds to 1."""
+        mu = self.mu
+        if mu == 0.0:
+            return 1
+        if mu == 1.0:
+            return math.inf
+        return math.floor(2.0 * math.log(SCHMIDT_TRUNCATION) / math.log(mu)) + 1
+
+
+def _pair_spectrum(params: PhysicalParams) -> _PairSpectrum:
+    """The one owner of the pair's exponents a and b."""
+    return _PairSpectrum(params.sigma ** 2 / params.hbar ** 2,
+                         1.0 / (16.0 * params.omega0 ** 2))
 
 
 def initial_spreads(params: PhysicalParams) -> InitialSpreads:

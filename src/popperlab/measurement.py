@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import reduced_spreads
+from .analytic import _pair_spectrum, reduced_spreads
 from .errors import GridMismatchError
 from .params import GridSpec, PhysicalParams
 from .wavefunction import (
@@ -156,8 +156,7 @@ def reduce_pair(phi1: WaveFunction1D, params: PhysicalParams, eps: float) -> Red
     grid = phi1.grid
     n = grid.n_points
     y = grid_points(grid)
-    a = params.sigma ** 2 / params.hbar ** 2
-    b = 1.0 / (16.0 * params.omega0 ** 2)
+    a, b = _pair_spectrum(params)
     mu = 4.0 * a * b / (a + b)
     diag = 2.0 * min(a, b)
     mag = np.abs(phi1.amps)

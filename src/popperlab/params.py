@@ -235,7 +235,7 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     no side.  Positive finite parameters can still overflow or underflow the
     closed forms (σ = 1e300, Ω₀ = 1e-300); that raises ``UserParameterError``.
     """
-    from .analytic import initial_spreads, reduced_spreads
+    from .analytic import _pair_spectrum, initial_spreads, reduced_spreads
     from .evolution import EvolutionParams, gaussian_width_at
 
     try:
@@ -253,7 +253,7 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
                 flown = gaussian_width_at(red.dy2, ep)
             widest, proxy = max(dy_init, flown), min(proxy, eps)
             true_widths += [1.0 / math.sqrt(2.0 * red.alpha), red.dy2]
-            a, b, e = sigma ** 2 / hbar ** 2, 1.0 / (16.0 * omega0 ** 2), 1.0 / (4.0 * eps ** 2)
+            (a, b), e = _pair_spectrum(params), 1.0 / (4.0 * eps ** 2)
             flies = side == "B" and evolution_time > 0
             held.append((f"pointer centre {c:.6g} leaves the reduced state",
                          (a - b) * c / (4.0 * a * b / e + a + b),
@@ -336,7 +336,8 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
 
     Deterministic in its inputs.  Raises ``CapExceededError`` when even
     ``max_points`` cannot hold 1.2 samples per narrowest physical width, and
-    ``UserParameterError`` for parameters ``validate`` would reject.
+    ``UserParameterError`` for parameters ``validate`` would reject or whose
+    span or spacing leaves the float range.
     """
     if max_points < MIN_GRID_POINTS:
         raise ValueError(f"max_points must be >= {MIN_GRID_POINTS}")
@@ -348,15 +349,20 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     extent = AUTO_EXTENT_SIGMAS * widest + center
     span = 2.0 * extent
     target_dy = proxy / TARGET_POINTS_PER_SCALE
-    # The least power of two >= m is 1 << (m - 1).bit_length().
-    n = 1 << (max(MIN_GRID_POINTS, math.ceil(span / target_dy) + 1) - 1).bit_length()
-    if n > max_points:
-        n = 1 << (max_points.bit_length() - 1)
-        dy = span / (n - 1)
-        if dy > dy_cap:
-            need = 1 << math.ceil(span / dy_cap).bit_length()
-            raise CapExceededError(
-                f"scale ratio needs >= {need} points for spacing "
-                f"{dy_cap:.3g} over span {span:.3g}; cap is {max_points}"
-            )
+    # A span that overflows to inf or a spacing that underflows to 0 leaves
+    # no point count to take the ceiling of.
+    try:
+        # The least power of two >= m is 1 << (m - 1).bit_length().
+        n = 1 << (max(MIN_GRID_POINTS, math.ceil(span / target_dy) + 1) - 1).bit_length()
+        if n > max_points:
+            n = 1 << (max_points.bit_length() - 1)
+            dy = span / (n - 1)
+            if dy > dy_cap:
+                need = 1 << math.ceil(span / dy_cap).bit_length()
+                raise CapExceededError(
+                    f"scale ratio needs >= {need} points for spacing "
+                    f"{dy_cap:.3g} over span {span:.3g}; cap is {max_points}"
+                )
+    except ArithmeticError as exc:
+        raise UserParameterError(f"parameters overflow the grid arithmetic ({exc})") from exc
     return GridSpec(n_points=n, y_min=-extent, y_max=extent)

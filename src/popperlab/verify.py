@@ -10,8 +10,11 @@ parameter box so it finishes in seconds.  ``full`` takes the gate's inputs:
 writes the sweep's rows of criteria 1, 3 and 7.  Every reduction is the dense
 ``conditional_reduce`` of the pair state its site builds; ``reduce_pair``,
 the route ``run`` and ``sweep`` take, is checked against it at every sweep
-triple.  Where a bound could be read as absolute or relative, the row takes
-the larger deviation.  Each row reports expectation, observation and
+triple.  Criterion 2 checks the Schmidt entropy on the pairs whose grids
+have at most ``SCHMIDT_MAX_POINTS`` points, where ``run`` reports it: the
+route ``run`` takes against the closed form, and the factored route against
+the dense one, its oracle.  Where a bound could be read as absolute or
+relative, the row takes the larger deviation.  Each row reports expectation, observation and
 tolerance so a failure is directly actionable.
 """
 
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (
+    _pair_spectrum,
     approx_dp2_strong_correlation,
     initial_spreads,
     position_correlation,
@@ -31,8 +35,10 @@ from .analytic import (
 )
 from .evolution import EvolutionParams, free_propagate, gaussian_width_at
 from .experiment import (
+    SCHMIDT_MAX_POINTS,
     chi_square_against_density,
     histogram,
+    pair_entropy,
     sample_joint,
     sample_positions,
 )
@@ -45,7 +51,7 @@ from .params import (
     auto_grid,
 )
 from .rng import Xoshiro256StarStar
-from .states import JointStateRecipe, build_joint_state, build_pointer_state
+from .states import JointStateRecipe, build_joint_state, build_pointer_state, pair_schmidt
 from .wavefunction import (
     marginal_density,
     momentum_std_derivative,
@@ -171,19 +177,31 @@ def _check_sweep(level: _Level) -> list[CheckRow]:
 
 
 def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
+    """Criterion 2 over the seeded (σ, Ω₀) pairs: spreads, and the Schmidt
+    entropy on the grids ``run`` takes it on."""
     gen = Xoshiro256StarStar(PAIR_SEED)
     lo, hi = level.box
-    dev = 0.0
+    dev = entropy_dev = route_dev = 0.0
     for _ in range(level.n_pairs):
         params = PhysicalParams(sigma=_log_uniform(gen, lo, hi),
                                 omega0=_log_uniform(gen, lo, hi))
         grid = auto_grid(params, max_points=level.max_points)
-        psi = build_joint_state(JointStateRecipe(params, grid, grid))
+        recipe = JointStateRecipe(params, grid, grid)
+        psi = build_joint_state(recipe)
         ref = initial_spreads(params)
         dev = max(dev,
                   abs(position_stats(psi, 2).std - ref.dy2) / ref.dy2,
                   abs(momentum_std_spectral(psi, particle=2) - ref.dp2y) / ref.dp2y)
-    return [_bound_row(2, "initial spreads: closed form vs grid (max rel dev)", dev, 1e-6)]
+        if grid.n_points <= SCHMIDT_MAX_POINTS:
+            closed = _pair_spectrum(params).entropy
+            dense = schmidt(psi).entropy
+            entropy_dev = max(entropy_dev, abs(pair_entropy(psi, params) - closed) / closed)
+            route_dev = max(route_dev, abs(pair_schmidt(recipe).entropy - dense) / dense)
+    return [
+        _bound_row(2, "initial spreads: closed form vs grid (max rel dev)", dev, 1e-6),
+        _bound_row(2, "Schmidt entropy: closed form vs grid (max rel dev)", entropy_dev, 1e-12),
+        _bound_row(2, "Schmidt entropy: factored vs dense route (max rel dev)", route_dev, 1e-13),
+    ]
 
 
 def _check_factorization_line(level: _Level) -> list[CheckRow]:

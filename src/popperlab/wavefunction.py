@@ -279,6 +279,18 @@ class SchmidtSpectrum:
         object.__setattr__(self, "coefficients", c)
 
 
+def _schmidt_tail(s: np.ndarray) -> SchmidtSpectrum:
+    """The spectrum of descending singular values ``s``: the values at or above
+    SCHMIDT_TRUNCATION of the largest, and −Σ λ̂ᵢ² ln λ̂ᵢ² over them renormalized."""
+    keep = s >= SCHMIDT_TRUNCATION * s[0] if s[0] > 0 else s >= 0
+    coeff = s[keep]
+    lam2 = coeff ** 2 / np.sum(coeff ** 2)
+    terms = lam2 * np.log(lam2, where=lam2 > 0, out=np.zeros_like(lam2))
+    # + 0.0 turns the −0.0 of a lone retained coefficient into +0.0
+    entropy = float(-np.sum(terms)) + 0.0
+    return SchmidtSpectrum(coefficients=coeff, entropy=entropy)
+
+
 def schmidt(wf: WaveFunction2D) -> SchmidtSpectrum:
     """Schmidt decomposition from the singular values of the weighted kernel.
 
@@ -289,6 +301,12 @@ def schmidt(wf: WaveFunction2D) -> SchmidtSpectrum:
     whose singular values are the absolute values of its eigenvalues; the
     symmetric eigensolver finds them several times faster than an SVD.
     Every other state goes through the SVD.
+
+    This dense route takes any state and is the oracle of the factored one,
+    ``states.pair_schmidt``, which builds the source pair's kernel a column
+    at a time where it is provably positive semidefinite.  ``run_scenario``
+    takes the dense route only where that proof fails or the pair has more
+    than N/4 modes, past which the factored route stops being cheaper.
     """
     sw1 = np.sqrt(trap_weights(wf.grid1))
     sw2 = np.sqrt(trap_weights(wf.grid2))
@@ -300,13 +318,7 @@ def schmidt(wf: WaveFunction2D) -> SchmidtSpectrum:
         s = np.sort(np.abs(np.linalg.eigvalsh(kernel)))[::-1]
     else:
         s = np.linalg.svd(kernel, compute_uv=False)
-    keep = s >= SCHMIDT_TRUNCATION * s[0] if s[0] > 0 else s >= 0
-    coeff = s[keep]
-    lam2 = coeff ** 2 / np.sum(coeff ** 2)
-    terms = lam2 * np.log(lam2, where=lam2 > 0, out=np.zeros_like(lam2))
-    # + 0.0 turns the −0.0 of a lone retained coefficient into +0.0
-    entropy = float(-np.sum(terms)) + 0.0
-    return SchmidtSpectrum(coefficients=coeff, entropy=entropy)
+    return _schmidt_tail(s)
 
 
 def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,

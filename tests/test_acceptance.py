@@ -62,7 +62,7 @@ def test_criterion_01_reduction_closed_form_vs_grid(full_run, capsys):
 
 
 def test_criterion_02_initial_spreads(full_run, capsys):
-    assert_criterion(full_run, capsys, 2, "initial spreads vs grid")
+    assert_criterion(full_run, capsys, 2, "initial spreads and Schmidt entropy vs grid")
 
 
 def test_criterion_03_no_extra_spread(full_run, capsys):

@@ -15,6 +15,8 @@ from popperlab import (
     position_correlation,
     reduced_spreads,
 )
+from popperlab.analytic import _pair_spectrum
+from popperlab.wavefunction import SCHMIDT_TRUNCATION
 
 import oracles
 
@@ -176,3 +178,43 @@ class TestCorrelationAndDisentanglement:
     @settings(max_examples=100, deadline=None)
     def test_product_line_parametrization(self, sigma):
         assert is_disentangled(params(sigma, 1.0 / (4.0 * sigma)))
+
+
+class TestSchmidtSpectrum:
+    @pytest.mark.parametrize("key", sorted(oracles.SCHMIDT_ENTROPY_ORACLE))
+    def test_entropy_matches_frozen_oracle(self, key):
+        assert _pair_spectrum(params(*key)).entropy == pytest.approx(
+            oracles.SCHMIDT_ENTROPY_ORACLE[key], rel=1e-14)
+
+    @given(positive, positive, st.floats(0.5, 2.0))
+    def test_entropy_matches_live_oracle(self, sigma, omega0, hbar):
+        ref = oracles.oracle_schmidt_entropy(sigma, omega0, hbar)
+        assert _pair_spectrum(params(sigma, omega0, hbar)).entropy == pytest.approx(
+            ref, rel=1e-12, abs=1e-300)
+
+    @given(positive, positive)
+    def test_mode_count_is_the_truncation_rule(self, sigma, omega0):
+        ex = _pair_spectrum(params(sigma, omega0))
+        m = ex.modes
+        if ex.mu == 0.0:
+            assert m == 1
+            return
+        # coefficient ratios are mu^(n/2); modes 0..m-1 are kept, mode m is not
+        assert ex.mu ** ((m - 1) / 2) >= SCHMIDT_TRUNCATION * (1 - 1e-12)
+        assert ex.mu ** (m / 2) < SCHMIDT_TRUNCATION * (1 + 1e-12)
+
+    def test_readme_source(self):
+        ex = _pair_spectrum(params(1.0, 2.0))
+        assert (ex.a, ex.b) == (1.0, 1.0 / 64.0)
+        assert ex.mu == pytest.approx(49.0 / 81.0, rel=1e-15)
+        assert ex.modes == 110
+
+    def test_product_state_has_one_mode(self):
+        ex = _pair_spectrum(params(1.0, 0.25))
+        assert (ex.mu, ex.entropy, ex.modes) == (0.0, 0.0, 1)
+
+    def test_unresolvable_source_reads_infinite(self):
+        # mu rounds to 1: no finite entropy or mode count
+        ex = _pair_spectrum(params(1e100, 1e100))
+        assert ex.mu == 1.0
+        assert ex.entropy == math.inf and ex.modes == math.inf

@@ -12,10 +12,18 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from popperlab import UserParameterError, analytic, cli, experiment, measurement, wavefunction
+from popperlab import (
+    UserParameterError,
+    analytic,
+    cli,
+    experiment,
+    measurement,
+    states,
+    wavefunction,
+)
 from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
 
 
@@ -335,6 +343,13 @@ class TestSweep:
             assert ratios[i] < 1.0 - 1e-6
         assert max(ratios) <= 1.0 + 1e-8
 
+    def test_overflowing_grid_span_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", measurement={"epsilon": 1e120})
+        code = cli.main(["sweep", "--config", cfg, "--param", "sigma", "--from", "1e-150",
+                         "--to", "1e-150", "--steps", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: parameters overflow the grid")
+
     def test_log_spacing(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_samples=0)
         out = tmp_path / "out"
@@ -648,6 +663,11 @@ class TestVerifyCommand:
         return dataclasses.replace(red, dp2_numeric=red.dp2_numeric * (1.0 + 1e-12))
 
     @staticmethod
+    def factored_off(recipe):
+        ss = states.pair_schmidt(recipe)
+        return dataclasses.replace(ss, entropy=ss.entropy * (1.0 + 1e-12))
+
+    @staticmethod
     def scaled(func, k):
         return lambda *args, **kwargs: func(*args, **kwargs) * k
 
@@ -670,8 +690,12 @@ class TestVerifyCommand:
         ("popperlab.measurement.momentum_std_spectral",
          scaled(wavefunction.momentum_std_spectral, 1.0 + 1e-5),
          "reduced state is minimum-uncertainty (grid)"),
+        ("popperlab.verify.pair_entropy", scaled(experiment.pair_entropy, 1.0 + 1e-11),
+         "Schmidt entropy: closed form vs grid"),
+        ("popperlab.verify.pair_schmidt", factored_off,
+         "Schmidt entropy: factored vs dense route"),
     ], ids=["omega", "spectral-dp2", "correlation", "route-dp2", "initial-dp2",
-            "closed-product", "grid-product"])
+            "closed-product", "grid-product", "entropy-closed", "entropy-route"])
     def test_injected_fault_fails_its_row(self, monkeypatch, capsys, target, fault, row):
         monkeypatch.setattr(target, fault)
         assert cli.main(["verify"]) == 1
@@ -793,7 +817,20 @@ VERIFY_CASES = st.sampled_from([
 ])
 
 
+# The README source behind a 1e120 slit, swept to sigma = 1e-150: the auto
+# grid's span overflows a float.
+OVERFLOWING_SPAN = (
+    json.dumps({"params": {"sigma": 1.0, "omega0": 2.0, "hbar": 1.0, "mass": 1.0},
+                "grid": {"n_points": 1024, "y_min": -16.2, "y_max": 16.2},
+                "detector": {"n_bins": 48, "y_range": [-5.0, 5.0], "side": "B"},
+                "measurement": {"epsilon": 1e120, "center": 0.0},
+                "evolution_time": 0.8, "n_samples": 20000, "seed": 1}),
+    ["sweep", "--param", "sigma", "--from", "1e-150", "--to", "1e-150", "--steps", "2"],
+)
+
+
 class TestExitCodeFuzz:
+    @example(case=OVERFLOWING_SPAN)
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=st.one_of(run_case(), sweep_case(), VERIFY_CASES.map(lambda a: (None, a))))

@@ -40,6 +40,7 @@ from popperlab import (
 )
 from popperlab import experiment
 from popperlab.experiment import cumulative_distribution
+from popperlab.states import pair_schmidt
 from popperlab.wavefunction import grid_points, marginal_density, trap_weights
 
 import oracles
@@ -620,6 +621,17 @@ class TestRunScenario:
         report = run_scenario(self.base_config(grid=big, n_samples=0))
         assert report.numeric["schmidt_entropy"] is None
 
+    def test_schmidt_takes_the_factored_route(self, monkeypatch):
+        # the README source at 1024 points: 110 closed-form modes <= N/4
+        def refused(*args, **kwargs):
+            raise AssertionError("the dense route must not run")
+        monkeypatch.setattr(experiment, "schmidt", refused)
+        config = self.base_config(n_samples=0)
+        report = run_scenario(config)
+        recipe = experiment.JointStateRecipe(config.params, config.grid, config.grid)
+        assert report.numeric["schmidt_entropy"] == pair_schmidt(recipe).entropy
+        assert "schmidt" in report.timings
+
     def test_timings_cover_stages(self):
         report = run_scenario(self.base_config(evolution_time=0.5))
         for stage in ("build", "numeric_initial", "reduce", "propagate", "sample"):
@@ -631,6 +643,8 @@ class TestRunScenario:
     (schmidt, ["wf"]),
     (chi_square_against_density, ["hist", "grid", "density"]),
     (is_disentangled, ["params"]),
+    (pair_schmidt, ["recipe"]),
+    (experiment.pair_entropy, ["psi", "params"]),
     (ScenarioReport.to_json_dict, ["self"]),
 ])
 def test_fixed_constants_take_no_argument(func, names):

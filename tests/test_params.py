@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from popperlab.params import (
     TAIL_RATIO_MAX,
     _length_scales,
 )
+from popperlab.analytic import _pair_spectrum
 from popperlab.measurement import reduce_pair
 from popperlab.wavefunction import position_stats
 
@@ -282,6 +284,33 @@ class TestAutoGrid:
     def test_rejects_what_validate_rejects(self, params, ms):
         with pytest.raises(UserParameterError):
             auto_grid(params, ms)
+
+    @pytest.mark.parametrize("params,ms", [
+        # the span overflows to inf: the point count has no ceiling
+        (PhysicalParams(sigma=1e-150, omega0=2.0), MeasurementSpec(epsilon=1e120)),
+        # the reduced width underflows to 0: the spacing cap is 0
+        (PhysicalParams(sigma=1.0, omega0=2.0), MeasurementSpec(epsilon=1e-160)),
+    ])
+    def test_grid_arithmetic_out_of_range_is_a_parameter_error(self, params, ms):
+        with pytest.raises(UserParameterError, match="grid arithmetic"):
+            auto_grid(params, ms)
+
+    def test_pair_exponents_keep_their_bits(self):
+        # _length_scales and reduce_pair read a and b from analytic's one
+        # owner; its values are the expressions both wrote inline before.
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            lo, hi = rng.choice([(-1, 1), (-150, 150), (-300, 300)])
+            p = PhysicalParams(sigma=10 ** rng.uniform(lo, hi),
+                               omega0=10 ** rng.uniform(lo, hi),
+                               hbar=10 ** rng.uniform(-1, 1))
+            try:
+                expected = (p.sigma ** 2 / p.hbar ** 2, 1.0 / (16.0 * p.omega0 ** 2))
+            except ArithmeticError as exc:
+                with pytest.raises(type(exc)):
+                    _pair_spectrum(p)
+                continue
+            assert tuple(_pair_spectrum(p)) == expected
 
     def test_cap_exceeded(self):
         # scale ratio ~2000 with a 256-point budget cannot work

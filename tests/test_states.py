@@ -12,13 +12,18 @@ from popperlab import (
     PhysicalParams,
     UnderResolvedError,
     WaveFunction2D,
+    auto_grid,
     build_joint_state,
     build_pointer_state,
     joint_amplitude,
     normalize,
     pointer_width_for_slit,
     position_stats,
+    schmidt,
 )
+from popperlab import experiment
+from popperlab.experiment import pair_entropy
+from popperlab.states import pair_kernel_is_psd, pair_schmidt
 from popperlab.wavefunction import grid_points, norm
 
 import oracles
@@ -141,3 +146,82 @@ class TestSlitConventions:
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
             pointer_width_for_slit(1.0, "rms")
+
+
+def pair_recipe(sigma, omega0, n=1024, y_min=-14.0, y_max=14.0):
+    g = GridSpec(n_points=n, y_min=y_min, y_max=y_max)
+    return JointStateRecipe(PhysicalParams(sigma, omega0), g, g)
+
+
+def refuse(monkeypatch, owner, name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} must not be called")
+    monkeypatch.setattr(owner, name, refused)
+
+
+class TestPairSchmidt:
+    """The factored route against the dense one and the geometric closed form."""
+
+    @pytest.mark.parametrize("key", sorted(oracles.SCHMIDT_ENTROPY_ORACLE))
+    def test_entropy_against_dense_and_closed_form(self, key):
+        params = PhysicalParams(*key)
+        grid = auto_grid(params)
+        recipe = JointStateRecipe(params, grid, grid)
+        factored = pair_schmidt(recipe).entropy
+        dense = schmidt(build_joint_state(recipe)).entropy
+        assert abs(factored - dense) <= 1e-13 * dense
+        closed = oracles.oracle_schmidt_entropy(*key)
+        assert abs(factored - closed) <= 1e-12 * closed
+
+    @pytest.mark.parametrize("sigma,omega0,half", [
+        (1.0, 2.0, 16.2), (0.7, 0.4, 8.0), (0.1, 0.5, 20.4), (2.0, 2.0, 17.0),
+    ])
+    def test_coefficients_against_dense(self, sigma, omega0, half):
+        recipe = pair_recipe(sigma, omega0, y_min=-half, y_max=half)
+        lam = pair_schmidt(recipe).coefficients
+        ref = schmidt(build_joint_state(recipe)).coefficients
+        assert abs(len(lam) - len(ref)) <= 1
+        m = min(len(lam), len(ref))
+        # normalized as the built pair's: the leading ones agree closely, and
+        # every shared one to a small share of the largest
+        big = ref >= 1e-6 * ref[0]
+        np.testing.assert_allclose(lam[big], ref[big], rtol=1e-10)
+        assert np.max(np.abs(lam[:m] - ref[:m])) <= 1e-12 * ref[0]
+
+    def test_anti_correlated_pair_flips_its_columns(self, monkeypatch):
+        # a = 0.01 < b = 0.25 on a symmetric grid: the columns at -y2 make the
+        # kernel PSD, and run's route never calls the dense eigensolver
+        recipe = pair_recipe(0.1, 0.5, y_min=-20.4, y_max=20.4)
+        psi = build_joint_state(recipe)
+        assert pair_kernel_is_psd(recipe)
+        refuse(monkeypatch, np.linalg, "eigvalsh")
+        entropy = pair_entropy(psi, recipe.params)
+        assert entropy == pair_schmidt(recipe).entropy
+        assert entropy == pytest.approx(oracles.oracle_schmidt_entropy(0.1, 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma,omega0,y_min,y_max", [
+        # a < b on a grid that is not symmetric: no PSD kernel is known
+        (0.1, 0.5, -20.4, 21.0),
+        # 1382 closed-form modes on 512 points: the dense route is cheaper
+        (5.0, 5.0, -41.0, 41.0),
+    ])
+    def test_dense_route_elsewhere(self, monkeypatch, sigma, omega0, y_min, y_max):
+        recipe = pair_recipe(sigma, omega0, n=512, y_min=y_min, y_max=y_max)
+        psi = build_joint_state(recipe)
+        refuse(monkeypatch, experiment, "pair_schmidt")
+        assert pair_entropy(psi, recipe.params) == schmidt(psi).entropy
+
+    def test_refuses_kernels_not_known_to_be_psd(self):
+        with pytest.raises(ValueError):
+            pair_schmidt(pair_recipe(0.1, 0.5, y_min=-20.4, y_max=21.0))
+        g1 = GridSpec(n_points=256, y_min=-14.0, y_max=14.0)
+        g2 = GridSpec(n_points=128, y_min=-14.0, y_max=14.0)
+        uneven = JointStateRecipe(PhysicalParams(1.0, 2.0), g1, g2)
+        assert not pair_kernel_is_psd(uneven)
+        with pytest.raises(ValueError):
+            pair_schmidt(uneven)
+
+    def test_product_state_has_single_coefficient(self):
+        ss = pair_schmidt(pair_recipe(1.0, 0.25, y_min=-10.0, y_max=10.0))
+        assert len(ss.coefficients) == 1
+        assert ss.entropy == 0.0 and math.copysign(1.0, ss.entropy) == 1.0
