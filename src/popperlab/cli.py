@@ -86,7 +86,7 @@ def _load_config(config_path: str) -> ScenarioConfig:
     with _bad_input("cannot read config", OSError, UnicodeDecodeError):
         text = Path(config_path).read_text()
     with _bad_input("bad config", KeyError, TypeError, ValueError, IndexError,
-                    OverflowError):
+                    OverflowError, RecursionError):
         return config_from_json(text)
 
 

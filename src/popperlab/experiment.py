@@ -31,12 +31,8 @@ detector plane, sample, and bin.  Every numeric field in the report is tagged
 with the grid that produced it, and timings live in their own block so that
 reports stay byte-comparable across runs.
 
-The Schmidt entropy is taken on grids up to ``SCHMIDT_MAX_POINTS``, by a
-route ``pair_entropy`` picks before any work is done: the factored
-``states.pair_schmidt``, O(N·k²) for k modes, where the pair kernel is
-provably positive semidefinite (see ``states``) and the closed-form mode
-count is at most ``FACTORED_MAX_MODE_SHARE`` of the grid; else the dense
-O(N³) ``wavefunction.schmidt``, which is also the factored route's oracle.
+The Schmidt entropy is ``states.pair_entropy``'s, which owns its route and
+its grid cap (see ``states``).
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import (
-    _pair_spectrum,
     approx_dp2_strong_correlation,
     initial_spreads,
     is_disentangled,
@@ -59,14 +54,13 @@ from .analytic import (
 from .errors import ScenarioFailure, UserParameterError
 from .evolution import EvolutionParams, free_propagate, gaussian_width_at
 from .measurement import reduce_pair
-from .params import DetectorGeometry, GridSpec, PhysicalParams, ScenarioConfig, validate
+from .params import DetectorGeometry, GridSpec, ScenarioConfig, validate
 from .rng import Xoshiro256StarStar
 from .states import (
     JointStateRecipe,
     build_joint_state,
     build_pointer_state,
-    pair_kernel_is_psd,
-    pair_schmidt,
+    pair_entropy,
 )
 from .wavefunction import (
     WaveFunction1D,
@@ -76,17 +70,8 @@ from .wavefunction import (
     momentum_std_spectral,
     position_stats,
     require_tails,
-    schmidt,
     trap_weights,
 )
-
-SCHMIDT_MAX_POINTS = 2048
-# The factored Schmidt route is taken up to this many closed-form modes per
-# grid point.  Both routes cost the same near 0.33-0.43 at 2048 points and
-# near 0.3 at 512 and 1024 (2-core host, OpenBLAS); the README source at
-# 2048 points, 110 modes, took 0.03 s factored against 0.6 s dense.
-FACTORED_MAX_MODE_SHARE = 0.25
-
 
 @dataclass(frozen=True)
 class DetectorHistogram:
@@ -388,15 +373,6 @@ def _pelz_good_cdf(n, x):
     return sum(K)
 
 
-def pair_entropy(psi: WaveFunction2D, params: PhysicalParams) -> float:
-    """Schmidt entropy of the built source pair ``psi``, by the cheaper route."""
-    recipe = JointStateRecipe(params, psi.grid1, psi.grid2)
-    if (pair_kernel_is_psd(recipe) and _pair_spectrum(params).modes
-            <= FACTORED_MAX_MODE_SHARE * psi.grid1.n_points):
-        return pair_schmidt(recipe).entropy
-    return schmidt(psi).entropy
-
-
 @dataclass(frozen=True)
 class ScenarioReport:
     """Structured outcome of one scenario; see run_scenario for the layout.
@@ -484,9 +460,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         "reduced": None,
         "ratios": None,
     }
-    if config.grid.n_points <= SCHMIDT_MAX_POINTS:
-        with _stage(timings, "schmidt"):
-            numeric["schmidt_entropy"] = pair_entropy(psi, params)
+    with _stage(timings, "schmidt"):
+        numeric["schmidt_entropy"] = pair_entropy(psi, params)
 
     if ms is not None:
         with _stage(timings, "reduce"):

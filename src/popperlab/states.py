@@ -13,20 +13,27 @@ A physical top-hat slit of full width w maps onto an effective Gaussian ε
 either by second-moment matching (w/√12, the default) or by the half-width
 convention (w/2); the choice is a modelling convention, exposed here.
 
-``pair_schmidt`` takes the pair's Schmidt spectrum without the N×N kernel
-K = √w₁ ψ √w₂.  With a = σ²/ħ² and b = 1/16Ω₀²,
+The pair's Schmidt entropy has one owner, ``pair_entropy``, which picks its
+route before any work is done.  With a = σ²/ħ² and b = 1/16Ω₀²,
 
     ψ(y₁, y₂) = e^{−(a+b)(y₁²+y₂²)} · e^{2(a−b)y₁y₂}.
 
 For a ≥ b the last factor is an entrywise exponential of the positive
-semidefinite matrix 2(a−b)y yᵀ, so K is positive semidefinite on any shared
-grid (Schur product theorem).  For a < b the same holds once the columns
-are taken at −y₂; on a symmetric grid (y_min = −y_max) that permutes the
-columns, which leaves the singular values alone.  Greedy pivoted Cholesky
-(Harbrecht, Peters & Schneider, Appl. Numer. Math. 62(4), 2012) then builds
-one kernel column per step until the remaining diagonal reaches rounding
-level, and the Schmidt coefficients are the squared singular values of the
-N×k factor: O(N·k²) work and N·k floats for a numerical rank k.
+semidefinite matrix 2(a−b)y yᵀ, so the weighted kernel K = √w₁ ψ √w₂ is
+positive semidefinite on any shared grid (Schur product theorem).  For a < b
+the same holds once the columns are taken at −y₂; on a symmetric grid
+(y_min = −y_max) that permutes the columns, which leaves the singular values
+alone.  There ``pair_schmidt`` runs greedy pivoted Cholesky (Harbrecht,
+Peters & Schneider, Appl. Numer. Math. 62(4), 2012): it builds one kernel
+column per step until the remaining diagonal reaches rounding level, and the
+Schmidt coefficients are the squared singular values of the N×k factor,
+O(N·k²) work and N·k floats for a numerical rank k.
+
+``pair_entropy`` returns ``None`` on grids above ``SCHMIDT_MAX_POINTS``.
+Below it takes ``pair_schmidt`` where the pair has one shared grid, at most
+``FACTORED_MAX_MODE_SHARE``·N closed-form modes, and a ≥ b or a symmetric
+grid; everywhere else the dense O(N³) ``wavefunction.schmidt``, which is
+also the factored route's oracle.
 """
 
 from __future__ import annotations
@@ -51,8 +58,16 @@ from .wavefunction import (
     _schmidt_tail,
     grid_points,
     normalize,
+    schmidt,
     trap_weights,
 )
+
+SCHMIDT_MAX_POINTS = 2048
+# The factored Schmidt route is taken up to this many closed-form modes per
+# grid point.  Both routes cost the same near 0.33-0.43 at 2048 points and
+# near 0.3 at 512 and 1024 (2-core host, OpenBLAS); the README source at
+# 2048 points, 110 modes, took 0.03 s factored against 0.6 s dense.
+FACTORED_MAX_MODE_SHARE = 0.25
 
 # Pivoting stops once no remaining diagonal entry exceeds this share, times
 # N, of the largest initial one: the level of the rounding in the updates.
@@ -96,32 +111,20 @@ def build_joint_state(recipe: JointStateRecipe) -> WaveFunction2D:
     return normalize(WaveFunction2D(grid1=recipe.grid1, grid2=recipe.grid2, amps=amps))
 
 
-def pair_kernel_is_psd(recipe: JointStateRecipe) -> bool:
-    """True where the weighted pair kernel, columns at ±y₂, is provably PSD.
-
-    That needs one shared grid, and for a < b a symmetric one.
-    """
-    g = recipe.grid1
-    ex = _pair_spectrum(recipe.params)
-    return recipe.grid2 == g and (ex.a >= ex.b or g.y_min == -g.y_max)
-
-
-def pair_schmidt(recipe: JointStateRecipe) -> SchmidtSpectrum:
-    """Schmidt spectrum of the source pair by pivoted Cholesky of its kernel.
+def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
+    """Schmidt spectrum of the source pair on ``grid`` × ``grid`` by pivoted
+    Cholesky of its kernel.
 
     Columns are built on demand from ``joint_amplitude``; see the module
     docstring.  The coefficients are normalized as those of the built,
-    normalized pair.  Raises ``ValueError`` where ``pair_kernel_is_psd``
-    does not hold.
+    normalized pair.  The kernel must be positive semidefinite with its
+    columns at ±y₂, so a ≥ b or a symmetric grid, as ``pair_entropy``
+    ensures; elsewhere the result is not the pair's spectrum.
     """
-    if not pair_kernel_is_psd(recipe):
-        raise ValueError("the pair kernel is not provably positive semidefinite "
-                         "on these grids")
-    params = recipe.params
     ex = _pair_spectrum(params)
     sign = 1.0 if ex.a >= ex.b else -1.0
-    y = grid_points(recipe.grid1)
-    sw = np.sqrt(trap_weights(recipe.grid1))
+    y = grid_points(grid)
+    sw = np.sqrt(trap_weights(grid))
     n = len(y)
     diag = sw * joint_amplitude(y, sign * y, params) * sw
     stop = _PIVOT_FLOOR * n * diag.max()
@@ -146,6 +149,19 @@ def pair_schmidt(recipe: JointStateRecipe) -> SchmidtSpectrum:
         raise ZeroNormError("the pair kernel vanishes on the grid")
     s = np.linalg.svd(rows[:k], compute_uv=False) ** 2
     return _schmidt_tail(s / math.sqrt(np.sum(s ** 2)))
+
+
+def pair_entropy(psi: WaveFunction2D, params: PhysicalParams) -> float | None:
+    """Schmidt entropy of the built source pair ``psi`` by the route the
+    module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
+    g = psi.grid1
+    if max(g.n_points, psi.grid2.n_points) > SCHMIDT_MAX_POINTS:
+        return None
+    ex = _pair_spectrum(params)
+    if (psi.grid2 == g and ex.modes <= FACTORED_MAX_MODE_SHARE * g.n_points
+            and (ex.a >= ex.b or g.y_min == -g.y_max)):
+        return pair_schmidt(params, g).entropy
+    return schmidt(psi).entropy
 
 
 def build_pointer_state(measurement: MeasurementSpec, grid: GridSpec) -> WaveFunction1D:

@@ -10,11 +10,11 @@ parameter box so it finishes in seconds.  ``full`` takes the gate's inputs:
 writes the sweep's rows of criteria 1, 3 and 7.  Every reduction is the dense
 ``conditional_reduce`` of the pair state its site builds; ``reduce_pair``,
 the route ``run`` and ``sweep`` take, is checked against it at every sweep
-triple.  Criterion 2 checks the Schmidt entropy on the pairs whose grids
-have at most ``SCHMIDT_MAX_POINTS`` points, where ``run`` reports it: the
-route ``run`` takes against the closed form, and the factored route against
-the dense one, its oracle.  Where a bound could be read as absolute or
-relative, the row takes the larger deviation.  Each row reports expectation, observation and
+triple.  Criterion 2 checks the Schmidt entropy on the pairs where
+``states.pair_entropy``, the route ``run`` takes, reports one: that entropy
+against the closed form, and the factored route against the dense one, its
+oracle.  Where a bound could be read as absolute or relative, the row takes
+the larger deviation.  Each row reports expectation, observation and
 tolerance so a failure is directly actionable.
 """
 
@@ -35,10 +35,8 @@ from .analytic import (
 )
 from .evolution import EvolutionParams, free_propagate, gaussian_width_at
 from .experiment import (
-    SCHMIDT_MAX_POINTS,
     chi_square_against_density,
     histogram,
-    pair_entropy,
     sample_joint,
     sample_positions,
 )
@@ -51,7 +49,13 @@ from .params import (
     auto_grid,
 )
 from .rng import Xoshiro256StarStar
-from .states import JointStateRecipe, build_joint_state, build_pointer_state, pair_schmidt
+from .states import (
+    JointStateRecipe,
+    build_joint_state,
+    build_pointer_state,
+    pair_entropy,
+    pair_schmidt,
+)
 from .wavefunction import (
     marginal_density,
     momentum_std_derivative,
@@ -186,17 +190,17 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
         params = PhysicalParams(sigma=_log_uniform(gen, lo, hi),
                                 omega0=_log_uniform(gen, lo, hi))
         grid = auto_grid(params, max_points=level.max_points)
-        recipe = JointStateRecipe(params, grid, grid)
-        psi = build_joint_state(recipe)
+        psi = build_joint_state(JointStateRecipe(params, grid, grid))
         ref = initial_spreads(params)
         dev = max(dev,
                   abs(position_stats(psi, 2).std - ref.dy2) / ref.dy2,
                   abs(momentum_std_spectral(psi, particle=2) - ref.dp2y) / ref.dp2y)
-        if grid.n_points <= SCHMIDT_MAX_POINTS:
+        routed = pair_entropy(psi, params)
+        if routed is not None:
             closed = _pair_spectrum(params).entropy
             dense = schmidt(psi).entropy
-            entropy_dev = max(entropy_dev, abs(pair_entropy(psi, params) - closed) / closed)
-            route_dev = max(route_dev, abs(pair_schmidt(recipe).entropy - dense) / dense)
+            entropy_dev = max(entropy_dev, abs(routed - closed) / closed)
+            route_dev = max(route_dev, abs(pair_schmidt(params, grid).entropy - dense) / dense)
     return [
         _bound_row(2, "initial spreads: closed form vs grid (max rel dev)", dev, 1e-6),
         _bound_row(2, "Schmidt entropy: closed form vs grid (max rel dev)", entropy_dev, 1e-12),

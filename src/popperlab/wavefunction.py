@@ -303,10 +303,7 @@ def schmidt(wf: WaveFunction2D) -> SchmidtSpectrum:
     Every other state goes through the SVD.
 
     This dense route takes any state and is the oracle of the factored one,
-    ``states.pair_schmidt``, which builds the source pair's kernel a column
-    at a time where it is provably positive semidefinite.  ``run_scenario``
-    takes the dense route only where that proof fails or the pair has more
-    than N/4 modes, past which the factored route stops being cheaper.
+    ``states.pair_schmidt``; ``states.pair_entropy`` picks between them.
     """
     sw1 = np.sqrt(trap_weights(wf.grid1))
     sw2 = np.sqrt(trap_weights(wf.grid2))

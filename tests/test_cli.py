@@ -26,6 +26,10 @@ from popperlab import (
 )
 from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
 
+# A JSON value nested past the decoder's recursion limit on every supported
+# Python.
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+
 
 def write_config(path, **overrides):
     doc = {
@@ -288,6 +292,7 @@ class TestRun:
         ("measurement", '{"epsilon": 0.5, "center": "0"}'),
         ("evolution_time", "true"),
         ("evolution_time", '"1.0"'),
+        pytest.param("params", DEEP_NESTING, id="params-deeply-nested"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, raw):
         path = tmp_path / "cfg.json"
@@ -663,8 +668,8 @@ class TestVerifyCommand:
         return dataclasses.replace(red, dp2_numeric=red.dp2_numeric * (1.0 + 1e-12))
 
     @staticmethod
-    def factored_off(recipe):
-        ss = states.pair_schmidt(recipe)
+    def factored_off(params, grid):
+        ss = states.pair_schmidt(params, grid)
         return dataclasses.replace(ss, entropy=ss.entropy * (1.0 + 1e-12))
 
     @staticmethod
@@ -690,7 +695,7 @@ class TestVerifyCommand:
         ("popperlab.measurement.momentum_std_spectral",
          scaled(wavefunction.momentum_std_spectral, 1.0 + 1e-5),
          "reduced state is minimum-uncertainty (grid)"),
-        ("popperlab.verify.pair_entropy", scaled(experiment.pair_entropy, 1.0 + 1e-11),
+        ("popperlab.verify.pair_entropy", scaled(states.pair_entropy, 1.0 + 1e-11),
          "Schmidt entropy: closed form vs grid"),
         ("popperlab.verify.pair_schmidt", factored_off,
          "Schmidt entropy: factored vs dense route"),
@@ -831,6 +836,7 @@ OVERFLOWING_SPAN = (
 
 class TestExitCodeFuzz:
     @example(case=OVERFLOWING_SPAN)
+    @example(case=(json.dumps({"params": "RAW"}).replace('"RAW"', DEEP_NESTING), ["run"]))
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=st.one_of(run_case(), sweep_case(), VERIFY_CASES.map(lambda a: (None, a))))

@@ -38,9 +38,9 @@ from popperlab import (
     sample_positions,
     schmidt,
 )
-from popperlab import experiment
+from popperlab import experiment, states
 from popperlab.experiment import cumulative_distribution
-from popperlab.states import pair_schmidt
+from popperlab.states import pair_entropy, pair_schmidt
 from popperlab.wavefunction import grid_points, marginal_density, trap_weights
 
 import oracles
@@ -625,11 +625,11 @@ class TestRunScenario:
         # the README source at 1024 points: 110 closed-form modes <= N/4
         def refused(*args, **kwargs):
             raise AssertionError("the dense route must not run")
-        monkeypatch.setattr(experiment, "schmidt", refused)
+        monkeypatch.setattr(states, "schmidt", refused)
         config = self.base_config(n_samples=0)
         report = run_scenario(config)
-        recipe = experiment.JointStateRecipe(config.params, config.grid, config.grid)
-        assert report.numeric["schmidt_entropy"] == pair_schmidt(recipe).entropy
+        factored = pair_schmidt(config.params, config.grid).entropy
+        assert report.numeric["schmidt_entropy"] == factored
         assert "schmidt" in report.timings
 
     def test_timings_cover_stages(self):
@@ -643,8 +643,8 @@ class TestRunScenario:
     (schmidt, ["wf"]),
     (chi_square_against_density, ["hist", "grid", "density"]),
     (is_disentangled, ["params"]),
-    (pair_schmidt, ["recipe"]),
-    (experiment.pair_entropy, ["psi", "params"]),
+    (pair_schmidt, ["params", "grid"]),
+    (pair_entropy, ["psi", "params"]),
     (ScenarioReport.to_json_dict, ["self"]),
 ])
 def test_fixed_constants_take_no_argument(func, names):

@@ -21,9 +21,14 @@ from popperlab import (
     position_stats,
     schmidt,
 )
-from popperlab import experiment
-from popperlab.experiment import pair_entropy
-from popperlab.states import pair_kernel_is_psd, pair_schmidt
+from popperlab import states
+from popperlab.analytic import _pair_spectrum
+from popperlab.states import (
+    FACTORED_MAX_MODE_SHARE,
+    SCHMIDT_MAX_POINTS,
+    pair_entropy,
+    pair_schmidt,
+)
 from popperlab.wavefunction import grid_points, norm
 
 import oracles
@@ -166,9 +171,8 @@ class TestPairSchmidt:
     def test_entropy_against_dense_and_closed_form(self, key):
         params = PhysicalParams(*key)
         grid = auto_grid(params)
-        recipe = JointStateRecipe(params, grid, grid)
-        factored = pair_schmidt(recipe).entropy
-        dense = schmidt(build_joint_state(recipe)).entropy
+        factored = pair_schmidt(params, grid).entropy
+        dense = schmidt(build_joint_state(JointStateRecipe(params, grid, grid))).entropy
         assert abs(factored - dense) <= 1e-13 * dense
         closed = oracles.oracle_schmidt_entropy(*key)
         assert abs(factored - closed) <= 1e-12 * closed
@@ -178,7 +182,7 @@ class TestPairSchmidt:
     ])
     def test_coefficients_against_dense(self, sigma, omega0, half):
         recipe = pair_recipe(sigma, omega0, y_min=-half, y_max=half)
-        lam = pair_schmidt(recipe).coefficients
+        lam = pair_schmidt(recipe.params, recipe.grid1).coefficients
         ref = schmidt(build_joint_state(recipe)).coefficients
         assert abs(len(lam) - len(ref)) <= 1
         m = min(len(lam), len(ref))
@@ -193,10 +197,10 @@ class TestPairSchmidt:
         # kernel PSD, and run's route never calls the dense eigensolver
         recipe = pair_recipe(0.1, 0.5, y_min=-20.4, y_max=20.4)
         psi = build_joint_state(recipe)
-        assert pair_kernel_is_psd(recipe)
+        refuse(monkeypatch, states, "schmidt")
         refuse(monkeypatch, np.linalg, "eigvalsh")
         entropy = pair_entropy(psi, recipe.params)
-        assert entropy == pair_schmidt(recipe).entropy
+        assert entropy == pair_schmidt(recipe.params, recipe.grid1).entropy
         assert entropy == pytest.approx(oracles.oracle_schmidt_entropy(0.1, 0.5), rel=1e-12)
 
     @pytest.mark.parametrize("sigma,omega0,y_min,y_max", [
@@ -208,20 +212,59 @@ class TestPairSchmidt:
     def test_dense_route_elsewhere(self, monkeypatch, sigma, omega0, y_min, y_max):
         recipe = pair_recipe(sigma, omega0, n=512, y_min=y_min, y_max=y_max)
         psi = build_joint_state(recipe)
-        refuse(monkeypatch, experiment, "pair_schmidt")
+        refuse(monkeypatch, states, "pair_schmidt")
         assert pair_entropy(psi, recipe.params) == schmidt(psi).entropy
 
-    def test_refuses_kernels_not_known_to_be_psd(self):
-        with pytest.raises(ValueError):
-            pair_schmidt(pair_recipe(0.1, 0.5, y_min=-20.4, y_max=21.0))
-        g1 = GridSpec(n_points=256, y_min=-14.0, y_max=14.0)
-        g2 = GridSpec(n_points=128, y_min=-14.0, y_max=14.0)
-        uneven = JointStateRecipe(PhysicalParams(1.0, 2.0), g1, g2)
-        assert not pair_kernel_is_psd(uneven)
-        with pytest.raises(ValueError):
-            pair_schmidt(uneven)
-
     def test_product_state_has_single_coefficient(self):
-        ss = pair_schmidt(pair_recipe(1.0, 0.25, y_min=-10.0, y_max=10.0))
+        recipe = pair_recipe(1.0, 0.25, y_min=-10.0, y_max=10.0)
+        ss = pair_schmidt(recipe.params, recipe.grid1)
         assert len(ss.coefficients) == 1
         assert ss.entropy == 0.0 and math.copysign(1.0, ss.entropy) == 1.0
+
+
+def sigma_with_modes(modes, omega0):
+    """The smallest σ, to bisection precision, whose pair has ``modes``
+    closed-form modes at ``omega0``; the count grows with σ above a = b."""
+    lo, hi = 0.25 / omega0, 100.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _pair_spectrum(PhysicalParams(mid, omega0)).modes >= modes:
+            hi = mid
+        else:
+            lo = mid
+    assert _pair_spectrum(PhysicalParams(hi, omega0)).modes == modes
+    return hi
+
+
+class TestPairEntropyRoute:
+    """``pair_entropy`` at the edges of its route rule."""
+
+    N = 512
+
+    def edge_pair(self, extra_modes):
+        omega0 = 1.5
+        sigma = sigma_with_modes(int(FACTORED_MAX_MODE_SHARE * self.N) + extra_modes, omega0)
+        g = GridSpec(n_points=self.N, y_min=-12.0, y_max=12.0)
+        params = PhysicalParams(sigma, omega0)
+        return build_joint_state(JointStateRecipe(params, g, g)), params
+
+    def test_mode_share_at_the_cap_is_factored(self, monkeypatch):
+        psi, params = self.edge_pair(0)
+        refuse(monkeypatch, states, "schmidt")
+        assert pair_entropy(psi, params) == pair_schmidt(params, psi.grid1).entropy
+
+    def test_one_mode_past_the_share_is_dense(self, monkeypatch):
+        psi, params = self.edge_pair(1)
+        refuse(monkeypatch, states, "pair_schmidt")
+        assert pair_entropy(psi, params) == schmidt(psi).entropy
+
+    def test_grid_cap(self, monkeypatch):
+        # the README source: 110 modes, factored at the cap itself
+        params = PhysicalParams(1.0, 2.0)
+        g = GridSpec(n_points=SCHMIDT_MAX_POINTS, y_min=-16.2, y_max=16.2)
+        at_cap = pair_entropy(build_joint_state(JointStateRecipe(params, g, g)), params)
+        assert at_cap == pytest.approx(oracles.oracle_schmidt_entropy(1.0, 2.0), rel=1e-12)
+        refuse(monkeypatch, states, "schmidt")
+        refuse(monkeypatch, states, "pair_schmidt")
+        g = GridSpec(n_points=SCHMIDT_MAX_POINTS + 1, y_min=-16.2, y_max=16.2)
+        assert pair_entropy(build_joint_state(JointStateRecipe(params, g, g)), params) is None
