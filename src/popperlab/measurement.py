@@ -11,25 +11,26 @@ grid, normalize, and record numeric and closed-form spreads side by side
 together with the worst pointwise deviation from the predicted Gaussian
 shape.
 
-``conditional_reduce`` is the general route: it reduces any dense pair
-state, such as a postselected one, by one matrix-vector product.
-``reduce_pair`` reduces the source pair without forming it.  Let
-a = σ²/ħ², b = 1/16Ω₀², μ = 4ab/(a+b), and pick a centre c₁ with
-c₂ = c₁(a−b)/(a+b), s = y₁ − c₁, t = y₂ − c₂.  For every such centre
+``conditional_reduce`` reduces any dense pair state behind any pointer,
+real or complex, by one matrix-vector product.  ``reduce_pair`` reduces
+the source pair without forming it, behind the real, non-negative pointer
+of ``states.build_pointer_state``; a complex one fails in its FFT.  Let
+a = σ²/ħ², b = 1/16Ω₀², κ = 4ab/(a+b) = 1/4Δy², and pick c₁ with c₂ =
+c₁(a−b)/(a+b), s = y₁ − c₁, t = y₂ − c₂.  For every such centre
 
-    ψ = e^{−μc₁(2y₁−c₁)} · e^{−2b(s²+t²)} · e^{−(a−b)(s−t)²}   (Toeplitz),
-    ψ = e^{−μc₁(2y₁−c₁)} · e^{−2a(s²+t²)} · e^{−(b−a)(s+t)²}   (Hankel),
+    ψ = e^{−κc₁(2y₁−c₁)} · e^{−2b(s²+t²)} · e^{−(a−b)(s−t)²}   (Toeplitz),
+    ψ = e^{−κc₁(2y₁−c₁)} · e^{−2a(s²+t²)} · e^{−(b−a)(s+t)²}   (Hankel),
 
 exactly.  On a uniform grid s − t depends only on i − j and s + t only on
 i + j, so the quadrature sum is a diagonal scaling of one 1D convolution,
 which a zero-padded FFT of length 2N evaluates (circulant embedding; Golub
 & Van Loan, *Matrix Computations*, §4.7).  The Toeplitz form is taken when
 a ≥ b and the Hankel form when a < b, so the kernel and the y₂ factor are
-at most 1.  c₁ is where |φ₁(y₁)|·e^{−μy₁²} peaks, which puts the y₂
+at most 1.  c₁ is where φ₁(y₁)·e^{−κy₁²} peaks, which puts the y₂
 factor's peak on φ₂'s: the convolution's rounding is relative to its
 largest value, and with c₁ = 0 a pointer 15 pair widths off-centre lost
 2e-2 of Δy₂ to it.  The sum is the same as the dense one; only its
-rounding differs.
+rounding differs.  A vanishing overlap raises ``ZeroNormError`` on both.
 
 ``aperture_postselect`` models "slit but no detection": a transmission
 profile multiplies the y₁ dependence of the joint amplitude, the pass
@@ -139,16 +140,8 @@ def conditional_reduce(psi: WaveFunction2D, phi1: WaveFunction1D,
     return _reduction_result(raw, psi.grid2, params, eps)
 
 
-def _convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Circular convolution of ``x``, zero-padded to twice its length, with ``kernel``."""
-    if np.iscomplexobj(x):
-        return _convolve(x.real, kernel) + 1j * _convolve(x.imag, kernel)
-    length = 2 * len(x)
-    return np.fft.irfft(np.fft.rfft(x, length) * np.fft.rfft(kernel, length), length)
-
-
 def reduce_pair(phi1: WaveFunction1D, params: PhysicalParams, eps: float) -> ReductionResult:
-    """Reduce the source pair on the pointer's grid behind ``phi1``.
+    """Reduce the source pair on the pointer's grid behind the real pointer ``phi1``.
 
     The same quadrature as ``conditional_reduce`` on the built pair, summed
     as one convolution (see the module docstring), so no N×N array exists.
@@ -157,30 +150,29 @@ def reduce_pair(phi1: WaveFunction1D, params: PhysicalParams, eps: float) -> Red
     n = grid.n_points
     y = grid_points(grid)
     a, b = _pair_spectrum(params)
-    mu = 4.0 * a * b / (a + b)
+    kappa = 4.0 * a * b / (a + b)
     diag = 2.0 * min(a, b)
-    mag = np.abs(phi1.amps)
     with np.errstate(divide="ignore"):
-        log_mag = np.log(mag)
-    c1 = y[np.argmax(log_mag - mu * y ** 2)]
+        log_amps = np.log(phi1.amps)
+    c1 = y[np.argmax(log_amps - kappa * y ** 2)]
     c2 = (a - b) / (a + b) * c1
-    # The y₁ factor times |φ₁|, taken in logs: alone the factor can exceed
+    # The y₁ factor times φ₁, taken in logs: alone the factor can exceed
     # the float range where the pointer has long underflowed.
-    level = log_mag - mu * c1 * (2.0 * y - c1) - diag * (y - c1) ** 2
-    phase = np.conj(phi1.amps) / np.where(mag > 0, mag, 1.0)
-    weighted = trap_weights(grid) * phase * np.exp(level)
+    level = log_amps - kappa * c1 * (2.0 * y - c1) - diag * (y - c1) ** 2
+    weighted = trap_weights(grid) * np.exp(level)
     if a >= b:
         # s − t over lags 0..N-1, then -(N-1)..-1 wrapped to the end; no
         # output row reads the lag-N entry.
         lag = np.exp(-(a - b) * (np.arange(1 - n, n) * grid.dy + c1 - c2) ** 2)
         kernel = np.concatenate([lag[n - 1:], [0.0], lag[:n - 1]])
-        conv = _convolve(weighted, kernel)[:n]
+        rows = slice(0, n)
     else:
         # s + t = 2 y_min + (i + j) dy − c₁ − c₂; reversing the input turns
         # the sum over i + j into a convolution, read at rows N-1..2N-2.
         sums = 2.0 * grid.y_min + np.arange(2 * n - 1) * grid.dy
         kernel = np.exp(-(b - a) * (sums - c1 - c2) ** 2)
-        conv = _convolve(weighted[::-1], kernel)[n - 1:-1]
+        weighted, rows = weighted[::-1], slice(n - 1, -1)
+    conv = np.fft.irfft(np.fft.rfft(weighted, 2 * n) * np.fft.rfft(kernel, 2 * n), 2 * n)[rows]
     # The dense route overlaps the normalized pair; dividing by its norm,
     # (π/4√(ab))^½, leaves ZeroNormError's floor where it was.
     pair_norm = math.sqrt(math.pi / (4.0 * math.sqrt(a * b)))

@@ -332,7 +332,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
 def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None,
               evolution_time: float = 0.0, *,
               max_points: int = DEFAULT_MAX_POINTS) -> GridSpec:
-    """Choose a grid that contains and resolves every state of a scenario.
+    """Choose a grid that holds the pair and the flown reduced state and
+    resolves every width; having no side, it does not hold the side-A pointer.
 
     Deterministic in its inputs.  Raises ``CapExceededError`` when even
     ``max_points`` cannot hold 1.2 samples per narrowest physical width, and

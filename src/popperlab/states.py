@@ -29,11 +29,12 @@ column per step until the remaining diagonal reaches rounding level, and the
 Schmidt coefficients are the squared singular values of the N×k factor,
 O(N·k²) work and N·k floats for a numerical rank k.
 
-``pair_entropy`` returns ``None`` on grids above ``SCHMIDT_MAX_POINTS``.
-Below it takes ``pair_schmidt`` where the pair has one shared grid, at most
-``FACTORED_MAX_MODE_SHARE``·N closed-form modes, and a ≥ b or a symmetric
-grid; everywhere else the dense O(N³) ``wavefunction.schmidt``, which is
-also the factored route's oracle.
+``pair_entropy`` takes the built pair on one grid shared by both axes, as
+every caller builds it, and returns ``None`` above ``SCHMIDT_MAX_POINTS``.
+Below it takes ``pair_schmidt`` where the pair has at most
+``FACTORED_MAX_MODE_SHARE``·N closed-form modes and a ≥ b or a symmetric
+grid, else the dense O(N³) ``wavefunction.schmidt``, the factored route's
+oracle.  Both routes raise ``ZeroNormError`` for a vanishing kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _pair_spectrum
-from .errors import UnderResolvedError, ZeroNormError
+from .errors import UnderResolvedError
 from .params import (
     POINTER_MIN_POINTS_PER_WIDTH,
     GridSpec,
@@ -55,6 +56,7 @@ from .wavefunction import (
     SchmidtSpectrum,
     WaveFunction1D,
     WaveFunction2D,
+    _positive_total,
     _schmidt_tail,
     grid_points,
     normalize,
@@ -145,21 +147,18 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
         diag -= col ** 2
         diag[p] = 0.0
         k += 1
-    if k == 0:
-        raise ZeroNormError("the pair kernel vanishes on the grid")
     s = np.linalg.svd(rows[:k], compute_uv=False) ** 2
-    return _schmidt_tail(s / math.sqrt(np.sum(s ** 2)))
+    return _schmidt_tail(s / math.sqrt(_positive_total(np.sum(s ** 2))))
 
 
 def pair_entropy(psi: WaveFunction2D, params: PhysicalParams) -> float | None:
     """Schmidt entropy of the built source pair ``psi`` by the route the
     module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
     g = psi.grid1
-    if max(g.n_points, psi.grid2.n_points) > SCHMIDT_MAX_POINTS:
+    if g.n_points > SCHMIDT_MAX_POINTS:
         return None
     ex = _pair_spectrum(params)
-    if (psi.grid2 == g and ex.modes <= FACTORED_MAX_MODE_SHARE * g.n_points
-            and (ex.a >= ex.b or g.y_min == -g.y_max)):
+    if ex.modes <= FACTORED_MAX_MODE_SHARE * g.n_points and (ex.a >= ex.b or g.y_min == -g.y_max):
         return pair_schmidt(params, g).entropy
     return schmidt(psi).entropy
 

@@ -14,6 +14,7 @@ Keeping both honest is the point; neither is ever defined in terms of the
 other.  Spectral results are trustworthy only while the state vanishes at
 the grid boundary (periodic wrap), so every momentum routine first checks
 tail containment and raises ``TailLeakError`` above 1e-6 of the peak.
+Every moment routine raises ``ZeroNormError`` on a zero state.
 
 The binary container for states is little-endian throughout:
 magic ``EPWF``, version u32, n₁ u32, n₂ u32 (0 for 1D), four f64 grid
@@ -168,9 +169,16 @@ def marginal_density(wf: WaveFunction2D, particle: int) -> np.ndarray:
     return _axis_view(wf, particle).marginal(np.abs(wf.amps) ** 2)
 
 
+def _positive_total(total):
+    """The integral ``total`` of a density; ``ZeroNormError`` unless positive."""
+    if not total > 0:
+        raise ZeroNormError(f"the state vanishes: its density integrates to {total:.3g}")
+    return total
+
+
 def _moments(x: np.ndarray, density: np.ndarray, weights: np.ndarray | float) -> Moments:
     """Mean and spread of ``x`` under ``weights * density``, whose scale cancels."""
-    total = np.sum(weights * density)
+    total = _positive_total(np.sum(weights * density))
     mean = float(np.sum(weights * x * density) / total)
     var = float(np.sum(weights * (x - mean) ** 2 * density) / total)
     return Moments(mean=mean, std=math.sqrt(max(var, 0.0)))
@@ -253,11 +261,10 @@ def momentum_stats_derivative(wf: WaveFunction1D | WaveFunction2D,
     h = view.grid.dy
     d1 = _fd_first(a, h, axis=view.axis)
     d2 = _fd_second(a, h, axis=view.axis)
-    total = float(view.integral(np.abs(a) ** 2))
+    total = _positive_total(float(view.integral(np.abs(a) ** 2)))
     p1 = float(np.real(view.integral(np.conj(a) * (-1j * hbar) * d1)) / total)
     p2 = float(np.real(view.integral(np.conj(a) * (-(hbar ** 2)) * d2)) / total)
-    var = max(p2 - p1 ** 2, 0.0)
-    return Moments(mean=p1, std=math.sqrt(var))
+    return Moments(mean=p1, std=math.sqrt(max(p2 - p1 ** 2, 0.0)))
 
 
 def momentum_std_derivative(wf: WaveFunction1D | WaveFunction2D,
@@ -282,9 +289,9 @@ class SchmidtSpectrum:
 def _schmidt_tail(s: np.ndarray) -> SchmidtSpectrum:
     """The spectrum of descending singular values ``s``: the values at or above
     SCHMIDT_TRUNCATION of the largest, and −Σ λ̂ᵢ² ln λ̂ᵢ² over them renormalized."""
-    keep = s >= SCHMIDT_TRUNCATION * s[0] if s[0] > 0 else s >= 0
+    keep = s >= SCHMIDT_TRUNCATION * s[0]
     coeff = s[keep]
-    lam2 = coeff ** 2 / np.sum(coeff ** 2)
+    lam2 = coeff ** 2 / _positive_total(np.sum(coeff ** 2))
     terms = lam2 * np.log(lam2, where=lam2 > 0, out=np.zeros_like(lam2))
     # + 0.0 turns the −0.0 of a lone retained coefficient into +0.0
     entropy = float(-np.sum(terms)) + 0.0
@@ -304,6 +311,7 @@ def schmidt(wf: WaveFunction2D) -> SchmidtSpectrum:
 
     This dense route takes any state and is the oracle of the factored one,
     ``states.pair_schmidt``; ``states.pair_entropy`` picks between them.
+    Both raise ``ZeroNormError`` where Σλᵢ² is 0, or underflows to 0.
     """
     sw1 = np.sqrt(trap_weights(wf.grid1))
     sw2 = np.sqrt(trap_weights(wf.grid2))

@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -610,6 +611,46 @@ class TestImportBudget:
         loaded, ks = scipy_loaded(tmp_path, child_env, seed=75)
         assert 2000 * ks["statistic"] ** 2 >= 2.2
         assert loaded == {"scipy", "scipy.special"}
+
+
+class TestFastRouteCallers:
+    """Every caller of the source pair's fast routes meets their preconditions:
+    ``reduce_pair`` gets a real, non-negative pointer and ``pair_entropy`` a
+    pair on one shared grid."""
+
+    def test_run_sweep_and_verify_pass_what_the_routes_take(self, tmp_path, monkeypatch,
+                                                           capsys):
+        pointers, pairs, sites = [], [], set()
+
+        def spy(site, route, seen):
+            def call(state, *args, **kwargs):
+                seen.append(state)
+                sites.add(site)
+                return route(state, *args, **kwargs)
+            return call
+
+        for site in ("experiment", "cli", "verify"):
+            monkeypatch.setattr(f"popperlab.{site}.reduce_pair",
+                                spy(f"{site}.reduce_pair", measurement.reduce_pair, pointers))
+        for site in ("experiment", "verify"):
+            monkeypatch.setattr(f"popperlab.{site}.pair_entropy",
+                                spy(f"{site}.pair_entropy", states.pair_entropy, pairs))
+        side_a = write_config(tmp_path / "a.json", evolution_time=0.8, n_samples=500,
+                              measurement={"epsilon": 0.5, "center": 1.0},
+                              detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"})
+        side_b = write_config(tmp_path / "b.json", evolution_time=0.8, n_samples=500)
+        for argv in (["run", "--config", side_a, "--out", str(tmp_path / "a")],
+                     ["run", "--config", side_b, "--out", str(tmp_path / "b")],
+                     ["sweep", "--config", side_b, "--param", "epsilon", "--from", "0.3",
+                      "--to", "0.6", "--steps", "3", "--out", str(tmp_path / "sweep")],
+                     ["verify", "--quick"]):
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        assert sites == {"experiment.reduce_pair", "cli.reduce_pair", "verify.reduce_pair",
+                         "experiment.pair_entropy", "verify.pair_entropy"}
+        for phi1 in pointers:
+            assert not np.iscomplexobj(phi1.amps) and np.all(phi1.amps >= 0)
+        assert all(psi.grid1 == psi.grid2 for psi in pairs)
 
 
 class TestVerifyCommand:

@@ -27,7 +27,7 @@ from popperlab import (
     reduced_spreads,
 )
 from popperlab.measurement import reduce_pair
-from popperlab.wavefunction import norm
+from popperlab.wavefunction import grid_points, norm
 
 import oracles
 
@@ -97,6 +97,22 @@ class TestConditionalReduce:
         b = conditional_reduce(psi_raw, phi_raw, p, 0.5)
         assert b.dp2_numeric == pytest.approx(a.dp2_numeric, rel=1e-13)
 
+    @pytest.mark.parametrize("theta", [0.7, math.pi / 2, -2.5])
+    def test_complex_pointer_global_phase(self, theta):
+        # φ₁·e^{iθ} enters conjugated, so φ₂ turns by e^{−iθ} and nothing
+        # measurable moves
+        p, psi, phi1 = setup_reduction(1.0, 2.0, 0.5)
+        real = conditional_reduce(psi, phi1, p, 0.5)
+        turned = conditional_reduce(
+            psi, WaveFunction1D(grid=phi1.grid, amps=phi1.amps * np.exp(1j * theta)), p, 0.5)
+        assert np.iscomplexobj(turned.phi2.amps)
+        peak = np.max(np.abs(real.phi2.amps))
+        assert np.max(np.abs(turned.phi2.amps - np.exp(-1j * theta) * real.phi2.amps)) \
+            <= 1e-13 * peak
+        assert turned.dy2_numeric == pytest.approx(real.dy2_numeric, rel=1e-13)
+        assert turned.dp2_numeric == pytest.approx(real.dp2_numeric, rel=1e-13)
+        assert abs(turned.residual - real.residual) <= 1e-13
+
     def test_vanishing_slit_width_on_strip_grid(self):
         # eps = 1e-3 is far below what a square grid can afford, but the
         # pointer only lives on a narrow y1 strip; the reduced state must
@@ -160,17 +176,14 @@ class TestReducePairByConvolution:
         psi = build_joint_state(JointStateRecipe(p, g, g))
         assert_routes_agree(reduce_pair(phi1, p, 0.25), conditional_reduce(psi, phi1, p, 0.25))
 
-    def test_complex_pointer(self):
-        sigma, omega0, eps, center, lo, hi = CONVOLUTION_CASES["toeplitz"]
-        p = PhysicalParams(sigma=sigma, omega0=omega0)
-        g = GridSpec(n_points=512, y_min=lo, y_max=hi)
-        real = build_pointer_state(MeasurementSpec(epsilon=eps), g)
-        y = np.linspace(lo, hi, 512)
-        phi1 = WaveFunction1D(grid=g, amps=real.amps * np.exp(0.7j * y))
-        psi = build_joint_state(JointStateRecipe(p, g, g))
-        conv = reduce_pair(phi1, p, eps)
-        assert np.iscomplexobj(conv.phi2.amps)
-        assert_routes_agree(conv, conditional_reduce(psi, phi1, p, eps))
+    def test_complex_pointer_is_refused(self):
+        # the route takes the real pointer build_pointer_state makes; a
+        # complex one fails loudly rather than losing its phase
+        g = GridSpec(n_points=512, y_min=-17.0, y_max=17.0)
+        real = build_pointer_state(MeasurementSpec(epsilon=1.0), g)
+        phi1 = WaveFunction1D(grid=g, amps=real.amps * np.exp(0.7j * grid_points(g)))
+        with pytest.raises(TypeError):
+            reduce_pair(phi1, PhysicalParams(sigma=1.0, omega0=2.0), 1.0)
 
     def test_matches_closed_form(self):
         p = PhysicalParams(sigma=10.0, omega0=10.0)

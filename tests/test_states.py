@@ -12,6 +12,7 @@ from popperlab import (
     PhysicalParams,
     UnderResolvedError,
     WaveFunction2D,
+    ZeroNormError,
     auto_grid,
     build_joint_state,
     build_pointer_state,
@@ -214,6 +215,21 @@ class TestPairSchmidt:
         psi = build_joint_state(recipe)
         refuse(monkeypatch, states, "pair_schmidt")
         assert pair_entropy(psi, recipe.params) == schmidt(psi).entropy
+
+    @pytest.mark.parametrize("y_min,y_max", [(100.0, 200.0), (1000.0, 2000.0)])
+    def test_vanishing_kernel_raises_on_both_routes(self, y_min, y_max):
+        # the README source far off its centre: on [100, 200] the largest
+        # amplitude is e^{-625}, whose square underflows; on [1000, 2000]
+        # every amplitude does
+        params = PhysicalParams(1.0, 2.0)
+        g = GridSpec(n_points=512, y_min=y_min, y_max=y_max)
+        y = grid_points(g)
+        raw = WaveFunction2D(grid1=g, grid2=g,
+                             amps=joint_amplitude(y[:, None], y[None, :], params))
+        with pytest.raises(ZeroNormError):
+            pair_schmidt(params, g)
+        with pytest.raises(ZeroNormError):
+            schmidt(raw)
 
     def test_product_state_has_single_coefficient(self):
         recipe = pair_recipe(1.0, 0.25, y_min=-10.0, y_max=10.0)

@@ -89,6 +89,41 @@ class TestNormalization:
         assert raw.flags.writeable
 
 
+class TestZeroState:
+    """A state without weight raises ``ZeroNormError`` where its moments are 0/0."""
+
+    ZERO_1D = WaveFunction1D(grid=GRID, amps=np.zeros(GRID.n_points))
+    ZERO_2D = WaveFunction2D(grid1=GridSpec(64, -12.0, 12.0), grid2=GridSpec(64, -12.0, 12.0),
+                             amps=np.zeros((64, 64)))
+
+    def test_position_stats(self):
+        for wf, particle in ((self.ZERO_1D, None), (self.ZERO_2D, 2)):
+            with pytest.raises(ZeroNormError):
+                position_stats(wf, particle)
+
+    def test_momentum_stats_spectral(self):
+        for wf, particle in ((self.ZERO_1D, None), (self.ZERO_2D, 1)):
+            with pytest.raises(ZeroNormError):
+                momentum_stats_spectral(wf, particle)
+
+    def test_momentum_stats_derivative(self):
+        for wf, particle in ((self.ZERO_1D, None), (self.ZERO_2D, 1)):
+            with pytest.raises(ZeroNormError):
+                momentum_stats_derivative(wf, particle)
+
+    def test_reduced_density_momentum_std(self):
+        with pytest.raises(ZeroNormError):
+            reduced_density_momentum_std(self.ZERO_2D, 2)
+
+    def test_free_propagate(self):
+        with pytest.raises(ZeroNormError):
+            free_propagate(self.ZERO_1D, EvolutionParams(time=0.5))
+
+    def test_schmidt(self):
+        with pytest.raises(ZeroNormError):
+            schmidt(self.ZERO_2D)
+
+
 class TestPositionStats:
     def test_gaussian_moments(self):
         wf = gaussian_1d(GRID, width=0.8, center=0.7)
