@@ -5,12 +5,13 @@ the grid density with linear interpolation inside cells, driven by the
 portable xoshiro generator, so a (config, seed) pair pins every count in the
 output bit-for-bit.  Coincidence runs sample the joint density by drawing y₁
 from its marginal and then y₂ from the conditional slice, blended linearly
-between the two neighbouring grid rows; the stream is consumed as n uniforms
-for the y₁ draws followed by n uniforms for the y₂ draws.  One cumulative
-trapezoid builds the 1D CDFs and the conditional rows, and one exact inverse
-serves all three draws (slit-mode position, y₁, y₂).  It bisects each draw's
-CDF, probing O(log N) columns, so no blended row is ever built; it runs over
-fixed-size slices of draws, so its working set does not grow with n.
+between the two neighbouring grid rows; one block of 2n uniforms is drawn,
+its first half for the y₁ draws and its second for the y₂ draws.  One
+cumulative trapezoid builds the 1D CDFs and the conditional rows, and one
+exact inverse serves all three draws (slit-mode position, y₁, y₂).  It
+bisects each draw's CDF, probing O(log N) columns, so no blended row is ever
+built; it runs over fixed-size slices of draws, so its working set does not
+grow with n.
 
 The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
 ``sampled.ks`` holds D and its exact two-sided p-value P(D_n ≥ D), both
@@ -51,7 +52,7 @@ from .analytic import (
     position_correlation,
     reduced_spreads,
 )
-from .errors import ScenarioFailure, UserParameterError
+from .errors import ScenarioFailure, UserParameterError, ZeroNormError
 from .evolution import EvolutionParams, free_propagate, gaussian_width_at
 from .measurement import reduce_pair
 from .params import DetectorGeometry, GridSpec, ScenarioConfig, validate
@@ -111,7 +112,7 @@ def cumulative_distribution(grid: GridSpec, density: np.ndarray) -> tuple[np.nda
     c = _cumulative_trapezoid(density, grid.dy)
     total = c[-1]
     if total <= 0:
-        raise ValueError("density integrates to zero")
+        raise ZeroNormError("density integrates to zero")
     return grid_points(grid), c / total
 
 
@@ -163,9 +164,8 @@ def sample_joint(psi: WaveFunction2D, n: int, seed: int) -> np.ndarray:
     n2 = dens.shape[1]
     del dens
 
-    gen = Xoshiro256StarStar(seed)
-    u1 = gen.uniforms(n)
-    u2 = gen.uniforms(n)
+    u = Xoshiro256StarStar(seed).uniforms(2 * n)
+    u1, u2 = u[:n], u[n:]
     out = np.empty((n, 2))
     for lo in range(0, n, _SLICE):
         s = slice(lo, lo + _SLICE)

@@ -48,6 +48,8 @@ MAX_SAMPLES = 10 ** 7
 MAX_BINS = 10 ** 5
 # Tail contract: a state's boundary amplitude is at most this share of its peak.
 TAIL_RATIO_MAX = 1e-6
+# A state whose norm falls below this is refused rather than normalized.
+NORM_FLOOR = 1e-30
 # Validation floor: at x spreads a Gaussian's amplitude is exp(-x^2/4), which
 # reaches TAIL_RATIO_MAX at x ~ 7.43; auto-built grids keep 8 (exp(-16) ~ 1e-7).
 EXTENT_SIGMAS = 2.0 * math.sqrt(math.log(1.0 / TAIL_RATIO_MAX))
@@ -217,6 +219,7 @@ class _Scales(NamedTuple):
     proxy: float  # the conservative feature scale behind the 8-points target
     dy_cap: float  # the coarsest spacing that resolves every true width
     held: list  # (what, centre, which width, width) of each state validate holds
+    log_overlap: float  # ln of the reduced state's norm before normalizing; 0 unreduced
 
 
 def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
@@ -232,8 +235,12 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     through by e.  Its width is Ω; on side B it flies, widening but keeping
     c₂, since the reduced state is real and carries no mean momentum.  The
     widest spread counts the flown width on either side: ``auto_grid`` has
-    no side.  Positive finite parameters can still overflow or underflow the
-    closed forms (σ = 1e300, Ω₀ = 1e-300); that raises ``UserParameterError``.
+    no side.  The reduction, on either side, overlaps the pointer with the
+    normalized pair; that overlap's norm, ⟨φ₁|ρ₁|φ₁⟩^½ with ρ₁ the pair's
+    reduced density matrix, is ((a+b+e)(ε²+Δy²))^(−1/4) e^(−c²/4(ε²+Δy²)),
+    Δy being the pair's position spread.  Positive finite parameters can
+    still overflow or underflow the closed forms (σ = 1e300, Ω₀ = 1e-300);
+    that raises ``UserParameterError``.
     """
     from .analytic import _pair_spectrum, initial_spreads, reduced_spreads
     from .evolution import EvolutionParams, gaussian_width_at
@@ -244,6 +251,7 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
         widest, proxy = dy_init, min(hbar / (4.0 * sigma), omega0)
         true_widths = [hbar / (2.0 * sigma), 2.0 * omega0]
         held = [("the pair is", 0.0, "initial position spread", dy_init)]
+        log_overlap = 0.0
         if measurement is not None:
             eps, c = measurement.epsilon, measurement.center
             red = reduced_spreads(params, eps)
@@ -259,12 +267,16 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
                          (a - b) * c / (4.0 * a * b / e + a + b),
                          "post-evolution width" if flies else "width",
                          flown if flies else red.dy2))
+            # Products that leave the float range read as inf, a vanishing overlap.
+            spread = math.hypot(eps, dy_init)
+            z = c / (2.0 * spread)
+            log_overlap = -0.25 * math.log(a + b + e) - 0.5 * math.log(spread) - z * z
     except ArithmeticError as exc:
         raise UserParameterError(f"parameters overflow the closed forms ({exc})") from exc
     dy_cap = min(true_widths) / FLOOR_POINTS_PER_WIDTH
     if measurement is not None:
         dy_cap = min(dy_cap, measurement.epsilon / POINTER_MIN_POINTS_PER_WIDTH)
-    return _Scales(widest, proxy, dy_cap, held)
+    return _Scales(widest, proxy, dy_cap, held, log_overlap)
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
@@ -318,6 +330,12 @@ def validate(config: ScenarioConfig) -> ValidationReport:
                     f"{width:.6g} spans [{low:.6g}, {high:.6g}], outside the grid "
                     f"extent [{g.y_min:.6g}, {g.y_max:.6g}]"
                 )
+        if scales.log_overlap < math.log(NORM_FLOOR):
+            v.append(
+                f"pointer centre {m.center:.6g} overlaps the pair with norm "
+                f"e^{scales.log_overlap:.6g}, below the {NORM_FLOOR:g} floor of a "
+                f"reduced state; move the pointer onto the pair"
+            )
         # The accuracy floor auto_grid enforces on degraded grids.
         if points_ok and g.dy > scales.dy_cap:
             v.append(
@@ -345,7 +363,7 @@ def auto_grid(params: PhysicalParams, measurement: MeasurementSpec | None = None
     violations = _physics_violations(params, measurement)
     if violations:
         raise UserParameterError("; ".join(violations))
-    widest, proxy, dy_cap, _ = _length_scales(params, measurement, evolution_time)
+    widest, proxy, dy_cap, *_ = _length_scales(params, measurement, evolution_time)
     center = abs(measurement.center) if measurement is not None else 0.0
     extent = AUTO_EXTENT_SIGMAS * widest + center
     span = 2.0 * extent

@@ -34,9 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MemoryBoundError, TailLeakError, ZeroNormError
-from .params import TAIL_RATIO_MAX, GridSpec
+from .params import NORM_FLOOR, TAIL_RATIO_MAX, GridSpec
 
-NORM_FLOOR = 1e-30
 DENSITY_MATRIX_MAX_POINTS = 4096
 SCHMIDT_TRUNCATION = 1e-12
 

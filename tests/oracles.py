@@ -57,6 +57,24 @@ def ref_xoshiro256ss(state: list[int], count: int) -> list[int]:
     return out
 
 
+def ref_jump(state: list[int]) -> list[int]:
+    """The reference xoshiro256 jump(): the state 2^128 steps on."""
+    s0, s1, s2, s3 = state
+    a0 = a1 = a2 = a3 = 0
+    for word in XOSHIRO256_JUMP:
+        for b in range(64):
+            if (word >> b) & 1:
+                a0, a1, a2, a3 = a0 ^ s0, a1 ^ s1, a2 ^ s2, a3 ^ s3
+            t = (s1 << 17) & M64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = _rotl(s3, 45)
+    return [a0, a1, a2, a3]
+
+
 def ref_uniforms(seed: int, count: int) -> np.ndarray:
     """Doubles (u64 >> 11) * 2^-53 from xoshiro256** seeded by splitmix64."""
     draws = ref_xoshiro256ss(ref_splitmix64(seed, 4), count)
@@ -83,6 +101,16 @@ XOSHIRO_STATE1234 = [
     1215971899390074240,
     1216172134540287360,
     607988272756665600,
+]
+
+# The published xoshiro256 jump() constants (Blackman & Vigna's reference C
+# code): bit k of word i is the coefficient of x^(64i + k) in x^(2^128) mod
+# the transition's characteristic polynomial.
+XOSHIRO256_JUMP = [
+    0x180EC6D33CFD0ABA,
+    0xD5A61266F0C9392C,
+    0xA9582618E03FC9AA,
+    0x39ABDC4529B1661C,
 ]
 
 

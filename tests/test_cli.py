@@ -874,25 +874,50 @@ OVERFLOWING_SPAN = (
     ["sweep", "--param", "sigma", "--from", "1e-150", "--to", "1e-150", "--steps", "2"],
 )
 
+# A side-B pointer 49 pair widths off the pair, on the pair's 512-point
+# auto grid: the grid holds the reduced state, but the pointer's overlap
+# with the pair, e^-536, is below the norm floor of any reduced state.
+OFF_PAIR_POINTER = (
+    json.dumps({"params": {"sigma": 3.38, "omega0": 0.0133, "hbar": 1.0, "mass": 1.0},
+                "grid": {"n_points": 512, "y_min": -4.2912060850039495,
+                         "y_max": 4.2912060850039495},
+                "detector": {"n_bins": 16, "y_range": [-1.0, 1.0], "side": "B"},
+                "measurement": {"epsilon": 0.0266, "center": -3.69},
+                "evolution_time": 0.0, "n_samples": 100, "seed": 1}),
+    ["run"],
+)
+
+
+def run_case_text(case):
+    """Exit code and printed output of cli.main on a (config text, argv) case."""
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(text)
+            argv = argv[:1] + ["--config", str(path), "--out", str(Path(tmp) / "o")] + argv[1:]
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+    return code, err.getvalue() + out.getvalue()
+
 
 class TestExitCodeFuzz:
     @example(case=OVERFLOWING_SPAN)
+    @example(case=OFF_PAIR_POINTER)
     @example(case=(json.dumps({"params": "RAW"}).replace('"RAW"', DEEP_NESTING), ["run"]))
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=st.one_of(run_case(), sweep_case(), VERIFY_CASES.map(lambda a: (None, a))))
     def test_exit_code_and_no_traceback(self, case):
-        text, argv = case
-        with tempfile.TemporaryDirectory() as tmp:
-            if text is not None:
-                path = Path(tmp) / "cfg.json"
-                path.write_text(text)
-                argv = argv[:1] + ["--config", str(path), "--out", str(Path(tmp) / "o")] + argv[1:]
-            err, out = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as e:
-                    code = e.code
-        assert code in (0, 2, 3), (argv, text, code, err.getvalue())
-        assert "Traceback" not in err.getvalue() + out.getvalue()
+        code, printed = run_case_text(case)
+        assert code in (0, 2, 3), (case, code, printed)
+        assert "Traceback" not in printed
+
+    def test_pointer_off_the_pair_exits_2(self):
+        code, printed = run_case_text(OFF_PAIR_POINTER)
+        assert code == 2, printed
+        assert "pointer centre -3.69 overlaps the pair" in printed

@@ -24,6 +24,7 @@ from popperlab import (
     UserParameterError,
     WaveFunction1D,
     WaveFunction2D,
+    ZeroNormError,
     auto_grid,
     build_joint_state,
     build_pointer_state,
@@ -109,7 +110,7 @@ class TestSampling:
 
     def test_cdf_rejects_null_density(self):
         g = GridSpec(n_points=64, y_min=-1.0, y_max=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroNormError):
             cumulative_distribution(g, np.zeros(64))
 
 
@@ -362,7 +363,7 @@ class TestJointSamplerAgainstReference:
         assert np.all(pairs[:, 1] == grid_points(psi.grid2)[-2])
 
     def test_zero_density_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroNormError):
             sample_joint(hand_built(np.zeros((5, 6))), 10, seed=1)
 
 

@@ -28,6 +28,7 @@ from popperlab.params import (
     FLOOR_POINTS_PER_WIDTH,
     MAX_BINS,
     MAX_SAMPLES,
+    NORM_FLOOR,
     TAIL_RATIO_MAX,
     _length_scales,
 )
@@ -164,8 +165,10 @@ class TestValidate:
         cfg = make_config(params=PhysicalParams(sigma=1.0, omega0=2.0),
                           grid=GridSpec(n_points=1024, y_min=-16.2, y_max=16.2),
                           measurement=MeasurementSpec(epsilon=0.5, center=center))
-        (violation,) = validate(cfg).violations
+        violation, *rest = validate(cfg).violations
         assert violation.startswith(f"pointer centre {center:.6g} leaves the reduced state at")
+        # a million pair widths off, the pointer misses the pair as well
+        assert len(rest) == (center == 1e6)
 
     @pytest.mark.parametrize("eps,center,side,ok", [
         # a wide pointer leaves the reduced state near zero: no band of ε is held
@@ -212,7 +215,36 @@ class TestValidate:
         cfg = make_config(params=p, grid=grid, measurement=ms, evolution_time=time,
                           detector=DetectorGeometry(n_bins=32, y_range=(-5.0, 5.0),
                                                     side=side))
-        assert validate(cfg).ok
+        # A pointer far enough off the pair is refused for its overlap, on
+        # any grid; that is the only violation an auto grid may meet.
+        missed = _length_scales(p, ms, time).log_overlap < math.log(NORM_FLOOR)
+        violations = [v.partition(" with norm")[0] for v in validate(cfg).violations]
+        assert violations == ([f"pointer centre {center:.6g} overlaps the pair"] if missed else [])
+
+    @pytest.mark.parametrize("sigma,omega0,eps,center", [
+        (1.0, 2.0, 0.5, 0.0),
+        (1.0, 2.0, 0.5, 3.0),
+        (1.0, 0.25, 0.3, 1.5),  # factorized pair
+        (3.0, 0.1, 0.05, 0.7),
+        (3.38, 0.0133, 0.0266, -0.2),  # a < b
+    ])
+    def test_overlap_is_the_norm_the_reduction_divides_out(self, sigma, omega0, eps, center):
+        p = PhysicalParams(sigma=sigma, omega0=omega0)
+        ms = MeasurementSpec(epsilon=eps, center=center)
+        red = reduce_pair(build_pointer_state(ms, auto_grid(p, ms)), p, eps)
+        overlap = math.exp(_length_scales(p, ms, 0.0).log_overlap)
+        assert overlap == pytest.approx(red.phi2.norm_tag, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_pointer_off_the_pair_is_refused(self, side):
+        # 49 pair widths off the pair, inside a grid that holds the reduced
+        # state: the overlap is e^-536, which the reduction cannot normalize.
+        p = PhysicalParams(sigma=3.38, omega0=0.0133)
+        ms = MeasurementSpec(epsilon=0.0266, center=-3.69)
+        cfg = make_config(params=p, grid=auto_grid(p, ms, max_points=512), measurement=ms,
+                          detector=DetectorGeometry(n_bins=32, y_range=(-5.0, 5.0), side=side))
+        (violation,) = validate(cfg).violations
+        assert violation.startswith("pointer centre -3.69 overlaps the pair with norm e^-536")
 
     def test_all_violations_reported_at_once(self):
         cfg = make_config(params=PhysicalParams(sigma=-1.0, omega0=1.0),
