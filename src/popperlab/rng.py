@@ -37,6 +37,8 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _DOUBLE_SCALE = 2.0 ** -53
+# Values per slice of the in-place scrambler and conversion: 512 KiB.
+_SLICE = 2 ** 16
 
 
 def splitmix64_stream(seed: int):
@@ -171,12 +173,14 @@ class Xoshiro256StarStar:
         s = _laned(self._s, x[:laned].reshape(lanes, -1)) if laned else self._s
         seen, self._s = _serial(s, n - laned)
         x[laned:] = np.frombuffer(seen, dtype=np.uint64)
-        # The scrambler runs in place on the recorded s1 values.
-        x *= np.uint64(5)
-        high = x >> np.uint64(57)
-        x <<= np.uint64(7)
-        x |= high
-        x *= np.uint64(9)
+        # The scrambler runs in place on the recorded s1 values, a slice at a time.
+        for start in range(0, n, _SLICE):
+            part = x[start:start + _SLICE]
+            part *= np.uint64(5)
+            high = part >> np.uint64(57)
+            part <<= np.uint64(7)
+            part |= high
+            part *= np.uint64(9)
         return x
 
     def next_u64(self) -> int:
@@ -188,5 +192,9 @@ class Xoshiro256StarStar:
     def uniforms(self, n: int) -> np.ndarray:
         """n consecutive uniform doubles in [0, 1), in stream order."""
         x = self._outputs(n)
-        x >>= np.uint64(11)
-        return x * _DOUBLE_SCALE
+        # Converted into the record's own memory, a slice at a time.
+        out = x.view(np.float64)
+        for start in range(0, n, _SLICE):
+            np.multiply(x[start:start + _SLICE] >> np.uint64(11), _DOUBLE_SCALE,
+                        out=out[start:start + _SLICE])
+        return out

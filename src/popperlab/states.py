@@ -56,6 +56,8 @@ from .wavefunction import (
     SchmidtSpectrum,
     WaveFunction1D,
     WaveFunction2D,
+    _blocks,
+    _norm_above_floor,
     _positive_total,
     _schmidt_tail,
     grid_points,
@@ -106,11 +108,17 @@ def joint_amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams) -> n
 
 
 def build_joint_state(recipe: JointStateRecipe) -> WaveFunction2D:
-    """Materialize and normalize the pair state; real and non-negative."""
-    y1 = grid_points(recipe.grid1)[:, None]
-    y2 = grid_points(recipe.grid2)[None, :]
-    amps = joint_amplitude(y1, y2, recipe.params)
-    return normalize(WaveFunction2D(grid1=recipe.grid1, grid2=recipe.grid2, amps=amps))
+    """Materialize and normalize the pair state; real and non-negative.  Rows
+    are filled a block at a time and divided in place: one N×N array."""
+    g1, g2 = recipe.grid1, recipe.grid2
+    y1 = grid_points(g1)[:, None]
+    y2 = grid_points(g2)[None, :]
+    amps = np.empty((g1.n_points, g2.n_points))
+    for rows in _blocks(g1.n_points, g2.n_points):
+        amps[rows] = joint_amplitude(y1[rows], y2, recipe.params)
+    n = _norm_above_floor(WaveFunction2D(grid1=g1, grid2=g2, amps=amps))
+    amps /= n
+    return WaveFunction2D(grid1=g1, grid2=g2, amps=amps, norm_tag=n)
 
 
 def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:

@@ -14,7 +14,15 @@ Keeping both honest is the point; neither is ever defined in terms of the
 other.  Spectral results are trustworthy only while the state vanishes at
 the grid boundary (periodic wrap), so every momentum routine first checks
 tail containment and raises ``TailLeakError`` above 1e-6 of the peak.
-Every moment routine raises ``ZeroNormError`` on a zero state.
+Every moment routine raises ``ZeroNormError`` on a state whose density
+integrates to 0 or to a subnormal float.
+
+One block reader, ``_marginal``, reads a 2D state about 2¹⁶ amplitudes at a
+time, so no reader holds a second N×N array.  Pointwise densities take
+blocks along the particle's axis, and each marginal entry keeps the bits of
+the whole-array product; transforms along the axis (FFT, stencils) take
+blocks across it and sum their marginals.  A real 2D state goes through
+``rfft``, mirrored for −k: |ψ̃(−k)| = |ψ̃(k)|.
 
 The binary container for states is little-endian throughout:
 magic ``EPWF``, version u32, n₁ u32, n₂ u32 (0 for 1D), four f64 grid
@@ -42,8 +50,11 @@ SCHMIDT_TRUNCATION = 1e-12
 _MAGIC = b"EPWF"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIII4d")
-# Amplitudes widened to complex128 per write: 1 MiB.
-_WRITE_BLOCK_AMPLITUDES = 2 ** 16
+# Amplitudes per block read or written: 512 KiB of float64, 1 MiB of complex128.
+_BLOCK_AMPLITUDES = 2 ** 16
+# A block holds a multiple of this many lines, so BLAS groups its rows as it
+# groups the whole array's and each product keeps its bits.
+_BLOCK_LINES = 8
 
 
 @lru_cache(maxsize=128)
@@ -125,17 +136,6 @@ class _AxisView(NamedTuple):
     def grid(self) -> GridSpec:
         return self.grids[self.axis]
 
-    def marginal(self, values: np.ndarray) -> np.ndarray:
-        """Trapezoid-integrate ``values`` over every axis except this one."""
-        if len(self.grids) == 1:
-            return values
-        other_w = trap_weights(self.grids[1 - self.axis])
-        return values @ other_w if self.axis == 0 else other_w @ values
-
-    def integral(self, values: np.ndarray):
-        """Trapezoid-integrate ``values`` over every axis."""
-        return np.sum(trap_weights(self.grid) * self.marginal(values))
-
 
 def _axis_view(wf: WaveFunction1D | WaveFunction2D,
                particle: int | None = None) -> _AxisView:
@@ -149,28 +149,76 @@ def _axis_view(wf: WaveFunction1D | WaveFunction2D,
     return _AxisView((wf.grid1, wf.grid2), particle - 1)
 
 
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of ``n`` lines of ``width`` values, about _BLOCK_AMPLITUDES each.
+
+    A rest under _BLOCK_LINES lines joins the last block: numpy hands a
+    one-line product to ``dot``, and OpenBLAS has its own loops for two or
+    three contiguous lines, neither with the matrix-vector product's bits.
+    """
+    step = max(_BLOCK_LINES, _BLOCK_AMPLITUDES // max(width, 1) // _BLOCK_LINES * _BLOCK_LINES)
+    edges = [*range(0, max(n - _BLOCK_LINES, 0) + 1, step), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _density(a: np.ndarray) -> np.ndarray:
+    return np.abs(a) ** 2
+
+
+def _marginal(wf: WaveFunction1D | WaveFunction2D, view: _AxisView, fn=_density,
+              across: bool = False) -> np.ndarray:
+    """``fn`` of the amplitudes trapezoid-integrated over the partner's axis,
+    read in blocks (module docstring); ``across`` marks ``fn`` as a transform
+    along the view's axis.  A 1D state has no partner: fn(amps) itself."""
+    a, axis = wf.amps, view.axis
+    if a.ndim == 1:
+        return fn(a)
+    w = trap_weights(view.grids[1 - axis])
+    cut = 1 - axis if across else axis
+
+    def part(sl: slice) -> np.ndarray:
+        v, wb = fn(a[sl] if cut == 0 else a[:, sl]), w[sl] if across else w
+        return v @ wb if axis == 0 else wb @ v
+
+    parts = map(part, _blocks(a.shape[cut], a.shape[1 - cut]))
+    return sum(parts) if across else np.concatenate(list(parts))
+
+
+def _integral(wf: WaveFunction1D | WaveFunction2D, view: _AxisView, fn=_density,
+              across: bool = False):
+    """``fn`` of the amplitudes, trapezoid-integrated over every axis."""
+    return np.sum(trap_weights(view.grid) * _marginal(wf, view, fn, across))
+
+
 def norm(wf: WaveFunction1D | WaveFunction2D) -> float:
     """L² norm under trapezoid quadrature."""
     # The full integral does not depend on which axis the view is taken on.
-    return float(np.sqrt(_axis_view(wf, 1).integral(np.abs(wf.amps) ** 2)))
+    return float(np.sqrt(_integral(wf, _axis_view(wf, 1))))
+
+
+def _norm_above_floor(wf: WaveFunction1D | WaveFunction2D) -> float:
+    """``norm(wf)``; ``ZeroNormError`` below NORM_FLOOR."""
+    n = norm(wf)
+    if n < NORM_FLOOR:
+        raise ZeroNormError(f"norm {n:.3g} below {NORM_FLOOR:g}")
+    return n
 
 
 def normalize(wf: WaveFunction1D | WaveFunction2D):
     """Rescale to unit L² norm; the divided-out norm is kept in norm_tag."""
-    n = norm(wf)
-    if n < NORM_FLOOR:
-        raise ZeroNormError(f"norm {n:.3g} below {NORM_FLOOR:g}")
+    n = _norm_above_floor(wf)
     return dataclasses.replace(wf, amps=wf.amps / n, norm_tag=n)
 
 
 def marginal_density(wf: WaveFunction2D, particle: int) -> np.ndarray:
     """|ψ|² integrated over the other particle's coordinate."""
-    return _axis_view(wf, particle).marginal(np.abs(wf.amps) ** 2)
+    return _marginal(wf, _axis_view(wf, particle))
 
 
 def _positive_total(total):
-    """The integral ``total`` of a density; ``ZeroNormError`` unless positive."""
-    if not total > 0:
+    """The integral ``total`` of a density; ``ZeroNormError`` unless it is a
+    positive normal float (a subnormal total has lost significant bits)."""
+    if not total >= np.finfo(float).tiny:
         raise ZeroNormError(f"the state vanishes: its density integrates to {total:.3g}")
     return total
 
@@ -187,17 +235,18 @@ def position_stats(wf: WaveFunction1D | WaveFunction2D,
                    particle: int | None = None) -> Moments:
     """Mean and standard deviation of position under |ψ|² quadrature."""
     view = _axis_view(wf, particle)
-    dens = view.marginal(np.abs(wf.amps) ** 2)
+    dens = _marginal(wf, view)
     return _moments(grid_points(view.grid), dens, trap_weights(view.grid))
 
 
 def tail_ratio(wf: WaveFunction1D | WaveFunction2D) -> float:
     """Largest boundary amplitude relative to the peak amplitude."""
-    a = np.abs(wf.amps)
-    peak = float(a.max())
+    a = wf.amps
+    rows = np.atleast_2d(a)
+    peak = max(float(np.abs(rows[block]).max()) for block in _blocks(*rows.shape))
     if peak == 0.0:
         return 0.0
-    edge = max(float(np.take(a, (0, -1), axis=axis).max()) for axis in range(a.ndim))
+    edge = max(float(np.abs(np.take(a, (0, -1), axis=axis)).max()) for axis in range(a.ndim))
     return edge / peak
 
 
@@ -217,10 +266,16 @@ def momentum_stats_spectral(wf: WaveFunction1D | WaveFunction2D,
     """Momentum mean and spread from the FFT momentum distribution.
 
     k is uniform, so |FFT|² needs no weights; its scale cancels in the moments.
+    A real 2D state is transformed by ``rfft`` and its distribution mirrored,
+    |ψ̃(−k)| = |ψ̃(k)|.
     """
     require_tails(wf)
     view = _axis_view(wf, particle)
-    pk = view.marginal(np.abs(np.fft.fft(wf.amps, axis=view.axis)) ** 2)
+    real_2d = isinstance(wf, WaveFunction2D) and not np.iscomplexobj(wf.amps)
+    transform = np.fft.rfft if real_2d else np.fft.fft
+    pk = _marginal(wf, view, lambda a: np.abs(transform(a, axis=view.axis)) ** 2, across=True)
+    if real_2d:
+        pk = np.concatenate([pk, pk[(view.grid.n_points - 1) // 2:0:-1]])
     return _moments(hbar * wavenumbers(view.grid), pk, 1.0)
 
 
@@ -256,13 +311,11 @@ def momentum_stats_derivative(wf: WaveFunction1D | WaveFunction2D,
     """
     require_tails(wf)
     view = _axis_view(wf, particle)
-    a = wf.amps
-    h = view.grid.dy
-    d1 = _fd_first(a, h, axis=view.axis)
-    d2 = _fd_second(a, h, axis=view.axis)
-    total = _positive_total(float(view.integral(np.abs(a) ** 2)))
-    p1 = float(np.real(view.integral(np.conj(a) * (-1j * hbar) * d1)) / total)
-    p2 = float(np.real(view.integral(np.conj(a) * (-(hbar ** 2)) * d2)) / total)
+    h, axis = view.grid.dy, view.axis
+    total = _positive_total(float(_integral(wf, view)))
+    p1 = _integral(wf, view, lambda a: np.conj(a) * (-1j * hbar) * _fd_first(a, h, axis), True)
+    p2 = _integral(wf, view, lambda a: np.conj(a) * (-(hbar ** 2)) * _fd_second(a, h, axis), True)
+    p1, p2 = float(np.real(p1) / total), float(np.real(p2) / total)
     return Moments(mean=p1, std=math.sqrt(max(p2 - p1 ** 2, 0.0)))
 
 
@@ -310,7 +363,7 @@ def schmidt(wf: WaveFunction2D) -> SchmidtSpectrum:
 
     This dense route takes any state and is the oracle of the factored one,
     ``states.pair_schmidt``; ``states.pair_entropy`` picks between them.
-    Both raise ``ZeroNormError`` where Σλᵢ² is 0, or underflows to 0.
+    Both raise ``ZeroNormError`` where Σλᵢ² is 0 or subnormal.
     """
     sw1 = np.sqrt(trap_weights(wf.grid1))
     sw2 = np.sqrt(trap_weights(wf.grid2))
@@ -362,11 +415,10 @@ def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
     # Widen and write a block of rows at a time, so no full-size complex
     # copy of the payload is ever held.
     rows = np.atleast_2d(wf.amps)
-    step = max(1, _WRITE_BLOCK_AMPLITUDES // max(1, rows.shape[1]))
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, *sizes[:2], *bounds[:4]))
-        for start in range(0, rows.shape[0], step):
-            f.write(np.ascontiguousarray(rows[start:start + step], dtype=np.dtype("<c16")))
+        for block in _blocks(*rows.shape):
+            f.write(np.ascontiguousarray(rows[block], dtype=np.dtype("<c16")))
 
 
 def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:

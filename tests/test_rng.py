@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,3 +184,19 @@ class TestGolden:
                               timeout=120, env=child_env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 1]"
+
+
+class TestMemory:
+    def test_uniforms_convert_in_place(self):
+        # The doubles are written over the uint64 record a slice at a time:
+        # the peak is the 8 MB output and one slice's temporaries.
+        gen = Xoshiro256StarStar(7)
+        gen.uniforms(2 ** 15)  # finds the characteristic polynomial first
+        tracemalloc.start()
+        try:
+            u = gen.uniforms(10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.dtype == np.float64 and u.nbytes == 8 * 10 ** 6
+        assert peak < 1.2 * u.nbytes

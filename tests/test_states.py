@@ -1,6 +1,7 @@
 """Pair-state and pointer builders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,39 @@ class TestBuildJointState:
                                               p.sigma, p.omega0, p.hbar)
             ref = normalize(WaveFunction2D(grid1=ga, grid2=gb, amps=raw))
             assert np.array_equal(psi.amps, ref.amps)
+
+    def test_peak_is_the_state_and_a_few_blocks(self):
+        # Rows are evaluated into one array and divided in place: at 1024
+        # points the build holds the 8 MiB state and at most 2 MiB besides.
+        g = GridSpec(n_points=1024, y_min=-16.2, y_max=16.2)
+        recipe = JointStateRecipe(PhysicalParams(1.0, 2.0), g, g)
+        build_joint_state(recipe)  # fills the grid caches
+        tracemalloc.start()
+        try:
+            psi = build_joint_state(recipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= psi.amps.nbytes + 2 * 2 ** 20
+
+    @pytest.mark.parametrize("n1,n2", [(383, 257), (257, 383), (48, 66000)])
+    def test_blocks_match_the_whole_array_formula(self, n1, n2):
+        # Row counts that are not a multiple of the rows per block, and rows
+        # longer than a whole block; the norm is the oracle's whole-array one.
+        g1, g2 = GridSpec(n1, -10.0, 10.0), GridSpec(n2, -6.0, 8.0)
+        p = PhysicalParams(1.3, 0.8, hbar=1.1)
+        psi = build_joint_state(JointStateRecipe(p, g1, g2))
+        raw = oracles.ref_joint_amplitude(grid_points(g1)[:, None], grid_points(g2)[None, :],
+                                          p.sigma, p.omega0, p.hbar)
+        n = oracles._ref_norm(raw, g1, g2)
+        assert psi.norm_tag == n
+        assert np.array_equal(psi.amps, raw / n)
+
+    def test_zero_pair_raises(self):
+        # Off the diagonal σ, on it Ω₀ puts every amplitude below the least float.
+        g = GridSpec(n_points=64, y_min=-10.0, y_max=10.0)
+        with pytest.raises(ZeroNormError):
+            build_joint_state(JointStateRecipe(PhysicalParams(1e100, 1e-100), g, g))
 
     def test_mixed_grids_allowed(self):
         # narrow strip in y1, wide span in y2

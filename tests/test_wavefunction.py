@@ -3,6 +3,7 @@ spectra, reduced density matrices and the binary container."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from popperlab import (
     save_wavefunction,
     schmidt,
 )
-from popperlab.wavefunction import grid_points, tail_ratio, trap_weights
+from popperlab import wavefunction
+from popperlab.wavefunction import grid_points, norm, tail_ratio, trap_weights
 
 import oracles
 
@@ -260,6 +262,21 @@ class TestSchmidt:
             lam = schmidt(wf).coefficients
             assert np.array_equal(lam, ref[ref >= 1e-12 * ref[0]])
 
+    def test_subnormal_spectrum_is_refused(self):
+        # The README pair on 256 points: scaled by 1e-150 its Σλᵢ² is still a
+        # normal float and the entropy keeps its value; by 1e-158 or 1e-161
+        # it is subnormal, and the entropy would be off by 6e-7 or 0.1.
+        psi = pair_state(1.0, 2.0, n=256)
+        ref = schmidt(psi).entropy
+        scaled = WaveFunction2D(grid1=psi.grid1, grid2=psi.grid2, amps=psi.amps * 1e-150)
+        assert schmidt(scaled).entropy == pytest.approx(ref, rel=1e-14)
+        for scale in (1e-158, 1e-161):
+            tiny = WaveFunction2D(grid1=psi.grid1, grid2=psi.grid2, amps=psi.amps * scale)
+            with pytest.raises(ZeroNormError):
+                schmidt(tiny)
+            with pytest.raises(ZeroNormError):
+                position_stats(tiny, 2)
+
     def test_product_state_has_single_coefficient(self):
         psi = pair_state(1.0, 0.25, half=10.0)
         ss = schmidt(psi)
@@ -344,6 +361,122 @@ class TestMomentsMatchContinuumFormulas:
     def test_position_stats_unchanged(self, name, particle):
         wf = moment_state(name)
         assert tuple(position_stats(wf, particle)) == oracles.ref_position_stats(wf, particle)
+
+
+def edge_state(name):
+    """2D states whose blocks meet the reader's edge cases."""
+    if name in ("odd-unequal", "complex"):
+        # 383 and 257 points: odd transform lengths for the rfft mirror, and
+        # neither is a multiple of the lines per block (248 and 168).
+        g1, g2 = GridSpec(383, -16.2, 16.2), GridSpec(257, -18.0, 18.0)
+        psi = build_joint_state(JointStateRecipe(PhysicalParams(1.0, 2.0), g1, g2))
+        if name == "odd-unequal":
+            return psi
+        y1, y2 = grid_points(g1)[:, None], grid_points(g2)[None, :]
+        phase = np.exp(1j * (0.7 * y1 - 0.3 * y2 + 0.05 * y1 * y2))
+        return WaveFunction2D(grid1=g1, grid2=g2, amps=psi.amps * phase)
+    # A partner axis longer than a whole block: blocks of the fewest lines.
+    g1, g2 = GridSpec(48, -8.0, 8.0), GridSpec(66000, -8.0, 8.0)
+    y1, y2 = grid_points(g1)[:, None], grid_points(g2)[None, :]
+    amps = np.exp(-(y1 ** 2 + y2 ** 2) / 4.0 - 0.1 * y1 * y2)
+    if name == "long-partner":
+        return WaveFunction2D(grid1=g1, grid2=g2, amps=amps)
+    return WaveFunction2D(grid1=g2, grid2=g1, amps=amps.T)
+
+
+EDGE_CASES = [(name, p) for name in ("odd-unequal", "complex", "long-partner", "long-first")
+              for p in (1, 2)]
+
+
+class TestBlockReader:
+    """A 2D state is read a block of lines at a time; each reader matches
+    the whole-array computation of ``oracles``."""
+
+    @pytest.mark.parametrize("n,width", [(383, 257), (257, 383), (1024, 1024), (48, 66000),
+                                         (9, 66000), (2, 5), (70, 1024)])
+    def test_blocks_tile_the_lines(self, n, width):
+        blocks = wavefunction._blocks(n, width)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        # whole multiples of the line group, apart from one longer last block
+        lines = wavefunction._BLOCK_LINES
+        assert all(k % lines == 0 for k in sizes[:-1])
+        assert sizes[-1] >= min(n, lines)
+        # about one block's worth of values, or the fewest lines that hold one
+        assert (max(sizes) - lines + 1) * width <= max(wavefunction._BLOCK_AMPLITUDES,
+                                                       lines * width)
+
+    def test_uneven_tail_joins_the_last_block(self):
+        # 70 lines of 1024 take blocks of 64: the 6 left over are not a block.
+        assert [(b.start, b.stop) for b in wavefunction._blocks(70, 1024)] == [(0, 70)]
+        blocks = wavefunction._blocks(383, 257)
+        assert [(b.start, b.stop) for b in blocks] == [(0, 248), (248, 383)]
+
+    @pytest.mark.parametrize("name,particle", EDGE_CASES)
+    def test_spectral_route(self, name, particle):
+        wf = edge_state(name)
+        ref = oracles.ref_momentum_std_spectral(wf, particle)
+        assert momentum_std_spectral(wf, particle) == pytest.approx(ref, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("name,particle", EDGE_CASES)
+    def test_derivative_route(self, name, particle):
+        wf = edge_state(name)
+        ref = oracles.ref_momentum_std_derivative(wf, particle)
+        assert momentum_std_derivative(wf, particle) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("name,particle", EDGE_CASES)
+    def test_position_stats_and_norm(self, name, particle):
+        wf = edge_state(name)
+        assert tuple(position_stats(wf, particle)) == oracles.ref_position_stats(wf, particle)
+        assert norm(wf) == oracles._ref_norm(wf.amps, wf.grid1, wf.grid2)
+
+    @pytest.mark.parametrize("name", ["odd-unequal", "complex"])
+    def test_tail_ratio(self, name):
+        wf = edge_state(name)
+        a = np.abs(wf.amps)
+        edge = max(a[0].max(), a[-1].max(), a[:, 0].max(), a[:, -1].max())
+        assert tail_ratio(wf) == edge / a.max()
+
+
+def traced_peak(read):
+    """Peak bytes traced while ``read()`` runs, above the level at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        read()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """The readers of a 2D state hold a few blocks, not an N×N temporary: at
+    1024 points a real state is 8 MiB and each reader stays within 4 MiB."""
+
+    PSI = None
+
+    @classmethod
+    def setup_class(cls):
+        cls.PSI = pair_state(1.0, 2.0, n=1024)
+
+    @pytest.mark.parametrize("read", [
+        norm, tail_ratio,
+        lambda wf: position_stats(wf, 1), lambda wf: position_stats(wf, 2),
+        lambda wf: marginal_density(wf, 1), lambda wf: marginal_density(wf, 2),
+        lambda wf: momentum_stats_spectral(wf, 1), lambda wf: momentum_stats_spectral(wf, 2),
+        lambda wf: momentum_stats_derivative(wf, 1), lambda wf: momentum_stats_derivative(wf, 2),
+    ], ids=["norm", "tail_ratio", "position_stats-1", "position_stats-2",
+            "marginal_density-1", "marginal_density-2", "spectral-1", "spectral-2",
+            "derivative-1", "derivative-2"])
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    def test_peak_within_4_mib(self, read, dtype):
+        psi = self.PSI
+        if dtype == "complex":
+            # 16 MiB of amplitudes; the readers' blocks double with them
+            psi = WaveFunction2D(grid1=psi.grid1, grid2=psi.grid2, amps=psi.amps * np.exp(0.3j))
+        read(psi)  # fills the grid caches
+        assert traced_peak(lambda: read(psi)) <= psi.amps.nbytes // 2
 
 
 class TestContainerFormat:
