@@ -3,15 +3,27 @@
 Sampling draws positions from |ψ|² by inverting the cumulative trapezoid of
 the grid density with linear interpolation inside cells, driven by the
 portable xoshiro generator, so a (config, seed) pair pins every count in the
-output bit-for-bit.  Coincidence runs sample the joint density by drawing y₁
-from its marginal and then y₂ from the conditional slice, blended linearly
-between the two neighbouring grid rows; one block of 2n uniforms is drawn,
-its first half for the y₁ draws and its second for the y₂ draws.  One
-cumulative trapezoid builds the 1D CDFs and the conditional rows, and one
-exact inverse serves all three draws (slit-mode position, y₁, y₂).  It
-bisects each draw's CDF, probing O(log N) columns, so no blended row is ever
-built; it runs over fixed-size slices of draws, so its working set does not
-grow with n.
+output bit-for-bit.  One cumulative trapezoid builds the 1D CDFs and the
+conditional rows, and one exact inverse serves all three draws (slit-mode
+position, y₁, y₂).  It bisects each draw's CDF, probing O(log N) columns, so
+no blended row is ever built; it runs over fixed-size slices of draws, so
+its working set does not grow with n.
+
+Coincidence runs sample the joint density by drawing y₁ from its marginal,
+taken by the block reader, and then y₂ from the conditional slice, blended
+linearly between the two neighbouring grid rows; one block of 2n uniforms is
+drawn, its first half for the y₁ draws and its second for the y₂ draws.  The
+conditional-CDF table is never held whole: it is filled a block of y₁ cells
+at a time, from row blocks of the pair, into one reused buffer of 2¹⁸ values
+(2 MiB; two rows at the least).  A block takes the draws whose y₁ lands in its cells, which by the
+inverse's prefix rule are those with c₁[lo] ≤ u < c₁[hi] (the last block
+takes every u ≥ c₁[lo]), so each draw lands in exactly one block.  The block
+scans the y₁ uniforms a slice at a time, inverts y₁ again for the draws it
+takes and y₂ against its own rows, so every draw keeps the bits of one pass
+over the whole table.  Past the pair, the uniforms and the output, the
+sampler holds the buffer, length-N vectors and slice-sized temporaries,
+whatever N is.  The blocks number about N²/2¹⁸ (265 at 8,192 points), and
+each rescans the n uniforms.
 
 The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
 ``sampled.ks`` holds D and its exact two-sided p-value P(D_n ≥ D), both
@@ -71,7 +83,7 @@ from .wavefunction import (
     momentum_std_spectral,
     position_stats,
     require_tails,
-    trap_weights,
+    _blocks,
 )
 
 @dataclass(frozen=True)
@@ -95,14 +107,21 @@ class DetectorHistogram:
         return np.linspace(lo, hi, self.geometry.n_bins + 1)
 
 
-# Draws inverted at once: bounds the bisection's temporaries, changes no draw.
-_SLICE = 1 << 16
+# Draws inverted at once: bounds the bisection's temporaries (about 140 B a
+# pair draw), changes no draw.
+_SLICE = 1 << 14
+# Conditional-CDF values the coincidence sampler holds at once: 2 MiB of
+# float64, whatever the grid (module docstring).
+_TABLE_AMPLITUDES = 1 << 18
 
 
-def _cumulative_trapezoid(density: np.ndarray, dy: float) -> np.ndarray:
-    """Cumulative trapezoid along the last axis, starting from 0."""
+def _cumulative_trapezoid(density: np.ndarray, dy: float,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid along the last axis, starting from 0, into ``out``
+    if given."""
     seg = 0.5 * (density[..., :-1] + density[..., 1:]) * dy
-    c = np.zeros(density.shape)
+    c = np.empty(density.shape) if out is None else out
+    c[..., 0] = 0.0
     np.cumsum(seg, axis=-1, out=c[..., 1:])
     return c
 
@@ -153,28 +172,51 @@ def sample_positions(wf: WaveFunction1D, n: int, seed: int) -> np.ndarray:
     return out
 
 
+def _draws_in(u: np.ndarray, lo: float, hi: float):
+    """Indices of the draws lo <= u < hi, in batches of at most _SLICE."""
+    batch, size = [], 0
+    for start in range(0, len(u), _SLICE):
+        t = u[start:start + _SLICE]
+        k = start + np.flatnonzero((t >= lo) & (t < hi))
+        if size + k.size > _SLICE:
+            yield np.concatenate(batch)
+            batch, size = [], 0
+        batch.append(k)
+        size += k.size
+    if size:
+        yield np.concatenate(batch)
+
+
 def sample_joint(psi: WaveFunction2D, n: int, seed: int) -> np.ndarray:
     """n deterministic (y₁, y₂) coincidence draws from the joint density."""
     if n == 0:
         return np.empty((0, 2))
-    dens = np.abs(psi.amps) ** 2
-    _, c1 = cumulative_distribution(psi.grid1, dens @ trap_weights(psi.grid2))
-    # Unnormalized conditional CDFs along y₂, one row per y₁ grid line.
-    flat = _cumulative_trapezoid(dens, psi.grid2.dy).ravel()
-    n2 = dens.shape[1]
-    del dens
+    _, c1 = cumulative_distribution(psi.grid1, marginal_density(psi, 1))
+    n1, n2 = psi.amps.shape
+    cells = min(max(1, _TABLE_AMPLITUDES // n2 - 1), n1 - 1)
+    table = np.empty((cells + 1, n2))
 
     u = Xoshiro256StarStar(seed).uniforms(2 * n)
     u1, u2 = u[:n], u[n:]
     out = np.empty((n, 2))
-    for lo in range(0, n, _SLICE):
-        s = slice(lo, lo + _SLICE)
-        out[s, 0], i, f = _invert(c1.__getitem__, u1[s], psi.grid1)
-        # y₂ inverts rows i and i+1 blended with weights 1-f and f; a blend
-        # of two nondecreasing rows stays nondecreasing under IEEE rounding.
-        lower, upper, g = i * n2, (i + 1) * n2, 1.0 - f
-        out[s, 1] = _invert(lambda j: flat[lower + j] * g + flat[upper + j] * f,
-                            u2[s], psi.grid2)[0]
+    for lo in range(0, n1 - 1, cells):
+        hi = min(lo + cells, n1 - 1)
+        # Unnormalized conditional CDFs along y₂ of rows lo..hi.
+        rows = table[:hi + 1 - lo]
+        for sl in _blocks(hi + 1 - lo, n2):
+            _cumulative_trapezoid(np.abs(psi.amps[lo + sl.start:lo + sl.stop]) ** 2,
+                                  psi.grid2.dy, out=rows[sl])
+        flat = rows.ravel()
+        # c₁ ends at exactly 1, so _invert's target is u itself, and its prefix
+        # rule puts the draw in cells lo..hi-1 when c₁[lo] <= u < c₁[hi].
+        for k in _draws_in(u1, c1[lo], c1[hi] if hi < n1 - 1 else np.inf):
+            out[k, 0], i, f = _invert(c1.__getitem__, u1[k], psi.grid1)
+            # y₂ inverts rows i and i+1 blended with weights 1-f and f; a blend
+            # of two nondecreasing rows stays nondecreasing under IEEE rounding.
+            lower, g = (i - lo) * n2, 1.0 - f
+            upper = lower + n2
+            out[k, 1] = _invert(lambda j: flat[lower + j] * g + flat[upper + j] * f,
+                                u2[k], psi.grid2)[0]
     return out
 
 

@@ -12,7 +12,8 @@ together with the worst pointwise deviation from the predicted Gaussian
 shape.
 
 ``conditional_reduce`` reduces any dense pair state behind any pointer,
-real or complex, by one matrix-vector product.  ``reduce_pair`` reduces
+real or complex, by vector-matrix products over column blocks of the pair,
+which give the same bits at every BLAS thread count.  ``reduce_pair`` reduces
 the source pair without forming it, behind the real, non-negative pointer
 of ``states.build_pointer_state``; a complex one fails in its FFT.  Let
 a = σ²/ħ², b = 1/16Ω₀², κ = 4ab/(a+b) = 1/4Δy², and pick c₁ with c₂ =
@@ -57,6 +58,7 @@ from .wavefunction import (
     normalize,
     position_stats,
     trap_weights,
+    _blocks,
 )
 
 
@@ -135,8 +137,11 @@ def conditional_reduce(psi: WaveFunction2D, phi1: WaveFunction1D,
         raise GridMismatchError(
             f"joint state y1 grid {psi.grid1} != pointer grid {phi1.grid}"
         )
-    w1 = trap_weights(psi.grid1)
-    raw = (w1 * np.conj(phi1.amps)) @ psi.amps
+    # Column blocks, as the block reader takes particle 2: a whole-array
+    # product's bits depend on the BLAS thread count.
+    v = trap_weights(psi.grid1) * np.conj(phi1.amps)
+    n1, n2 = psi.amps.shape
+    raw = np.concatenate([v @ psi.amps[:, cols] for cols in _blocks(n2, n1)])
     return _reduction_result(raw, psi.grid2, params, eps)
 
 

@@ -307,6 +307,13 @@ FLAT_RUNS[::2, 11:] = 0.0
 FLAT_RUNS[3, 9:] = 0.0
 
 
+# With 4 x 13 table values a block holds 3 of the 39 y1 cells.  Rows 3-6 are
+# the whole of block [3, 6) and rows 21-24 of block [21, 24); row 30 closes
+# block [27, 30) and opens block [30, 33).
+BLOCK_EDGES = np.outer(2.0 + np.sin(np.arange(40)), np.linspace(1.0, 2.0, 13)) ** 2
+BLOCK_EDGES[[3, 4, 5, 6, 21, 22, 23, 24, 30]] = 0.0
+
+
 class PresetGenerator:
     """Stands in for the generator and hands out chosen uniforms in order."""
 
@@ -346,6 +353,33 @@ class TestJointSamplerAgainstReference:
         monkeypatch.setattr(experiment, "Xoshiro256StarStar", lambda seed: PresetGenerator(stream))
         pairs = sample_joint(psi, len(u1), seed=0)
         assert np.array_equal(pairs, oracles.ref_sample_joint(psi, u1, u2))
+
+    def test_uniforms_on_table_block_edges(self, monkeypatch):
+        # u1 on every y1 CDF knot, the knots that bound a table block among
+        # them, with whole blocks of zero rows: a draw on a block's lower
+        # knot belongs to that block, and a flat run of knots sends it past
+        # the zero block, as the whole-table inverse does.
+        psi = hand_built(BLOCK_EDGES)
+        monkeypatch.setattr(experiment, "_TABLE_AMPLITUDES", 4 * 13)
+        _, c1 = cumulative_distribution(psi.grid1, np.abs(psi.amps) ** 2 @ trap_weights(psi.grid2))
+        top = 1.0 - 2.0 ** -53
+        u1 = np.repeat(np.concatenate(([0.0], c1[:-1], [top])), 3)
+        u2 = np.tile([0.0, 0.5, top], len(u1) // 3)
+        stream = np.concatenate((u1, u2))
+        monkeypatch.setattr(experiment, "Xoshiro256StarStar", lambda seed: PresetGenerator(stream))
+        pairs = sample_joint(psi, len(u1), seed=0)
+        assert np.array_equal(pairs, oracles.ref_sample_joint(psi, u1, u2))
+
+    @pytest.mark.parametrize("table", [None, 20 * 257, 2 * 257],
+                             ids=["one block", "19-cell blocks, the last of 2", "1-cell blocks"])
+    def test_bit_identical_in_table_blocks(self, table, monkeypatch):
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        g1 = GridSpec(n_points=383, y_min=-16.2, y_max=16.2)
+        g2 = GridSpec(n_points=257, y_min=-16.2, y_max=16.2)
+        psi = build_joint_state(JointStateRecipe(p, g1, g2))
+        if table is not None:
+            monkeypatch.setattr(experiment, "_TABLE_AMPLITUDES", table)
+        assert np.array_equal(sample_joint(psi, 20_000, 5), reference_pairs(psi, 20_000, 5))
 
     def test_vanishing_conditional_row_takes_last_interior_column(self, monkeypatch):
         # Row 1 is zero between two live rows, so u1 on the CDF knot at row 1
@@ -432,6 +466,18 @@ class TestSamplerMemory:
         grow = (self.traced_peak(sample, state, large, monkeypatch)
                 - self.traced_peak(sample, state, small, monkeypatch))
         assert grow <= 1.1 * out_bytes * (large - small)
+
+    def test_working_set_does_not_grow_with_the_grid(self, monkeypatch):
+        # The conditional-CDF table is filled a block of rows at a time into
+        # 2**18 values.  With the whole table held, the peaks were 10.6 MiB
+        # at 512 points and 96.0 MiB at 2048.
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        peaks = []
+        for n_points in (512, 2048):
+            g = GridSpec(n_points=n_points, y_min=-16.2, y_max=16.2)
+            psi = build_joint_state(JointStateRecipe(p, g, g))
+            peaks.append(self.traced_peak(sample_joint, psi, 100_000, monkeypatch))
+        assert peaks[1] <= peaks[0] + 2 ** 20
 
 
 class TestHistogram:

@@ -1,6 +1,8 @@
 """Conditional reduction at station A and the aperture contrast."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -112,6 +114,28 @@ class TestConditionalReduce:
         assert turned.dy2_numeric == pytest.approx(real.dy2_numeric, rel=1e-13)
         assert turned.dp2_numeric == pytest.approx(real.dp2_numeric, rel=1e-13)
         assert abs(turned.residual - real.residual) <= 1e-13
+
+    def test_same_bits_at_one_and_two_blas_threads(self, child_env):
+        # On this grid a whole-array (w1 phi1*) @ psi gave different last
+        # bits at 1 and 2 OpenBLAS threads; the column blocks give one.
+        code = ("import hashlib\n"
+                "import numpy as np\n"
+                "from popperlab import *\n"
+                "p = PhysicalParams(sigma=1.0, omega0=2.0)\n"
+                "g1, g2 = GridSpec(2978, -16.2, 16.2), GridSpec(565, -16.2, 16.2)\n"
+                "psi = build_joint_state(JointStateRecipe(p, g1, g2))\n"
+                "phi1 = build_pointer_state(MeasurementSpec(epsilon=0.5), g1)\n"
+                "red = conditional_reduce(psi, phi1, p, 0.5)\n"
+                "fields = [red.dy2_numeric, red.dp2_numeric, red.residual]\n"
+                "data = red.phi2.amps.tobytes() + np.array(fields).tobytes()\n"
+                "print(hashlib.sha256(data).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=120, env={**child_env, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_vanishing_slit_width_on_strip_grid(self):
         # eps = 1e-3 is far below what a square grid can afford, but the
