@@ -19,6 +19,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .params import (
 )
 from .states import build_pointer_state
 from .verify import format_table, run_checks
-from .wavefunction import save_wavefunction
+from .wavefunction import _axis_view, save_wavefunction
 
 # Sweep grids are chosen automatically per step.  A step reduces the pair
 # by one convolution of length 2N and holds a few length-2N vectors (about
@@ -53,7 +54,8 @@ SWEEP_MAX_POINTS = 4096
 SWEEP_MAX_POINTS_ESCALATED = 8192
 # Steps take 1-3 ms each, so the largest sweep runs for a few minutes.
 MAX_SWEEP_STEPS = 10 ** 5
-# Joint states above this amplitude count are reported but not written out.
+# Joint states above this amplitude count (a 64 MiB joint.wf, streamed from
+# the source) are reported but not written out.
 SAVE_MAX_AMPLITUDES = 2048 * 2048
 
 _SWEEP_COLUMNS = ("param_value", "dy2_closed", "dp2_closed", "dp2_numeric",
@@ -123,8 +125,9 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
                        zip(edges, edges[1:], hist["counts"]))
             written.append("histogram.csv")
         for name, wf in report.states.items():
-            if wf.amps.size > SAVE_MAX_AMPLITUDES:
-                print(f"note: {name}.wf skipped, {wf.amps.size} amplitudes exceeds "
+            size = math.prod(g.n_points for g in _axis_view(wf, 1).grids)
+            if size > SAVE_MAX_AMPLITUDES:
+                print(f"note: {name}.wf skipped, {size} amplitudes exceeds "
                       f"the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
                 continue
             save_wavefunction(wf, out / f"{name}.wf")

@@ -10,20 +10,22 @@ no blended row is ever built; it runs over fixed-size slices of draws, so
 its working set does not grow with n.
 
 Coincidence runs sample the joint density by drawing y₁ from its marginal,
-taken by the block reader, and then y₂ from the conditional slice, blended
-linearly between the two neighbouring grid rows; one block of 2n uniforms is
-drawn, its first half for the y₁ draws and its second for the y₂ draws.  The
-conditional-CDF table is never held whole: it is filled a block of y₁ cells
-at a time, from row blocks of the pair, into one reused buffer of 2¹⁸ values
-(2 MiB; two rows at the least).  A block takes the draws whose y₁ lands in its cells, which by the
-inverse's prefix rule are those with c₁[lo] ≤ u < c₁[hi] (the last block
-takes every u ≥ c₁[lo]), so each draw lands in exactly one block.  The block
-scans the y₁ uniforms a slice at a time, inverts y₁ again for the draws it
-takes and y₂ against its own rows, so every draw keeps the bits of one pass
-over the whole table.  Past the pair, the uniforms and the output, the
-sampler holds the buffer, length-N vectors and slice-sized temporaries,
-whatever N is.  The blocks number about N²/2¹⁸ (265 at 8,192 points), and
-each rescans the n uniforms.
+the source's readout or, for a built pair, the block reader's, and then y₂
+from the conditional slice, blended linearly between the two neighbouring
+grid rows; one block of 2n uniforms is drawn, its first half for the y₁
+draws and its second for the y₂ draws.  The conditional-CDF table is never
+held whole: it is filled a block of y₁ cells at a time, from row blocks of
+the pair (computed by a source, read from a built pair), into one reused
+buffer of 2¹⁸ values (2 MiB; two rows at the least), and each row block
+becomes |ψ|² and then its CDFs in place.  A block takes the draws whose y₁
+lands in its cells, which by the inverse's prefix rule are those with c₁[lo]
+≤ u < c₁[hi] (the last block takes every u ≥ c₁[lo]), so each draw lands in
+exactly one block.  The block scans the y₁ uniforms a slice at a time,
+inverts y₁ again for the draws it takes and y₂ against its own rows, so
+every draw keeps the bits of one pass over the whole table.  Past a built
+pair, the uniforms and the output, the sampler holds the buffer, length-N
+vectors and slice-sized temporaries, whatever N is.  The blocks number about
+N²/2¹⁸ (265 at 8,192 points), and each rescans the n uniforms.
 
 The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
 ``sampled.ks`` holds D and its exact two-sided p-value P(D_n ≥ D), both
@@ -37,12 +39,16 @@ p-value in the tail (D ≥ 0.5, or nD² ≥ 2.2; nD² > 4 for n ≤ 140), and
 ``scipy.special.chdtrc`` for the χ² test that ``verify`` runs.  The stats
 package of scipy is never imported.
 
-``run_scenario`` is the whole tabletop: build the pair, record closed-form
-and grid-measured spreads, optionally reduce the source pair behind the
-pointer (by convolution, without reading the built pair), fly to the
-detector plane, sample, and bin.  Every numeric field in the report is tagged
-with the grid that produced it, and timings live in their own block so that
-reports stay byte-comparable across runs.
+``run_scenario`` is the whole tabletop: take the pair's norm, record
+closed-form and grid-measured spreads, optionally reduce the source pair
+behind the pointer (by convolution), fly to the detector plane, sample, and
+bin.  It holds no N×N array: the pair is a ``states.PairSource``, whose
+norm pass is the ``build`` stage and whose readout pass, ``numeric_initial``,
+gives the spreads, and the marginals that sampling and the KS test take
+(``states`` module docstring); the reports keep the bits of reading a built
+pair.  Every numeric field in the report is tagged with the grid that
+produced it, and timings live in their own block so that reports stay
+byte-comparable across runs.
 
 The Schmidt entropy is ``states.pair_entropy``'s, which owns its route and
 its grid cap (see ``states``).
@@ -70,20 +76,20 @@ from .measurement import reduce_pair
 from .params import DetectorGeometry, GridSpec, ScenarioConfig, validate
 from .rng import Xoshiro256StarStar
 from .states import (
-    JointStateRecipe,
-    build_joint_state,
+    PairSource,
     build_pointer_state,
     pair_entropy,
+    pair_source,
+    pair_spreads,
 )
 from .wavefunction import (
     WaveFunction1D,
     WaveFunction2D,
+    _block_lines,
+    _blocks,
     grid_points,
     marginal_density,
-    momentum_std_spectral,
-    position_stats,
     require_tails,
-    _blocks,
 )
 
 @dataclass(frozen=True)
@@ -187,25 +193,43 @@ def _draws_in(u: np.ndarray, lo: float, hi: float):
         yield np.concatenate(batch)
 
 
-def sample_joint(psi: WaveFunction2D, n: int, seed: int) -> np.ndarray:
-    """n deterministic (y₁, y₂) coincidence draws from the joint density."""
+def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndarray:
+    """n deterministic (y₁, y₂) coincidence draws from the joint density of a
+    built pair or of a ``PairSource``, whose readout gives y₁'s marginal."""
     if n == 0:
         return np.empty((0, 2))
-    _, c1 = cumulative_distribution(psi.grid1, marginal_density(psi, 1))
-    n1, n2 = psi.amps.shape
+    n1, n2 = psi.grid1.n_points, psi.grid2.n_points
     cells = min(max(1, _TABLE_AMPLITUDES // n2 - 1), n1 - 1)
     table = np.empty((cells + 1, n2))
+    if isinstance(psi, PairSource):
+        marginal = psi.readout.marginal1
+
+        def amplitude_blocks(lo: int, rows: np.ndarray):
+            # The kernel's scratch lives only while one block of the table fills.
+            scratch = np.empty(_block_lines(len(rows), n2) * n2)
+            for sl in _blocks(len(rows), n2):
+                out = rows[sl]
+                yield psi.rows(lo + sl.start, lo + sl.stop, out,
+                               scratch[:out.size].reshape(out.shape))
+    else:
+        marginal = marginal_density(psi, 1)
+
+        def amplitude_blocks(lo: int, rows: np.ndarray):
+            for sl in _blocks(len(rows), n2):
+                yield np.abs(psi.amps[lo + sl.start:lo + sl.stop], out=rows[sl])
+    _, c1 = cumulative_distribution(psi.grid1, marginal)
 
     u = Xoshiro256StarStar(seed).uniforms(2 * n)
     u1, u2 = u[:n], u[n:]
     out = np.empty((n, 2))
     for lo in range(0, n1 - 1, cells):
         hi = min(lo + cells, n1 - 1)
-        # Unnormalized conditional CDFs along y₂ of rows lo..hi.
+        # Unnormalized conditional CDFs along y₂ of rows lo..hi: each block of
+        # rows becomes |ψ|² and then its CDFs in place.
         rows = table[:hi + 1 - lo]
-        for sl in _blocks(hi + 1 - lo, n2):
-            _cumulative_trapezoid(np.abs(psi.amps[lo + sl.start:lo + sl.stop]) ** 2,
-                                  psi.grid2.dy, out=rows[sl])
+        for dens in amplitude_blocks(lo, rows):
+            dens **= 2
+            _cumulative_trapezoid(dens, psi.grid2.dy, out=dens)
         flat = rows.ravel()
         # c₁ ends at exactly 1, so _invert's target is u itself, and its prefix
         # rule puts the draw in cells lo..hi-1 when c₁[lo] <= u < c₁[hi].
@@ -421,7 +445,10 @@ class ScenarioReport:
 
     ``states`` holds the computed wavefunctions keyed by role ("joint",
     "pointer", "reduced", "detector") for callers that want to serialize or
-    inspect them; it never enters the JSON document.
+    inspect them; it never enters the JSON document.  "joint" is the pair's
+    ``states.PairSource``, which holds no amplitudes:
+    ``build_joint_state(source.recipe)`` materializes it, and
+    ``save_wavefunction`` streams it.
     """
 
     config: ScenarioConfig
@@ -470,7 +497,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     timings: dict = {}
 
     with _stage(timings, "build"):
-        psi = build_joint_state(JointStateRecipe(params, config.grid, config.grid))
+        psi = pair_source(params, config.grid)
     states: dict = {"joint": psi}
 
     init = initial_spreads(params)
@@ -492,9 +519,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         }
 
     with _stage(timings, "numeric_initial"):
-        st1 = position_stats(psi, particle=1)
-        st2 = position_stats(psi, particle=2)
-        dp2_initial = momentum_std_spectral(psi, particle=2, hbar=params.hbar)
+        st1, st2, dp2_initial = pair_spreads(psi)
     numeric = {
         "grid": {**asdict(config.grid), "dy": config.grid.dy},
         "initial": {"dy1": st1.std, "dy2": st2.std, "dp2y": dp2_initial},
@@ -533,8 +558,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         with _stage(timings, "sample"):
             if ms is not None:
                 # Slit mode: one particle at the detector plane on its side.
-                # validate holds no band around the side-A pointer: auto grids
-                # have no side, and a side-B run may cut a wide pointer.
+                # validate holds 7.43 widths around it, where a Gaussian meets
+                # the tail contract only just; the sampled state is checked.
                 require_tails(side_state)
                 samples = sample_positions(side_state, config.n_samples, config.seed)
                 grid, dens = side_state.grid, np.abs(side_state.amps) ** 2
@@ -546,7 +571,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 particle = 1 if config.detector.side == "A" else 2
                 samples = pairs[:, particle - 1]
                 grid = psi.grid1 if particle == 1 else psi.grid2
-                dens = marginal_density(psi, particle)
+                dens = psi.readout.marginal1 if particle == 1 else psi.readout.marginal2
                 # Undefined for one pair or a coordinate without spread;
                 # reported as null rather than NaN, which is not JSON.
                 corr = None

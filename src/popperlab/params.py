@@ -12,11 +12,12 @@ A uniform grid must simultaneously contain the widest state it will hold
 and resolve the narrowest feature it will represent.  Containment is one
 rule: ``validate`` asks ``EXTENT_SIGMAS`` ≈ 7.43 position spreads, where a
 Gaussian falls to the 1e-6 tail contract, around each state a run builds
-(the pair at zero; the reduced state at its own centre c₂, flown on side B),
-and auto-built grids keep 8.  No band is asked around the side-A pointer:
-``auto_grid`` has no side, so its grids must validate on both, and a side-B
-run may legitimately cut a wide pointer (ε = 10 at 16.2 on the README
-source).  The pointer is checked where it is sampled.
+(the pair at zero; the reduced state at its own centre c₂, flown on side B;
+on side A the pointer, which the detector sees, at its centre c, flown),
+and auto-built grids keep 8.  No band is asked around a side-B pointer: a
+side-B run may legitimately cut a wide pointer (ε = 10 at 16.2 on the
+README source).  ``auto_grid`` has no side and holds no pointer, so a
+side-A run may need a wider grid than it gives.
 
 ``auto_grid`` targets 8 points per conservative feature scale
 min(ε, ħ/4σ, Ω₀); when that demand overflows the point cap it degrades to
@@ -234,13 +235,14 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     reduced state at c₂ = (a−b)·e·c / (4ab + (a+b)e), computed below divided
     through by e.  Its width is Ω; on side B it flies, widening but keeping
     c₂, since the reduced state is real and carries no mean momentum.  The
-    widest spread counts the flown width on either side: ``auto_grid`` has
-    no side.  The reduction, on either side, overlaps the pointer with the
-    normalized pair; that overlap's norm, ⟨φ₁|ρ₁|φ₁⟩^½ with ρ₁ the pair's
-    reduced density matrix, is ((a+b+e)(ε²+Δy²))^(−1/4) e^(−c²/4(ε²+Δy²)),
-    Δy being the pair's position spread.  Positive finite parameters can
-    still overflow or underflow the closed forms (σ = 1e300, Ω₀ = 1e-300);
-    that raises ``UserParameterError``.
+    widest spread counts the flown width on either side; on side A it also
+    counts the pointer, which flies instead, from width ε around c.  The
+    reduction, on either side, overlaps the pointer with the normalized
+    pair; that overlap's norm, ⟨φ₁|ρ₁|φ₁⟩^½ with ρ₁ the pair's reduced
+    density matrix, is ((a+b+e)(ε²+Δy²))^(−1/4) e^(−c²/4(ε²+Δy²)), Δy being
+    the pair's position spread.  Positive finite parameters can still
+    overflow or underflow the closed forms (σ = 1e300, Ω₀ = 1e-300); that
+    raises ``UserParameterError``.
     """
     from .analytic import _pair_spectrum, initial_spreads, reduced_spreads
     from .evolution import EvolutionParams, gaussian_width_at
@@ -255,10 +257,12 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
         if measurement is not None:
             eps, c = measurement.epsilon, measurement.center
             red = reduced_spreads(params, eps)
-            flown = red.dy2
+            flown, pointer = red.dy2, eps
             if evolution_time > 0:
                 ep = EvolutionParams(time=evolution_time, mass=params.mass, hbar=hbar)
                 flown = gaussian_width_at(red.dy2, ep)
+                if side == "A":
+                    pointer = gaussian_width_at(eps, ep)
             widest, proxy = max(dy_init, flown), min(proxy, eps)
             true_widths += [1.0 / math.sqrt(2.0 * red.alpha), red.dy2]
             (a, b), e = _pair_spectrum(params), 1.0 / (4.0 * eps ** 2)
@@ -267,6 +271,10 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
                          (a - b) * c / (4.0 * a * b / e + a + b),
                          "post-evolution width" if flies else "width",
                          flown if flies else red.dy2))
+            if side == "A":
+                widest = max(widest, pointer)
+                held.append(("the side-A pointer is", c, "post-evolution width"
+                             if evolution_time > 0 else "width", pointer))
             # Products that leave the float range read as inf, a vanishing overlap.
             spread = math.hypot(eps, dy_init)
             z = c / (2.0 * spread)

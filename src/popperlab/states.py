@@ -6,6 +6,31 @@ The pair leaves the source in
 
 already integrated over the transverse momenta it was emitted with, so the
 builder evaluates this amplitude directly on the tensor grid and normalizes.
+One kernel evaluates it for a block of rows into reused buffers, with the
+same operations in the same order as ``joint_amplitude``; being elementwise,
+it gives any rows the bits of the whole array.
+
+``build_joint_state`` fills the N×N array with it.  ``run`` holds no such
+array: ``pair_source`` returns a ``PairSource``, which recomputes normalized
+row blocks from the recipe with the built array's bits, in three passes of
+``_blocks`` row blocks of about 2¹⁶ amplitudes, each through a few reused
+buffers of that size:
+
+* the norm pass (``pair_source``) takes the norm as ``norm`` reads the
+  built array, and refuses one below NORM_FLOOR;
+* the readout pass (``PairSource.readout``) takes both marginals, particle
+  2's rfft momentum distribution and the tail ratio.  On one grid shared by
+  both axes the pair is bitwise symmetric, (y₁−y₂)² = (y₂−y₁)² and
+  y₁+y₂ = y₂+y₁ in IEEE arithmetic, so a row block's transpose, laid out
+  C-contiguous, is the column block ``marginal_density(ψ, 2)`` reads, and
+  the same matrix-vector product gives its bits.  ``pair_spreads`` turns
+  the readout into Δy₁, Δy₂ and Δp₂ with the bits of ``position_stats`` and
+  ``momentum_std_spectral`` on the built pair, raising as they do, in the
+  order ``run`` called them;
+* ``save_wavefunction`` streams the rows into ``joint.wf``.
+
+The ``WaveFunction2D`` readers stay the oracles of the readout.
+
 The pointer that stands in for slit + detector at station A is
 φ₁(y₁) ∝ exp(−(y₁−c)²/4ε²), whose position spread is exactly ε.
 
@@ -29,18 +54,21 @@ column per step until the remaining diagonal reaches rounding level, and the
 Schmidt coefficients are the squared singular values of the N×k factor,
 O(N·k²) work and N·k floats for a numerical rank k.
 
-``pair_entropy`` takes the built pair on one grid shared by both axes, as
-every caller builds it, and returns ``None`` above ``SCHMIDT_MAX_POINTS``.
-Below it takes ``pair_schmidt`` where the pair has at most
-``FACTORED_MAX_MODE_SHARE``·N closed-form modes and a ≥ b or a symmetric
-grid, else the dense O(N³) ``wavefunction.schmidt``, the factored route's
-oracle.  Both routes raise ``ZeroNormError`` for a vanishing kernel.
+``pair_entropy`` takes the built pair or its source on one grid shared by
+both axes, as every caller makes it, and returns ``None`` above
+``SCHMIDT_MAX_POINTS``.  Below it takes ``pair_schmidt`` where the pair has
+at most ``FACTORED_MAX_MODE_SHARE``·N closed-form modes and a ≥ b or a
+symmetric grid, else the dense O(N³) ``wavefunction.schmidt``, the factored
+route's oracle, on the built pair: a source is built for it there.  Both
+routes raise ``ZeroNormError`` for a vanishing kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +81,16 @@ from .params import (
     PhysicalParams,
 )
 from .wavefunction import (
+    Moments,
     SchmidtSpectrum,
     WaveFunction1D,
     WaveFunction2D,
+    _above_floor,
+    _block_lines,
     _blocks,
-    _norm_above_floor,
+    _check_tail_ratio,
+    _half_spectrum_moments,
+    _moments,
     _positive_total,
     _schmidt_tail,
     grid_points,
@@ -89,36 +122,176 @@ class JointStateRecipe:
     grid2: GridSpec
 
 
+def _amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams,
+               out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``joint_amplitude`` of float64 arrays, written into ``out`` with
+    ``scratch`` of the same shape as its second temporary."""
+    sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
+    # The steps of exp(-(y1-y2)²σ²/ħ² - (y1+y2)²/16Ω₀²) in the same order;
+    # -a - b == -(a + b) exactly in IEEE arithmetic.
+    np.subtract(y1, y2, out=out)
+    out **= 2
+    out *= sigma ** 2
+    out /= hbar ** 2
+    np.add(y1, y2, out=scratch)
+    scratch **= 2
+    scratch /= 16.0 * omega0 ** 2
+    out += scratch
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
 def joint_amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Unnormalized pair amplitude on broadcastable coordinate arrays."""
-    sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
-    # The steps of exp(-(y1-y2)²σ²/ħ² - (y1+y2)²/16Ω₀²) in the same order,
-    # written into two temporaries; -a - b == -(a + b) exactly in IEEE
-    # arithmetic.  asarray keeps 0-d inputs writable (a numpy scalar is not).
-    rel = np.asarray(y1 - y2, dtype=np.float64)
-    rel **= 2
-    rel *= sigma ** 2
-    rel /= hbar ** 2
-    com = np.asarray(y1 + y2, dtype=np.float64)
-    com **= 2
-    com /= 16.0 * omega0 ** 2
-    rel += com
-    np.negative(rel, out=rel)
-    return np.exp(rel, out=rel)
+    # asarray keeps 0-d inputs writable arrays (a numpy scalar is not).
+    y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
+    shape = np.broadcast_shapes(y1.shape, y2.shape)
+    return _amplitude(y1, y2, params, np.empty(shape), np.empty(shape))
+
+
+def _fill_rows(recipe: JointStateRecipe, lo: int, hi: int, out: np.ndarray,
+               scratch: np.ndarray, norm: float | None = None) -> np.ndarray:
+    """Rows lo..hi-1 of the pair into ``out``, divided by ``norm`` if given."""
+    y1 = grid_points(recipe.grid1)[lo:hi, None]
+    _amplitude(y1, grid_points(recipe.grid2), recipe.params, out, scratch)
+    if norm is not None:
+        out /= norm
+    return out
+
+
+def _lines(buffer: np.ndarray, lines: int, width: int) -> np.ndarray:
+    """The head of a flat ``buffer`` as C-contiguous ``lines`` × ``width``."""
+    return buffer[:lines * width].reshape(lines, width)
+
+
+def _pair_norm(recipe: JointStateRecipe, into: np.ndarray | None = None) -> float:
+    """Norm of the unnormalized pair, read as ``norm`` reads the built array:
+    |ψ|² of each ``_blocks`` row block times w₂, then w₁ over y₁.  The rows
+    are computed into ``into`` if given, else into one reused buffer.
+    ``ZeroNormError`` below NORM_FLOOR."""
+    g1, g2 = recipe.grid1, recipe.grid2
+    n1, n2 = g1.n_points, g2.n_points
+    w2 = trap_weights(g2)
+    size = _block_lines(n1, n2) * n2
+    rows = np.empty(size) if into is None else None
+    scratch = np.empty(size)
+    marginal = np.empty(n1)
+    for b in _blocks(n1, n2):
+        k = b.stop - b.start
+        a = _lines(rows, k, n2) if into is None else into[b]
+        _fill_rows(recipe, b.start, b.stop, a, _lines(scratch, k, n2))
+        # The amplitudes are non-negative, so |ψ|² is their square.
+        dens = np.square(a, out=_lines(scratch, k, n2))
+        np.matmul(dens, w2, out=marginal[b])
+    return _above_floor(float(np.sqrt(np.sum(trap_weights(g1) * marginal))))
 
 
 def build_joint_state(recipe: JointStateRecipe) -> WaveFunction2D:
     """Materialize and normalize the pair state; real and non-negative.  Rows
-    are filled a block at a time and divided in place: one N×N array."""
-    g1, g2 = recipe.grid1, recipe.grid2
-    y1 = grid_points(g1)[:, None]
-    y2 = grid_points(g2)[None, :]
-    amps = np.empty((g1.n_points, g2.n_points))
-    for rows in _blocks(g1.n_points, g2.n_points):
-        amps[rows] = joint_amplitude(y1[rows], y2, recipe.params)
-    n = _norm_above_floor(WaveFunction2D(grid1=g1, grid2=g2, amps=amps))
+    are filled a block at a time, the norm is read from each block as it is
+    filled, and the array is divided in place: one N×N array."""
+    amps = np.empty((recipe.grid1.n_points, recipe.grid2.n_points))
+    n = _pair_norm(recipe, into=amps)
     amps /= n
-    return WaveFunction2D(grid1=g1, grid2=g2, amps=amps, norm_tag=n)
+    return WaveFunction2D(grid1=recipe.grid1, grid2=recipe.grid2, amps=amps, norm_tag=n)
+
+
+class PairReadout(NamedTuple):
+    """What one pass over the normalized source pair reads, each with the
+    bits of its ``WaveFunction2D`` reader on the built pair."""
+
+    marginal1: np.ndarray  # marginal_density(ψ, 1)
+    marginal2: np.ndarray  # marginal_density(ψ, 2)
+    spectrum2: np.ndarray  # particle 2's rfft momentum distribution, unscaled
+    tail: float  # tail_ratio(ψ)
+
+
+@dataclass(frozen=True)
+class PairSource:
+    """The normalized pair on one grid shared by both axes, computed a block
+    of rows at a time from its recipe with ``build_joint_state``'s bits;
+    ``build_joint_state(source.recipe)`` materializes it.  ``pair_source``
+    makes one."""
+
+    recipe: JointStateRecipe
+    norm_tag: float
+
+    @property
+    def grid1(self) -> GridSpec:
+        return self.recipe.grid1
+
+    @property
+    def grid2(self) -> GridSpec:
+        return self.recipe.grid2
+
+    def rows(self, lo: int, hi: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Rows lo..hi-1 of the normalized pair, into ``out``; ``scratch`` of
+        the same shape holds the kernel's second temporary."""
+        return _fill_rows(self.recipe, lo, hi, out, scratch, self.norm_tag)
+
+    def row_blocks(self):
+        """The amplitudes of each ``_blocks`` row block, computed into one
+        reused buffer: a block is valid until the next is taken."""
+        n1, n2 = self.grid1.n_points, self.grid2.n_points
+        out, scratch = np.empty(_block_lines(n1, n2) * n2), np.empty(_block_lines(n1, n2) * n2)
+        for b in _blocks(n1, n2):
+            k = b.stop - b.start
+            yield self.rows(b.start, b.stop, _lines(out, k, n2), _lines(scratch, k, n2))
+
+    @cached_property
+    def readout(self) -> PairReadout:
+        """The marginals, particle 2's momentum distribution and the tail
+        ratio from one pass over the row blocks (module docstring), taken on
+        first use and kept read-only."""
+        n = self.grid1.n_points
+        w = trap_weights(self.grid1)
+        half = n // 2 + 1
+        size = _block_lines(n, n)
+        # Three blocks of room: the rows, then their transposed |ψ|²; the
+        # kernel's scratch, then |ψ̃|² and |ψ|²; the rows' rfft.
+        rows, scratch = np.empty(size * n), np.empty(size * n)
+        spectra = np.empty((size, half), dtype=np.complex128)
+        part = np.empty(half)
+        marginal1, marginal2, spectrum = np.empty(n), np.empty(n), np.zeros(half)
+        peak = edge = 0.0
+        for b in _blocks(n, n):
+            k = b.stop - b.start
+            a = self.rows(b.start, b.stop, _lines(rows, k, n), _lines(scratch, k, n))
+            # The amplitudes are non-negative: |ψ| is ψ, and |ψ|² its square.
+            # ψ is symmetric, so the first and last columns hold the first
+            # and last rows too, and the rows' transpose, laid out
+            # C-contiguous, is the column block marginal_density(ψ, 2) reads.
+            peak = max(peak, float(a.max()))
+            edge = max(edge, float(a[:, 0].max()), float(a[:, -1].max()))
+            p = np.abs(np.fft.rfft(a, axis=1, out=spectra[:k]), out=_lines(scratch, k, half))
+            p **= 2
+            spectrum += np.matmul(w[b], p, out=part)
+            d = np.square(a, out=_lines(scratch, k, n))
+            np.matmul(d, w, out=marginal1[b])
+            t = _lines(rows, n, k)
+            t[...] = d.T
+            np.matmul(w, t, out=marginal2[b])
+        for v in (marginal1, marginal2, spectrum):
+            v.flags.writeable = False
+        return PairReadout(marginal1, marginal2, spectrum, edge / peak if peak else 0.0)
+
+
+def pair_source(params: PhysicalParams, grid: GridSpec) -> PairSource:
+    """The source pair on ``grid`` × ``grid``, its norm taken in one pass over
+    its rows; ``ZeroNormError`` as ``build_joint_state`` raises it."""
+    recipe = JointStateRecipe(params, grid, grid)
+    return PairSource(recipe, _pair_norm(recipe))
+
+
+def pair_spreads(source: PairSource) -> tuple[Moments, Moments, float]:
+    """Position moments of particles 1 and 2 and particle 2's spectral
+    momentum spread, equal to ``position_stats`` and ``momentum_std_spectral``
+    on the built pair and raising as they do, in that order."""
+    r, g = source.readout, source.grid1
+    y, w = grid_points(g), trap_weights(g)
+    st1, st2 = _moments(y, r.marginal1, w), _moments(y, r.marginal2, w)
+    _check_tail_ratio(r.tail)
+    return st1, st2, _half_spectrum_moments(r.spectrum2, g, source.recipe.params.hbar).std
 
 
 def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
@@ -159,15 +332,17 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
     return _schmidt_tail(s / math.sqrt(_positive_total(np.sum(s ** 2))))
 
 
-def pair_entropy(psi: WaveFunction2D, params: PhysicalParams) -> float | None:
-    """Schmidt entropy of the built source pair ``psi`` by the route the
-    module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
+def pair_entropy(psi: WaveFunction2D | PairSource, params: PhysicalParams) -> float | None:
+    """Schmidt entropy of the source pair ``psi``, built or a source, by the
+    route the module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
     g = psi.grid1
     if g.n_points > SCHMIDT_MAX_POINTS:
         return None
     ex = _pair_spectrum(params)
     if ex.modes <= FACTORED_MAX_MODE_SHARE * g.n_points and (ex.a >= ex.b or g.y_min == -g.y_max):
         return pair_schmidt(params, g).entropy
+    if isinstance(psi, PairSource):
+        psi = build_joint_state(psi.recipe)
     return schmidt(psi).entropy
 
 

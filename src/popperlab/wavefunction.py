@@ -18,11 +18,13 @@ Every moment routine raises ``ZeroNormError`` on a state whose density
 integrates to 0 or to a subnormal float.
 
 One block reader, ``_marginal``, reads a 2D state about 2¹⁶ amplitudes at a
-time, so no reader holds a second N×N array.  Pointwise densities take
-blocks along the particle's axis, and each marginal entry keeps the bits of
-the whole-array product; transforms along the axis (FFT, stencils) take
-blocks across it and sum their marginals.  A real 2D state goes through
-``rfft``, mirrored for −k: |ψ̃(−k)| = |ψ̃(k)|.
+time, so no reader holds a second N×N array.  These readers are also the
+oracles of ``states.PairSource``, which computes the pair's blocks instead
+of holding them.  Pointwise densities take blocks along the particle's axis,
+and each marginal entry keeps the bits of the whole-array product;
+transforms along the axis (FFT, stencils) take blocks across it and sum
+their marginals.  A real 2D state goes through ``rfft``, mirrored for −k:
+|ψ̃(−k)| = |ψ̃(k)|.
 
 The binary container for states is little-endian throughout:
 magic ``EPWF``, version u32, n₁ u32, n₂ u32 (0 for 1D), four f64 grid
@@ -161,6 +163,12 @@ def _blocks(n: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+def _block_lines(n: int, width: int) -> int:
+    """The most lines a block of ``_blocks(n, width)`` holds: the size of a
+    buffer that each of them fits."""
+    return max(b.stop - b.start for b in _blocks(n, width))
+
+
 def _density(a: np.ndarray) -> np.ndarray:
     return np.abs(a) ** 2
 
@@ -196,9 +204,8 @@ def norm(wf: WaveFunction1D | WaveFunction2D) -> float:
     return float(np.sqrt(_integral(wf, _axis_view(wf, 1))))
 
 
-def _norm_above_floor(wf: WaveFunction1D | WaveFunction2D) -> float:
-    """``norm(wf)``; ``ZeroNormError`` below NORM_FLOOR."""
-    n = norm(wf)
+def _above_floor(n: float) -> float:
+    """The norm ``n``; ``ZeroNormError`` below NORM_FLOOR."""
     if n < NORM_FLOOR:
         raise ZeroNormError(f"norm {n:.3g} below {NORM_FLOOR:g}")
     return n
@@ -206,7 +213,7 @@ def _norm_above_floor(wf: WaveFunction1D | WaveFunction2D) -> float:
 
 def normalize(wf: WaveFunction1D | WaveFunction2D):
     """Rescale to unit L² norm; the divided-out norm is kept in norm_tag."""
-    n = _norm_above_floor(wf)
+    n = _above_floor(norm(wf))
     return dataclasses.replace(wf, amps=wf.amps / n, norm_tag=n)
 
 
@@ -252,7 +259,10 @@ def tail_ratio(wf: WaveFunction1D | WaveFunction2D) -> float:
 
 def require_tails(wf: WaveFunction1D | WaveFunction2D) -> None:
     """Raise ``TailLeakError`` unless the boundary stays below 1e-6 of the peak."""
-    r = tail_ratio(wf)
+    _check_tail_ratio(tail_ratio(wf))
+
+
+def _check_tail_ratio(r: float) -> None:
     if r > TAIL_RATIO_MAX:
         raise TailLeakError(
             f"boundary amplitude is {r:.3g} of peak (limit {TAIL_RATIO_MAX:g}); "
@@ -275,8 +285,15 @@ def momentum_stats_spectral(wf: WaveFunction1D | WaveFunction2D,
     transform = np.fft.rfft if real_2d else np.fft.fft
     pk = _marginal(wf, view, lambda a: np.abs(transform(a, axis=view.axis)) ** 2, across=True)
     if real_2d:
-        pk = np.concatenate([pk, pk[(view.grid.n_points - 1) // 2:0:-1]])
+        return _half_spectrum_moments(pk, view.grid, hbar)
     return _moments(hbar * wavenumbers(view.grid), pk, 1.0)
+
+
+def _half_spectrum_moments(pk: np.ndarray, grid: GridSpec, hbar: float) -> Moments:
+    """Momentum moments from the rfft half ``pk`` of a real state's
+    distribution on ``grid``, mirrored for −k."""
+    pk = np.concatenate([pk, pk[(grid.n_points - 1) // 2:0:-1]])
+    return _moments(hbar * wavenumbers(grid), pk, 1.0)
 
 
 def momentum_std_spectral(wf: WaveFunction1D | WaveFunction2D,
@@ -403,8 +420,9 @@ def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,
     return _moments(hbar * wavenumbers(view.grid), np.real(np.diagonal(s2)), 1.0).std
 
 
-def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
-    """Write the little-endian EPWF container (see module docstring).
+def save_wavefunction(wf, path) -> None:
+    """Write the little-endian EPWF container (see module docstring) of a
+    1D or 2D state, or of a ``states.PairSource``, streamed from its rows.
 
     Real states are widened to complex128 on the way out.
     """
@@ -412,13 +430,26 @@ def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
     grids = _axis_view(wf, 1).grids
     sizes = [g.n_points for g in grids] + [0]
     bounds = [b for g in grids for b in (g.y_min, g.y_max)] + [0.0, 0.0]
-    # Widen and write a block of rows at a time, so no full-size complex
-    # copy of the payload is ever held.
-    rows = np.atleast_2d(wf.amps)
+    # Widen and write a block of rows at a time through one buffer, so no
+    # full-size complex copy of the payload is ever held.
+    lines, width = (sizes[0], sizes[1]) if sizes[1] else (1, sizes[0])
+    wide = np.empty(_block_lines(lines, width) * width, dtype=np.dtype("<c16"))
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, *sizes[:2], *bounds[:4]))
-        for block in _blocks(*rows.shape):
-            f.write(np.ascontiguousarray(rows[block], dtype=np.dtype("<c16")))
+        for block in _row_blocks(wf):
+            out = wide[:block.size].reshape(block.shape)
+            out[...] = block
+            f.write(out)
+
+
+def _row_blocks(wf):
+    """The amplitudes of each of ``_blocks``' row blocks of a state.  A 2D
+    source that holds no amplitudes (``states.PairSource``) computes its own
+    blocks; each is valid until the next is taken."""
+    if not isinstance(wf, (WaveFunction1D, WaveFunction2D)):
+        return wf.row_blocks()
+    rows = np.atleast_2d(wf.amps)
+    return (rows[block] for block in _blocks(*rows.shape))
 
 
 def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:

@@ -25,7 +25,7 @@ from popperlab import (
     states,
     wavefunction,
 )
-from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES
+from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES, ValidationReport
 
 # A JSON value nested past the decoder's recursion limit on every supported
 # Python.
@@ -144,8 +144,26 @@ class TestRun:
         assert "epsilon must be > 0" in capsys.readouterr().err
 
     def test_numerical_contract_violation_exits_3(self, tmp_path, capsys):
-        # the config validates, but the side-A pointer flies to the grid edge
-        # and breaks the tail contract in stage 'propagate'
+        # the config validates: 7.43 widths of the side-A pointer, flown to
+        # 0.943, end 1e-6 inside the grid edge, where a Gaussian meets the
+        # tail contract only just.  The pointer sits half a spacing off the
+        # grid, so its sampled peak is low and the boundary breaks the tail
+        # contract in stage 'propagate'
+        cfg = write_config(tmp_path / "cfg.json", evolution_time=0.8, n_samples=0,
+                           grid={"n_points": 1024, "y_min": -16.2,
+                                 "y_max": 16.189961635491958},
+                           detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"},
+                           measurement={"epsilon": 0.5, "center": 9.176885875705576})
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical failure" in err and "stage 'propagate' failed" in err
+
+    def test_refused_side_a_pointer_past_validate_exits_3(self, tmp_path, capsys, monkeypatch):
+        # validate refuses this side-A pointer (TestExitCodeFuzz); let past it,
+        # the pointer flies to the grid edge and breaks the tail contract in
+        # stage 'propagate'
+        monkeypatch.setattr(experiment, "validate", lambda config: ValidationReport())
         cfg = write_config(tmp_path / "cfg.json", evolution_time=0.8, n_samples=0,
                            detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"},
                            measurement={"epsilon": 0.5, "center": 12.0})
@@ -154,9 +172,11 @@ class TestRun:
         assert code == 3
         assert "numerical failure" in err and "stage 'propagate' failed" in err
 
-    def test_side_a_flight_past_the_float_range_exits_3(self, tmp_path, capsys):
-        # the reduced state's flown width is finite at this time, so the config
-        # validates; the pointer's predicted width overflows a float
+    def test_side_a_flight_past_the_float_range_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the reduced state's flown width is finite at this time; validate
+        # refuses the pointer's, which overflows a float (TestExitCodeFuzz),
+        # and let past it the flight fails on it
+        monkeypatch.setattr(experiment, "validate", lambda config: ValidationReport())
         cfg = write_config(tmp_path / "cfg.json", evolution_time=9.4e153,
                            detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"})
         code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -194,7 +214,7 @@ class TestRun:
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.00 GiB")
-        monkeypatch.setattr(experiment, "build_joint_state", exhausted)
+        monkeypatch.setattr(experiment, "pair_source", exhausted)
         cfg = write_config(tmp_path / "cfg.json")
         code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
@@ -887,6 +907,17 @@ OFF_PAIR_POINTER = (
     ["run"],
 )
 
+# The README source with the pointer at 12 on side A: it flies to width
+# 0.943, and 7.43 of that reaches 19.0, past the grid edge at 16.2.
+SIDE_A_POINTER_PAST_THE_EDGE = (
+    json.dumps({"params": {"sigma": 1.0, "omega0": 2.0, "hbar": 1.0, "mass": 1.0},
+                "grid": {"n_points": 1024, "y_min": -16.2, "y_max": 16.2},
+                "detector": {"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"},
+                "measurement": {"epsilon": 0.5, "center": 12.0},
+                "evolution_time": 0.8, "n_samples": 20000, "seed": 1}),
+    ["run"],
+)
+
 
 def run_case_text(case):
     """Exit code and printed output of cli.main on a (config text, argv) case."""
@@ -908,6 +939,7 @@ def run_case_text(case):
 class TestExitCodeFuzz:
     @example(case=OVERFLOWING_SPAN)
     @example(case=OFF_PAIR_POINTER)
+    @example(case=SIDE_A_POINTER_PAST_THE_EDGE)
     @example(case=(json.dumps({"params": "RAW"}).replace('"RAW"', DEEP_NESTING), ["run"]))
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -921,3 +953,17 @@ class TestExitCodeFuzz:
         code, printed = run_case_text(OFF_PAIR_POINTER)
         assert code == 2, printed
         assert "pointer centre -3.69 overlaps the pair" in printed
+
+    def test_side_a_pointer_past_the_grid_exits_2(self):
+        code, printed = run_case_text(SIDE_A_POINTER_PAST_THE_EDGE)
+        assert code == 2, printed
+        assert ("error: the side-A pointer is at 12; 7.43 x its post-evolution width "
+                "0.943398 spans [4.98693, 19.0131], outside the grid extent") in printed
+
+    def test_side_a_flight_past_the_float_range_exits_2(self):
+        text, argv = SIDE_A_POINTER_PAST_THE_EDGE
+        doc = json.loads(text)
+        doc["measurement"]["center"], doc["evolution_time"] = 0.0, 9.4e153
+        code, printed = run_case_text((json.dumps(doc), argv))
+        assert code == 2, printed
+        assert "error: parameters overflow the closed forms" in printed

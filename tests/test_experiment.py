@@ -33,7 +33,9 @@ from popperlab import (
     histogram,
     is_disentangled,
     ks_against_density,
+    momentum_std_spectral,
     position_correlation,
+    position_stats,
     run_scenario,
     sample_joint,
     sample_positions,
@@ -41,7 +43,9 @@ from popperlab import (
 )
 from popperlab import experiment, states
 from popperlab.experiment import cumulative_distribution
-from popperlab.states import pair_entropy, pair_schmidt
+from popperlab.params import ValidationReport
+from popperlab.analytic import _pair_spectrum
+from popperlab.states import FACTORED_MAX_MODE_SHARE, pair_entropy, pair_schmidt, pair_source
 from popperlab.wavefunction import grid_points, marginal_density, trap_weights
 
 import oracles
@@ -396,6 +400,14 @@ class TestJointSamplerAgainstReference:
         assert np.all(pairs[:, 0] == grid_points(psi.grid1)[1])
         assert np.all(pairs[:, 1] == grid_points(psi.grid2)[-2])
 
+    @pytest.mark.parametrize("n_points,n,seed", [(383, 20_000, 4), (1024, 50_000, 5)])
+    def test_a_source_draws_as_its_built_pair(self, n_points, n, seed):
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        g = GridSpec(n_points=n_points, y_min=-16.2, y_max=16.2)
+        source = pair_source(p, g)
+        assert np.array_equal(sample_joint(source, n, seed),
+                              sample_joint(build_joint_state(source.recipe), n, seed))
+
     def test_zero_density_raises(self):
         with pytest.raises(ZeroNormError):
             sample_joint(hand_built(np.zeros((5, 6))), 10, seed=1)
@@ -478,6 +490,46 @@ class TestSamplerMemory:
             psi = build_joint_state(JointStateRecipe(p, g, g))
             peaks.append(self.traced_peak(sample_joint, psi, 100_000, monkeypatch))
         assert peaks[1] <= peaks[0] + 2 ** 20
+
+
+class TestScenarioMemory:
+    """``run_scenario`` holds no N×N array: past the coincidence sampler's
+    conditional-CDF table, whose bounded growth ``TestSamplerMemory`` pins,
+    its working set does not grow with the grid."""
+
+    @staticmethod
+    def table_bytes(n_points):
+        # sample_joint's table: cells + 1 rows of n_points float64 values
+        cells = min(max(1, experiment._TABLE_AMPLITUDES // n_points - 1), n_points - 1)
+        return 8 * (cells + 1) * n_points
+
+    @pytest.mark.parametrize("measurement,n_samples", [
+        (MeasurementSpec(epsilon=0.5), 20_000), (None, 200_000)],
+        ids=["slit", "coincidence"])
+    def test_working_set_does_not_grow_with_the_grid(self, measurement, n_samples):
+        # The draw counts are the slit-run and coincidence-run workloads'.
+        # σ = Ω₀ = 1 has 55 closed-form modes, so the entropy takes the
+        # factored route at 256 points too.  With the pair built, the peaks
+        # were 2.1 and 9.6 MiB (slit) and 9.5 and 18.4 MiB (coincidence).
+        p = PhysicalParams(sigma=1.0, omega0=1.0)
+        assert _pair_spectrum(p).modes <= FACTORED_MAX_MODE_SHARE * 256
+        extent = auto_grid(p, MeasurementSpec(epsilon=0.5), 0.8).y_max
+        peaks = []
+        for n_points in (256, 1024):
+            config = ScenarioConfig(
+                params=p, grid=GridSpec(n_points=n_points, y_min=-extent, y_max=extent),
+                detector=DetectorGeometry(n_bins=48, y_range=(-5.0, 5.0)),
+                measurement=measurement, evolution_time=0.8 if measurement else 0.0,
+                n_samples=n_samples, seed=1)
+            run_scenario(config)  # fills the grid caches
+            tracemalloc.start()
+            try:
+                run_scenario(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        table = 0 if measurement else self.table_bytes(1024) - self.table_bytes(256)
+        assert peaks[1] <= peaks[0] + 2 ** 20 + table
 
 
 class TestHistogram:
@@ -631,10 +683,10 @@ class TestRunScenario:
         with pytest.raises(UserParameterError, match="initial position spread"):
             run_scenario(cfg)
 
-    def side_a_failure(self, eps, center, t, n_samples):
+    def side_a_failure(self, eps, center, t, n_samples, y_max=16.2):
         cfg = self.base_config(
             measurement=MeasurementSpec(epsilon=eps, center=center), evolution_time=t,
-            n_samples=n_samples, grid=GridSpec(n_points=1024, y_min=-16.2, y_max=16.2),
+            n_samples=n_samples, grid=GridSpec(n_points=1024, y_min=-16.2, y_max=y_max),
             detector=DetectorGeometry(n_bins=48, y_range=(-5.0, 5.0), side="A"))
         with pytest.raises(ScenarioFailure) as err:
             run_scenario(cfg)
@@ -642,23 +694,77 @@ class TestRunScenario:
         assert isinstance(err.value.cause, TailLeakError)
         return err.value.stage
 
+    # validate holds 7.43 widths of the side-A pointer, where a Gaussian meets
+    # the tail contract only just.  In the two configs below that band ends
+    # 1e-6 inside the grid edge and the pointer's centre sits half a spacing
+    # off the grid, so its sampled peak is below its true one and the
+    # boundary reads just over 1e-6 of it: the config validates, and the run
+    # fails where it meets the pointer.
+
     def test_stage_failures_are_labelled(self):
-        # validate holds the reduced state but cannot see the side-A pointer,
-        # which flies to width 0.943 and reaches the grid edge, so the
-        # failure carries the stage name
-        assert self.side_a_failure(0.5, 12.0, 0.8, 0) == "propagate"
+        # the pointer flies to width 0.943, so the failure carries the stage name
+        assert self.side_a_failure(0.5, 9.176885875705576, 0.8, 0,
+                                   y_max=16.189961635491958) == "propagate"
 
     def test_side_a_pointer_is_tail_checked_where_sampled(self):
+        # unflown, the pointer keeps its width 1 and is checked where sampled
+        assert self.side_a_failure(1.0, 8.79610695230787, 0.0, 2000,
+                                   y_max=16.229952330007546) == "sample"
+
+    @pytest.mark.parametrize("eps,center,t,n_samples,stage", [
+        # the pointer flies to width 0.943, and 7.43 of that reaches 19.0
+        (0.5, 12.0, 0.8, 0, "propagate"),
         # unflown, the pointer sits at 0.344 of peak on the boundary; sampled
         # unchecked, its std read 2.84 against the predicted 3.0
-        assert self.side_a_failure(3.0, 10.0, 0.0, 2000) == "sample"
+        (3.0, 10.0, 0.0, 2000, "sample"),
+    ])
+    def test_refused_side_a_pointer_fails_in_its_stage_past_validate(
+            self, monkeypatch, eps, center, t, n_samples, stage):
+        # validate refuses both configs (TestExitCodeFuzz in test_cli.py); let
+        # past it, the run still fails where it meets the pointer at the edge
+        monkeypatch.setattr(experiment, "validate", lambda config: ValidationReport())
+        assert self.side_a_failure(eps, center, t, n_samples) == stage
 
     def test_interrupt_is_not_a_stage_failure(self, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
-        monkeypatch.setattr(experiment, "build_joint_state", interrupted)
+        monkeypatch.setattr(experiment, "pair_source", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_scenario(self.base_config())
+
+    @pytest.mark.parametrize("grid,stage,fails", [
+        # ±8 holds under 4 spreads of the README pair: Δp₂ meets its tails
+        (GridSpec(n_points=256, y_min=-8.0, y_max=8.0), "numeric_initial",
+         lambda psi: momentum_std_spectral(psi, particle=2)),
+        # σ = 1e100, Ω₀ = 1e-100: every amplitude underflows
+        (GridSpec(n_points=64, y_min=-10.0, y_max=10.0), "build", None),
+    ], ids=["tail-leak", "zero-norm"])
+    def test_failures_keep_their_stage_and_message(self, monkeypatch, grid, stage, fails):
+        # validate refuses both grids; let past it, the pair fails where and
+        # as the built pair's readers fail
+        params = PhysicalParams(1e100, 1e-100) if stage == "build" else PhysicalParams(1.0, 2.0)
+        monkeypatch.setattr(experiment, "validate", lambda config: ValidationReport())
+        with pytest.raises(Exception) as want:
+            psi = build_joint_state(JointStateRecipe(params, grid, grid))
+            position_stats(psi, particle=1)
+            position_stats(psi, particle=2)
+            fails(psi)
+        with pytest.raises(ScenarioFailure) as err:
+            run_scenario(self.base_config(params=params, grid=grid, measurement=None,
+                                          n_samples=0))
+        assert err.value.stage == stage
+        assert type(err.value.cause) is type(want.value)
+        assert str(err.value.cause) == str(want.value)
+
+    def test_joint_state_is_the_source(self):
+        config = self.base_config(n_samples=0)
+        source = run_scenario(config).states["joint"]
+        assert isinstance(source, states.PairSource)
+        built = build_joint_state(source.recipe)
+        assert built.grid1 == built.grid2 == config.grid
+        assert built.norm_tag == source.norm_tag
+        assert np.array_equal(np.concatenate([np.copy(a) for a in source.row_blocks()]),
+                              built.amps)
 
     def test_schmidt_skipped_on_large_grids(self):
         p = PhysicalParams(sigma=1.0, omega0=2.0)

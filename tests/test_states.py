@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popperlab import (
     GridSpec,
+    TailLeakError,
     JointStateRecipe,
     MeasurementSpec,
     PhysicalParams,
@@ -18,20 +21,25 @@ from popperlab import (
     build_joint_state,
     build_pointer_state,
     joint_amplitude,
+    marginal_density,
+    momentum_std_spectral,
     normalize,
     pointer_width_for_slit,
     position_stats,
+    save_wavefunction,
     schmidt,
 )
-from popperlab import states
+from popperlab import experiment, states
 from popperlab.analytic import _pair_spectrum
 from popperlab.states import (
     FACTORED_MAX_MODE_SHARE,
     SCHMIDT_MAX_POINTS,
     pair_entropy,
     pair_schmidt,
+    pair_source,
+    pair_spreads,
 )
-from popperlab.wavefunction import grid_points, norm
+from popperlab.wavefunction import _blocks, grid_points, norm, tail_ratio
 
 import oracles
 
@@ -318,3 +326,127 @@ class TestPairEntropyRoute:
         refuse(monkeypatch, states, "pair_schmidt")
         g = GridSpec(n_points=SCHMIDT_MAX_POINTS + 1, y_min=-16.2, y_max=16.2)
         assert pair_entropy(build_joint_state(JointStateRecipe(params, g, g)), params) is None
+
+
+@given(sigma=st.floats(0.05, 20.0), omega0=st.floats(0.05, 20.0), hbar=st.floats(0.1, 10.0),
+       n=st.integers(2, 200), y_min=st.floats(-50.0, 50.0), span=st.floats(1e-3, 100.0))
+@settings(max_examples=200, deadline=None)
+def test_joint_amplitude_is_bitwise_symmetric_on_shared_grids(sigma, omega0, hbar, n,
+                                                              y_min, span):
+    # The readout of a source takes particle 2's marginal from transposed rows.
+    params = PhysicalParams(sigma, omega0, hbar=hbar)
+    y = grid_points(GridSpec(n_points=n, y_min=y_min, y_max=y_min + span))
+    a = joint_amplitude(y[:, None], y[None, :], params)
+    assert np.array_equal(a, a.T)
+
+
+def readme_pair(n, params=PhysicalParams(1.0, 2.0), extent=16.2):
+    g = GridSpec(n_points=n, y_min=-extent, y_max=extent)
+    return build_joint_state(JointStateRecipe(params, g, g)), pair_source(params, g)
+
+
+def source_rows(source, lo, hi):
+    """Rows lo..hi-1 of a source, into fresh buffers."""
+    shape = (hi - lo, source.grid2.n_points)
+    return source.rows(lo, hi, np.empty(shape), np.empty(shape))
+
+
+class TestPairSource:
+    """A ``PairSource`` gives the built pair's bits without holding it."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_of_any_range_are_the_built_rows(self, data):
+        psi, source = readme_pair(383)
+        lo = data.draw(st.integers(0, 382))
+        hi = data.draw(st.integers(lo + 1, 383))
+        out, scratch = np.empty((hi - lo, 383)), np.empty((hi - lo, 383))
+        assert source.rows(lo, hi, out, scratch) is out
+        assert np.array_equal(out, psi.amps[lo:hi])
+
+    @pytest.mark.parametrize("n", [383, 1000])
+    def test_the_samplers_overlapping_table_rows(self, n):
+        # sample_joint's table blocks share their edge rows: rows lo..hi of
+        # each block, read in _blocks pieces
+        psi, source = readme_pair(n)
+        cells = min(max(1, experiment._TABLE_AMPLITUDES // n - 1), n - 1)
+        for lo in range(0, n - 1, cells):
+            hi = min(lo + cells, n - 1)
+            for sl in _blocks(hi + 1 - lo, n):
+                a, b = lo + sl.start, lo + sl.stop
+                assert np.array_equal(source_rows(source, a, b), psi.amps[a:b]), (a, b)
+
+    def test_row_blocks_tile_the_built_pair(self):
+        psi, source = readme_pair(1000)
+        blocks = list(_blocks(1000, 1000))
+        got = list(map(np.copy, source.row_blocks()))
+        assert len(got) == len(blocks)
+        for rows, b in zip(got, blocks):
+            assert np.array_equal(rows, psi.amps[b])
+
+    @pytest.mark.parametrize("n", [383, 1000, 2978])
+    @pytest.mark.parametrize("params", [PhysicalParams(1.0, 2.0), PhysicalParams(1.3, 0.8, hbar=1.1)],
+                             ids=["readme", "hbar"])
+    def test_readout_equals_the_readers(self, n, params):
+        psi, source = readme_pair(n, params)
+        assert source.norm_tag == psi.norm_tag
+        st1, st2, dp2 = pair_spreads(source)
+        assert st1 == position_stats(psi, particle=1)
+        assert st2 == position_stats(psi, particle=2)
+        assert dp2 == momentum_std_spectral(psi, particle=2, hbar=params.hbar)
+        r = source.readout
+        assert np.array_equal(r.marginal1, marginal_density(psi, 1))
+        assert np.array_equal(r.marginal2, marginal_density(psi, 2))
+        assert r.tail == tail_ratio(psi)
+
+    def test_a_leaking_pair_fails_its_tail_check_as_the_readers_do(self):
+        # ±8 holds under 4 spreads of the README pair; its moments still read
+        psi, source = readme_pair(256, extent=8.0)
+        assert source.readout.tail == tail_ratio(psi) > 1e-6
+        with pytest.raises(TailLeakError) as want:
+            momentum_std_spectral(psi, particle=2)
+        with pytest.raises(TailLeakError) as got:
+            pair_spreads(source)
+        assert str(got.value) == str(want.value)
+
+    def test_a_vanishing_pair_fails_its_norm_as_the_build_does(self):
+        g = GridSpec(n_points=64, y_min=-10.0, y_max=10.0)
+        params = PhysicalParams(1e100, 1e-100)
+        with pytest.raises(ZeroNormError) as want:
+            build_joint_state(JointStateRecipe(params, g, g))
+        with pytest.raises(ZeroNormError) as got:
+            pair_source(params, g)
+        assert str(got.value) == str(want.value)
+
+    def test_saved_bytes_are_the_built_pairs(self, tmp_path):
+        psi, source = readme_pair(383)
+        save_wavefunction(psi, tmp_path / "built.wf")
+        save_wavefunction(source, tmp_path / "source.wf")
+        assert (tmp_path / "built.wf").read_bytes() == (tmp_path / "source.wf").read_bytes()
+
+    def test_dense_entropy_builds_the_pair(self, monkeypatch):
+        # the README source has 110 modes, more than a quarter of 256 points
+        psi, source = readme_pair(256)
+        refuse(monkeypatch, states, "pair_schmidt")
+        assert pair_entropy(source, source.recipe.params) == schmidt(psi).entropy
+
+    def test_factored_entropy_builds_nothing(self, monkeypatch):
+        psi, source = readme_pair(1024)
+        refuse(monkeypatch, states, "build_joint_state")
+        assert pair_entropy(source, source.recipe.params) == pair_entropy(psi, source.recipe.params)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # Each pass holds a few buffers of about 2**16 amplitudes; the built
+        # pair is 0.5 MiB at 256 points and 8 MiB at 1024.
+        peaks = []
+        for n in (256, 1024):
+            g = GridSpec(n_points=n, y_min=-16.2, y_max=16.2)
+            pair_source(PhysicalParams(1.0, 2.0), g).readout  # fills the grid caches
+            tracemalloc.start()
+            try:
+                source = pair_source(PhysicalParams(1.0, 2.0), g)
+                source.readout
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 ** 19
