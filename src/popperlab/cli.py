@@ -36,6 +36,8 @@ from .errors import (
 from .experiment import run_scenario
 from .measurement import reduce_pair
 from .params import (
+    MIN_GRID_POINTS,
+    GridSpec,
     MeasurementSpec,
     PhysicalParams,
     ScenarioConfig,
@@ -44,7 +46,7 @@ from .params import (
 )
 from .states import build_pointer_state
 from .verify import format_table, run_checks
-from .wavefunction import _axis_view, save_wavefunction
+from .wavefunction import EPWFWriter, _axis_view, save_wavefunction
 
 # Sweep grids are chosen automatically per step.  A step reduces the pair
 # by one convolution of length 2N and holds a few length-2N vectors (about
@@ -54,8 +56,8 @@ SWEEP_MAX_POINTS = 4096
 SWEEP_MAX_POINTS_ESCALATED = 8192
 # Steps take 1-3 ms each, so the largest sweep runs for a few minutes.
 MAX_SWEEP_STEPS = 10 ** 5
-# Joint states above this amplitude count (a 64 MiB joint.wf, streamed from
-# the source) are reported but not written out.
+# Joint states above this amplitude count (a 64 MiB joint.wf, written during
+# the pair's readout pass) are reported but not written out.
 SAVE_MAX_AMPLITUDES = 2048 * 2048
 
 _SWEEP_COLUMNS = ("param_value", "dy2_closed", "dp2_closed", "dp2_numeric",
@@ -107,31 +109,61 @@ def _claim_out(out_dir: str) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _joint_sink(path: Path, grid: GridSpec):
+    """A row sink that writes the pair on ``grid`` × ``grid`` to ``path``
+    during its readout pass, or None above the save bound.  The file is
+    opened now, so an unwritable one fails before any compute, and removed
+    if the run fails."""
+    n = grid.n_points
+    # validate refuses fewer points, whose EPWF header may not even pack
+    if not (MIN_GRID_POINTS <= n and n * n <= SAVE_MAX_AMPLITUDES):
+        yield None
+        return
+    with _bad_input("cannot write output", OSError):
+        writer = EPWFWriter(path, (grid, grid))
+
+    def sink(rows, room):
+        with _bad_input("cannot write output", OSError):
+            writer.write(rows, room)
+
+    try:
+        yield sink
+    except BaseException:
+        writer.close()
+        path.unlink(missing_ok=True)
+        raise
+    with _bad_input("cannot write output", OSError):
+        writer.close()
+
+
 def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
     config = _load_config(config_path)
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     out = _claim_out(out_dir)
-    report = run_scenario(config)
-
-    doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    with _bad_input("cannot write output", OSError):
-        (out / "report.json").write_text(doc + "\n")
-        written = ["report.json"]
-        if report.sampled is not None:
-            hist = report.sampled["histogram"]
-            edges = np.linspace(*hist["y_range"], hist["n_bins"] + 1)
-            _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
-                       zip(edges, edges[1:], hist["counts"]))
-            written.append("histogram.csv")
-        for name, wf in report.states.items():
-            size = math.prod(g.n_points for g in _axis_view(wf, 1).grids)
-            if size > SAVE_MAX_AMPLITUDES:
-                print(f"note: {name}.wf skipped, {size} amplitudes exceeds "
-                      f"the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
-                continue
-            save_wavefunction(wf, out / f"{name}.wf")
-            written.append(f"{name}.wf")
+    with _joint_sink(out / "joint.wf", config.grid) as sink:
+        report = run_scenario(config, sink=sink)
+        doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+        with _bad_input("cannot write output", OSError):
+            (out / "report.json").write_text(doc + "\n")
+            written = ["report.json"]
+            if report.sampled is not None:
+                hist = report.sampled["histogram"]
+                edges = np.linspace(*hist["y_range"], hist["n_bins"] + 1)
+                _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
+                           zip(edges, edges[1:], hist["counts"]))
+                written.append("histogram.csv")
+            for name, wf in report.states.items():
+                size = math.prod(g.n_points for g in _axis_view(wf, 1).grids)
+                if size > SAVE_MAX_AMPLITUDES:
+                    print(f"note: {name}.wf skipped, {size} amplitudes exceeds "
+                          f"the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
+                    continue
+                # the sink wrote the pair during its readout pass
+                if name != "joint":
+                    save_wavefunction(wf, out / f"{name}.wf")
+                written.append(f"{name}.wf")
     print(f"wrote {', '.join(written)} to {out}")
     return 0
 

@@ -5,9 +5,12 @@ the grid density with linear interpolation inside cells, driven by the
 portable xoshiro generator, so a (config, seed) pair pins every count in the
 output bit-for-bit.  One cumulative trapezoid builds the 1D CDFs and the
 conditional rows, and one exact inverse serves all three draws (slit-mode
-position, y₁, y₂).  It bisects each draw's CDF, probing O(log N) columns, so
-no blended row is ever built; it runs over fixed-size slices of draws, so
-its working set does not grow with n.
+position, y₁, y₂).  It counts the columns of each draw's CDF at or below
+its target: by ``np.searchsorted`` where every draw shares one CDF array
+(the slit-mode position and y₁), and by bisection, probing O(log N) columns,
+over y₂'s blended rows, so no blended row is ever built; both give the same
+count on any nondecreasing CDF.  It runs over fixed-size slices of draws,
+so its working set does not grow with n.
 
 Coincidence runs sample the joint density by drawing y₁ from its marginal,
 the source's readout or, for a built pair, the block reader's, and then y₂
@@ -46,9 +49,10 @@ bin.  It holds no N×N array: the pair is a ``states.PairSource``, whose
 norm pass is the ``build`` stage and whose readout pass, ``numeric_initial``,
 gives the spreads, and the marginals that sampling and the KS test take
 (``states`` module docstring); the reports keep the bits of reading a built
-pair.  Every numeric field in the report is tagged with the grid that
-produced it, and timings live in their own block so that reports stay
-byte-comparable across runs.
+pair.  A row sink passed to ``run_scenario`` rides on the readout pass:
+``run`` streams ``joint.wf`` through it.  Every numeric field in the report
+is tagged with the grid that produced it, and timings live in their own
+block so that reports stay byte-comparable across runs.
 
 The Schmidt entropy is ``states.pair_entropy``'s, which owns its route and
 its grid cap (see ``states``).
@@ -77,6 +81,7 @@ from .params import DetectorGeometry, GridSpec, ScenarioConfig, validate
 from .rng import Xoshiro256StarStar
 from .states import (
     PairSource,
+    RowSink,
     build_pointer_state,
     pair_entropy,
     pair_source,
@@ -141,22 +146,36 @@ def cumulative_distribution(grid: GridSpec, density: np.ndarray) -> tuple[np.nda
     return grid_points(grid), c / total
 
 
-def _invert(cdf, u: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Piecewise-linear inverse CDFs, one per draw: (positions, cells, fractions).
-
-    ``cdf(j)`` evaluates each draw's nondecreasing CDF on ``grid`` at its own
-    column j.  The columns <= u times the last knot form a prefix, whose
-    length bisection finds; a vanishing CDF takes the last interior cell.
-    """
-    n_knots = grid.n_points
-    target = u * cdf(n_knots - 1)
-    count = np.zeros(len(u), dtype=np.intp)
+def _bisect(cdf, target: np.ndarray, n_knots: int) -> np.ndarray:
+    """For each draw, how many of the columns 0..n_knots-1 of its
+    nondecreasing ``cdf(j)`` are <= its target: the prefix, by bisection."""
+    count = np.zeros(len(target), dtype=np.intp)
     step = 1 << (n_knots.bit_length() - 1)
     while step:
         probe = count + step
         hit = (probe <= n_knots) & (cdf(np.minimum(probe, n_knots) - 1) <= target)
         count = np.where(hit, probe, count)
         step >>= 1
+    return count
+
+
+def _invert(cdf, u: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Piecewise-linear inverse CDFs, one per draw: (positions, cells, fractions).
+
+    ``cdf`` is one nondecreasing CDF on ``grid`` that every draw shares, as
+    an array, or ``cdf(j)`` evaluates each draw's own at its column j.  The
+    columns <= u times the last knot form a prefix, whose length
+    ``np.searchsorted`` finds in an array and bisection otherwise; a
+    vanishing CDF takes the last interior cell.
+    """
+    n_knots = grid.n_points
+    if isinstance(cdf, np.ndarray):
+        target = u * cdf[-1]
+        count = np.searchsorted(cdf, target, side="right")
+        cdf = cdf.__getitem__
+    else:
+        target = u * cdf(n_knots - 1)
+        count = _bisect(cdf, target, n_knots)
     j = np.clip(count - 1, 0, n_knots - 2)
     c_lo = cdf(j)
     denom = cdf(j + 1) - c_lo
@@ -174,7 +193,7 @@ def sample_positions(wf: WaveFunction1D, n: int, seed: int) -> np.ndarray:
     out = np.empty(n)
     for lo in range(0, n, _SLICE):
         s = slice(lo, lo + _SLICE)
-        out[s] = _invert(c.__getitem__, u[s], wf.grid)[0]
+        out[s] = _invert(c, u[s], wf.grid)[0]
     return out
 
 
@@ -234,7 +253,7 @@ def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndar
         # c₁ ends at exactly 1, so _invert's target is u itself, and its prefix
         # rule puts the draw in cells lo..hi-1 when c₁[lo] <= u < c₁[hi].
         for k in _draws_in(u1, c1[lo], c1[hi] if hi < n1 - 1 else np.inf):
-            out[k, 0], i, f = _invert(c1.__getitem__, u1[k], psi.grid1)
+            out[k, 0], i, f = _invert(c1, u1[k], psi.grid1)
             # y₂ inverts rows i and i+1 blended with weights 1-f and f; a blend
             # of two nondecreasing rows stays nondecreasing under IEEE rounding.
             lower, g = (i - lo) * n2, 1.0 - f
@@ -448,7 +467,8 @@ class ScenarioReport:
     inspect them; it never enters the JSON document.  "joint" is the pair's
     ``states.PairSource``, which holds no amplitudes:
     ``build_joint_state(source.recipe)`` materializes it, and
-    ``save_wavefunction`` streams it.
+    ``save_wavefunction`` streams it.  A run given a row sink has already
+    handed the sink every row of it, in its readout pass.
     """
 
     config: ScenarioConfig
@@ -485,8 +505,14 @@ def _stage(timings: dict, name: str):
         timings[name] = time.perf_counter() - t0
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Execute the full pipeline described by a validated configuration."""
+def run_scenario(config: ScenarioConfig, *, sink: RowSink | None = None) -> ScenarioReport:
+    """Execute the full pipeline described by a validated configuration.
+
+    ``sink``, if given, receives the normalized pair's row blocks during the
+    ``numeric_initial`` stage, as ``states.PairSource`` describes: ``run``
+    writes ``joint.wf`` through it instead of computing the pair again.  An
+    error it raises fails that stage.
+    """
     report = validate(config)
     if not report.ok:
         raise UserParameterError("; ".join(report.violations))
@@ -497,7 +523,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     timings: dict = {}
 
     with _stage(timings, "build"):
-        psi = pair_source(params, config.grid)
+        psi = pair_source(params, config.grid, sink=sink)
     states: dict = {"joint": psi}
 
     init = initial_spreads(params)

@@ -14,7 +14,10 @@ rule: ``validate`` asks ``EXTENT_SIGMAS`` ≈ 7.43 position spreads, where a
 Gaussian falls to the 1e-6 tail contract, around each state a run builds
 (the pair at zero; the reduced state at its own centre c₂, flown on side B;
 on side A the pointer, which the detector sees, at its centre c, flown),
-and auto-built grids keep 8.  No band is asked around a side-B pointer: a
+and auto-built grids keep 8.  The flight is a periodic FFT, so the boundary
+also meets the flown state's image one period away: the flown side-B state
+is held at ``FLOWN_EXTENT_SIGMAS`` ≈ 7.62 spreads, where each of the two
+tails is half the contract.  No band is asked around a side-B pointer: a
 side-B run may legitimately cut a wide pointer (ε = 10 at 16.2 on the
 README source).  ``auto_grid`` has no side and holds no pointer, so a
 side-A run may need a wider grid than it gives.
@@ -54,6 +57,9 @@ NORM_FLOOR = 1e-30
 # Validation floor: at x spreads a Gaussian's amplitude is exp(-x^2/4), which
 # reaches TAIL_RATIO_MAX at x ~ 7.43; auto-built grids keep 8 (exp(-16) ~ 1e-7).
 EXTENT_SIGMAS = 2.0 * math.sqrt(math.log(1.0 / TAIL_RATIO_MAX))
+# A flown state and its periodic image one grid period away both reach the
+# boundary: each tail may take half the contract there, x ~ 7.62.
+FLOWN_EXTENT_SIGMAS = 2.0 * math.sqrt(math.log(2.0 / TAIL_RATIO_MAX))
 AUTO_EXTENT_SIGMAS = 8.0
 TARGET_POINTS_PER_SCALE = 8.0
 FLOOR_POINTS_PER_WIDTH = 1.2
@@ -219,7 +225,7 @@ class _Scales(NamedTuple):
     widest: float  # the largest spread an auto grid contains
     proxy: float  # the conservative feature scale behind the 8-points target
     dy_cap: float  # the coarsest spacing that resolves every true width
-    held: list  # (what, centre, which width, width) of each state validate holds
+    held: list  # (what, centre, which width, width, spreads held) per state validate holds
     log_overlap: float  # ln of the reduced state's norm before normalizing; 0 unreduced
 
 
@@ -234,9 +240,10 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
     With a = σ²/ħ², b = 1/16Ω₀² and e = 1/4ε², a pointer at c leaves the
     reduced state at c₂ = (a−b)·e·c / (4ab + (a+b)e), computed below divided
     through by e.  Its width is Ω; on side B it flies, widening but keeping
-    c₂, since the reduced state is real and carries no mean momentum.  The
-    widest spread counts the flown width on either side; on side A it also
-    counts the pointer, which flies instead, from width ε around c.  The
+    c₂, since the reduced state is real and carries no mean momentum, and is
+    held with its periodic image (module docstring).  The widest spread
+    counts the flown width on either side; on side A it also counts the
+    pointer, which flies instead, from width ε around c.  The
     reduction, on either side, overlaps the pointer with the normalized
     pair; that overlap's norm, ⟨φ₁|ρ₁|φ₁⟩^½ with ρ₁ the pair's reduced
     density matrix, is ((a+b+e)(ε²+Δy²))^(−1/4) e^(−c²/4(ε²+Δy²)), Δy being
@@ -252,7 +259,7 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
         dy_init = initial_spreads(params).dy2
         widest, proxy = dy_init, min(hbar / (4.0 * sigma), omega0)
         true_widths = [hbar / (2.0 * sigma), 2.0 * omega0]
-        held = [("the pair is", 0.0, "initial position spread", dy_init)]
+        held = [("the pair is", 0.0, "initial position spread", dy_init, EXTENT_SIGMAS)]
         log_overlap = 0.0
         if measurement is not None:
             eps, c = measurement.epsilon, measurement.center
@@ -270,11 +277,12 @@ def _length_scales(params: PhysicalParams, measurement: MeasurementSpec | None,
             held.append((f"pointer centre {c:.6g} leaves the reduced state",
                          (a - b) * c / (4.0 * a * b / e + a + b),
                          "post-evolution width" if flies else "width",
-                         flown if flies else red.dy2))
+                         flown if flies else red.dy2,
+                         FLOWN_EXTENT_SIGMAS if flies else EXTENT_SIGMAS))
             if side == "A":
                 widest = max(widest, pointer)
                 held.append(("the side-A pointer is", c, "post-evolution width"
-                             if evolution_time > 0 else "width", pointer))
+                             if evolution_time > 0 else "width", pointer, EXTENT_SIGMAS))
             # Products that leave the float range read as inf, a vanishing overlap.
             spread = math.hypot(eps, dy_init)
             z = c / (2.0 * spread)
@@ -329,12 +337,12 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             scales = _length_scales(p, m, config.evolution_time, d.side)
         except UserParameterError as e:
             return ValidationReport(violations=tuple(v + [str(e)]))
-        for what, centre, which, width in scales.held:
-            low, high = centre - EXTENT_SIGMAS * width, centre + EXTENT_SIGMAS * width
+        for what, centre, which, width, spreads in scales.held:
+            low, high = centre - spreads * width, centre + spreads * width
             # written so that a NaN centre is refused too
             if not (g.y_min <= low and high <= g.y_max):
                 v.append(
-                    f"{what} at {centre:.6g}; {EXTENT_SIGMAS:.3g} x its {which} "
+                    f"{what} at {centre:.6g}; {spreads:.3g} x its {which} "
                     f"{width:.6g} spans [{low:.6g}, {high:.6g}], outside the grid "
                     f"extent [{g.y_min:.6g}, {g.y_max:.6g}]"
                 )

@@ -12,22 +12,28 @@ it gives any rows the bits of the whole array.
 
 ``build_joint_state`` fills the N×N array with it.  ``run`` holds no such
 array: ``pair_source`` returns a ``PairSource``, which recomputes normalized
-row blocks from the recipe with the built array's bits, in three passes of
+row blocks from the recipe with the built array's bits, in passes of
 ``_blocks`` row blocks of about 2¹⁶ amplitudes, each through a few reused
-buffers of that size:
+buffers of that size.  A run makes two passes, and a coincidence run a third:
 
 * the norm pass (``pair_source``) takes the norm as ``norm`` reads the
   built array, and refuses one below NORM_FLOOR;
-* the readout pass (``PairSource.readout``) takes both marginals, particle
-  2's rfft momentum distribution and the tail ratio.  On one grid shared by
-  both axes the pair is bitwise symmetric, (y₁−y₂)² = (y₂−y₁)² and
-  y₁+y₂ = y₂+y₁ in IEEE arithmetic, so a row block's transpose, laid out
-  C-contiguous, is the column block ``marginal_density(ψ, 2)`` reads, and
-  the same matrix-vector product gives its bits.  ``pair_spreads`` turns
-  the readout into Δy₁, Δy₂ and Δp₂ with the bits of ``position_stats`` and
+* the one pass over the normalized pair (``PairSource.readout``) takes both
+  marginals, particle 2's rfft momentum distribution and the tail ratio,
+  and hands each row block to the source's ``sink``, if it has one: ``run``
+  gives it the EPWF writer of ``joint.wf`` up to the save bound, so the
+  file costs no pass of its own.  On one grid shared by both axes the pair
+  is bitwise symmetric, (y₁−y₂)² = (y₂−y₁)² and y₁+y₂ = y₂+y₁ in IEEE
+  arithmetic, so a row block's transpose, laid out C-contiguous, is the
+  column block ``marginal_density(ψ, 2)`` reads, and the same
+  matrix-vector product gives its bits.  ``pair_spreads`` turns the readout
+  into Δy₁, Δy₂ and Δp₂ with the bits of ``position_stats`` and
   ``momentum_std_spectral`` on the built pair, raising as they do, in the
   order ``run`` called them;
-* ``save_wavefunction`` streams the rows into ``joint.wf``.
+* in coincidence mode, ``experiment.sample_joint`` computes its
+  conditional-CDF table from the source's rows.
+
+``save_wavefunction`` streams a source's rows in a pass of its own.
 
 The ``WaveFunction2D`` readers stay the oracles of the readout.
 
@@ -51,8 +57,9 @@ the same holds once the columns are taken at −y₂; on a symmetric grid
 alone.  There ``pair_schmidt`` runs greedy pivoted Cholesky (Harbrecht,
 Peters & Schneider, Appl. Numer. Math. 62(4), 2012): it builds one kernel
 column per step until the remaining diagonal reaches rounding level, and the
-Schmidt coefficients are the squared singular values of the N×k factor,
-O(N·k²) work and N·k floats for a numerical rank k.
+Schmidt coefficients are the squared singular values of the k×N factor R,
+which are the singular values of the k×k Gram matrix R Rᵀ: O(N·k²) work and
+N·k floats for a numerical rank k.
 
 ``pair_entropy`` takes the built pair or its source on one grid shared by
 both axes, as every caller makes it, and returns ``None`` above
@@ -66,7 +73,8 @@ routes raise ``ZeroNormError`` for a vanishing kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -111,6 +119,10 @@ FACTORED_MAX_MODE_SHARE = 0.25
 _PIVOT_FLOOR = 1e-17
 # Factor rows allocated at first; the buffer doubles when they run out.
 _FIRST_ROWS = 128
+
+# Takes each row block of the readout pass and a flat complex buffer it may
+# overwrite (``PairSource``).
+RowSink = Callable[[np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,10 +223,17 @@ class PairSource:
     """The normalized pair on one grid shared by both axes, computed a block
     of rows at a time from its recipe with ``build_joint_state``'s bits;
     ``build_joint_state(source.recipe)`` materializes it.  ``pair_source``
-    makes one."""
+    makes one.
+
+    ``sink``, if given, is called as ``sink(rows, room)`` with each row
+    block of the readout pass, in order, and a flat complex buffer ``room``
+    that it may overwrite (``wavefunction.EPWFWriter.write``): the readout
+    is taken once, so it sees the pair once.
+    """
 
     recipe: JointStateRecipe
     norm_tag: float
+    sink: RowSink | None = field(default=None, compare=False, repr=False)
 
     @property
     def grid1(self) -> GridSpec:
@@ -241,8 +260,8 @@ class PairSource:
     @cached_property
     def readout(self) -> PairReadout:
         """The marginals, particle 2's momentum distribution and the tail
-        ratio from one pass over the row blocks (module docstring), taken on
-        first use and kept read-only."""
+        ratio from one pass over the row blocks (module docstring), which
+        also feeds the sink; taken on first use and kept read-only."""
         n = self.grid1.n_points
         w = trap_weights(self.grid1)
         half = n // 2 + 1
@@ -257,6 +276,9 @@ class PairSource:
         for b in _blocks(n, n):
             k = b.stop - b.start
             a = self.rows(b.start, b.stop, _lines(rows, k, n), _lines(scratch, k, n))
+            if self.sink is not None:
+                # The rfft below overwrites the room it widens them in.
+                self.sink(a, spectra.reshape(-1))
             # The amplitudes are non-negative: |ψ| is ψ, and |ψ|² its square.
             # ψ is symmetric, so the first and last columns hold the first
             # and last rows too, and the rows' transpose, laid out
@@ -276,11 +298,13 @@ class PairSource:
         return PairReadout(marginal1, marginal2, spectrum, edge / peak if peak else 0.0)
 
 
-def pair_source(params: PhysicalParams, grid: GridSpec) -> PairSource:
+def pair_source(params: PhysicalParams, grid: GridSpec, *,
+                sink: RowSink | None = None) -> PairSource:
     """The source pair on ``grid`` × ``grid``, its norm taken in one pass over
-    its rows; ``ZeroNormError`` as ``build_joint_state`` raises it."""
+    its rows; ``ZeroNormError`` as ``build_joint_state`` raises it.  Its
+    readout pass feeds ``sink`` (``PairSource``)."""
     recipe = JointStateRecipe(params, grid, grid)
-    return PairSource(recipe, _pair_norm(recipe))
+    return PairSource(recipe, _pair_norm(recipe), sink)
 
 
 def pair_spreads(source: PairSource) -> tuple[Moments, Moments, float]:
@@ -299,10 +323,14 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
     Cholesky of its kernel.
 
     Columns are built on demand from ``joint_amplitude``; see the module
-    docstring.  The coefficients are normalized as those of the built,
-    normalized pair.  The kernel must be positive semidefinite with its
-    columns at ±y₂, so a ≥ b or a symmetric grid, as ``pair_entropy``
-    ensures; elsewhere the result is not the pair's spectrum.
+    docstring.  The coefficients are the singular values of the k×k Gram
+    matrix R Rᵀ of the k×N factor R, which are those of R squared; its lower
+    triangle is filled a row at a time by matrix-vector products and
+    mirrored, so no matrix-matrix product leaves BLAS's buffers resident.
+    They are normalized as those of the built, normalized pair.  The kernel
+    must be positive semidefinite with its columns at ±y₂, so a ≥ b or a
+    symmetric grid, as ``pair_entropy`` ensures; elsewhere the result is not
+    the pair's spectrum.
     """
     ex = _pair_spectrum(params)
     sign = 1.0 if ex.a >= ex.b else -1.0
@@ -328,7 +356,13 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
         diag -= col ** 2
         diag[p] = 0.0
         k += 1
-    s = np.linalg.svd(rows[:k], compute_uv=False) ** 2
+    r = rows[:k]
+    gram = np.empty((k, k))
+    for i in range(k):
+        np.matmul(r[:i + 1], r[i], out=gram[i, :i + 1])
+    upper = np.triu_indices(k, 1)
+    gram[upper] = gram.T[upper]
+    s = np.linalg.svd(gram, compute_uv=False)
     return _schmidt_tail(s / math.sqrt(_positive_total(np.sum(s ** 2))))
 
 

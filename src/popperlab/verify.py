@@ -13,9 +13,12 @@ the route ``run`` and ``sweep`` take, is checked against it at every sweep
 triple.  Criterion 2 checks the Schmidt entropy on the pairs where
 ``states.pair_entropy``, the route ``run`` takes, reports one: that entropy
 against the closed form, and the factored route against the dense one, its
-oracle.  Where a bound could be read as absolute or relative, the row takes
-the larger deviation.  Each row reports expectation, observation and
-tolerance so a failure is directly actionable.
+oracle.  On the same pairs it checks the paper's invariant on the factored
+route's coefficients: the Schmidt number K = 1/Σλᵢ⁴ equals 2Δy₂Δp₂/ħ, so a
+slit that localizes particle 2 to Δy₂/K leaves it the initial Δp₂.  Where a
+bound could be read as absolute or relative, the row takes the larger
+deviation.  Each row reports expectation, observation and tolerance so a
+failure is directly actionable.
 """
 
 from __future__ import annotations
@@ -182,10 +185,10 @@ def _check_sweep(level: _Level) -> list[CheckRow]:
 
 def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
     """Criterion 2 over the seeded (σ, Ω₀) pairs: spreads, and the Schmidt
-    entropy on the grids ``run`` takes it on."""
+    entropy and number on the grids ``run`` takes the entropy on."""
     gen = Xoshiro256StarStar(PAIR_SEED)
     lo, hi = level.box
-    dev = entropy_dev = route_dev = 0.0
+    dev = entropy_dev = route_dev = number_dev = 0.0
     for _ in range(level.n_pairs):
         params = PhysicalParams(sigma=_log_uniform(gen, lo, hi),
                                 omega0=_log_uniform(gen, lo, hi))
@@ -200,11 +203,17 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
             closed = _pair_spectrum(params).entropy
             dense = schmidt(psi).entropy
             entropy_dev = max(entropy_dev, abs(routed - closed) / closed)
-            route_dev = max(route_dev, abs(pair_schmidt(params, grid).entropy - dense) / dense)
+            factored = pair_schmidt(params, grid)
+            route_dev = max(route_dev, abs(factored.entropy - dense) / dense)
+            number = 1.0 / float(np.sum(factored.coefficients ** 4))
+            ratio = 2.0 * ref.dy2 * ref.dp2y / params.hbar
+            number_dev = max(number_dev, abs(number - ratio) / ratio)
     return [
         _bound_row(2, "initial spreads: closed form vs grid (max rel dev)", dev, 1e-6),
         _bound_row(2, "Schmidt entropy: closed form vs grid (max rel dev)", entropy_dev, 1e-12),
         _bound_row(2, "Schmidt entropy: factored vs dense route (max rel dev)", route_dev, 1e-13),
+        _bound_row(2, "Schmidt number: grid vs closed form 2 dy2 dp2 / hbar (max rel dev)",
+                   number_dev, 1e-12),
     ]
 
 

@@ -52,6 +52,7 @@ SCHMIDT_TRUNCATION = 1e-12
 _MAGIC = b"EPWF"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIII4d")
+_WIDE = np.dtype("<c16")
 # Amplitudes per block read or written: 512 KiB of float64, 1 MiB of complex128.
 _BLOCK_AMPLITUDES = 2 ** 16
 # A block holds a multiple of this many lines, so BLAS groups its rows as it
@@ -420,26 +421,58 @@ def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,
     return _moments(hbar * wavenumbers(view.grid), np.real(np.diagonal(s2)), 1.0).std
 
 
+class EPWFWriter:
+    """An EPWF container written a block of rows at a time: the header on
+    opening, then each block widened to little-endian complex128 through
+    ``room``, a flat complex buffer of the caller's that holds at least one
+    row.  ``save_wavefunction`` writes through one, and ``run`` hands the
+    pair's readout pass another (``states.PairSource.sink``)."""
+
+    def __init__(self, path, grids: tuple[GridSpec, ...]):
+        # A 1D state pads the second axis with n₂ = 0 and zero bounds.
+        sizes = [g.n_points for g in grids] + [0]
+        bounds = [b for g in grids for b in (g.y_min, g.y_max)] + [0.0, 0.0]
+        header = _HEADER.pack(_MAGIC, _VERSION, *sizes[:2], *bounds[:4])
+        self._file = open(path, "wb")
+        try:
+            self._file.write(header)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def write(self, rows: np.ndarray, room: np.ndarray) -> None:
+        wide = room.view(_WIDE)
+        step = wide.size // rows.shape[-1]
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            out = wide[:part.size].reshape(part.shape)
+            out[...] = part
+            self._file.write(out)
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "EPWFWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def save_wavefunction(wf, path) -> None:
     """Write the little-endian EPWF container (see module docstring) of a
     1D or 2D state, or of a ``states.PairSource``, streamed from its rows.
 
-    Real states are widened to complex128 on the way out.
+    Real states are widened to complex128 on the way out, a block of rows at
+    a time through one buffer, so no full-size complex copy is ever held.
     """
-    # A 1D state pads the second axis with n₂ = 0 and zero bounds.
     grids = _axis_view(wf, 1).grids
-    sizes = [g.n_points for g in grids] + [0]
-    bounds = [b for g in grids for b in (g.y_min, g.y_max)] + [0.0, 0.0]
-    # Widen and write a block of rows at a time through one buffer, so no
-    # full-size complex copy of the payload is ever held.
-    lines, width = (sizes[0], sizes[1]) if sizes[1] else (1, sizes[0])
-    wide = np.empty(_block_lines(lines, width) * width, dtype=np.dtype("<c16"))
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, *sizes[:2], *bounds[:4]))
+    sizes = [g.n_points for g in grids]
+    lines, width = sizes if len(sizes) == 2 else (1, sizes[0])
+    room = np.empty(_block_lines(lines, width) * width, dtype=_WIDE)
+    with EPWFWriter(path, grids) as writer:
         for block in _row_blocks(wf):
-            out = wide[:block.size].reshape(block.shape)
-            out[...] = block
-            f.write(out)
+            writer.write(block, room)
 
 
 def _row_blocks(wf):
@@ -472,7 +505,7 @@ def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:
         count = n1 * (n2 if n2 > 0 else 1)
         if 16 * count > os.fstat(f.fileno()).st_size - _HEADER.size:
             raise ValueError("truncated EPWF payload")
-        data = np.frombuffer(f.read(16 * count), dtype=np.dtype("<c16"))
+        data = np.frombuffer(f.read(16 * count), dtype=_WIDE)
     if n2 == 0:
         return WaveFunction1D(grid=GridSpec(n1, y1_min, y1_max), amps=data)
     return WaveFunction2D(

@@ -17,7 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from popperlab import (
+    MeasurementSpec,
+    PhysicalParams,
     UserParameterError,
+    ZeroNormError,
     analytic,
     cli,
     experiment,
@@ -25,7 +28,13 @@ from popperlab import (
     states,
     wavefunction,
 )
-from popperlab.params import DEFAULT_MAX_POINTS, MAX_BINS, MAX_SAMPLES, ValidationReport
+from popperlab.params import (
+    DEFAULT_MAX_POINTS,
+    MAX_BINS,
+    MAX_SAMPLES,
+    ValidationReport,
+    auto_grid,
+)
 
 # A JSON value nested past the decoder's recursion limit on every supported
 # Python.
@@ -322,6 +331,101 @@ class TestRun:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error: bad config" in capsys.readouterr().err
+
+
+class TestJointSink:
+    """``run`` writes ``joint.wf`` during the pair's readout pass, through
+    the EPWF writer ``save_wavefunction`` uses, and computes the pair for
+    no other pass of its own."""
+
+    @staticmethod
+    def factored_config(path, measurement):
+        # σ = Ω₀ = 1 has 55 closed-form modes, so at 256 points the entropy
+        # takes the factored route, which builds no pair
+        extent = auto_grid(PhysicalParams(1.0, 1.0), MeasurementSpec(0.5), 0.8).y_max
+        return write_config(path, params={"sigma": 1.0, "omega0": 1.0},
+                            grid={"n_points": 256, "y_min": -extent, "y_max": extent},
+                            measurement=measurement,
+                            evolution_time=0.8 if measurement else 0.0)
+
+    @pytest.mark.parametrize("measurement", [{"epsilon": 0.5}, None],
+                             ids=["slit", "coincidence"])
+    def test_joint_wf_is_the_saved_built_pair(self, tmp_path, measurement):
+        cfg = write_config(tmp_path / "cfg.json", measurement=measurement)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        config = cli._load_config(cfg)
+        recipe = states.JointStateRecipe(config.params, config.grid, config.grid)
+        wavefunction.save_wavefunction(states.build_joint_state(recipe), tmp_path / "built.wf")
+        assert (out / "joint.wf").read_bytes() == (tmp_path / "built.wf").read_bytes()
+
+    @pytest.mark.parametrize("overrides,code", [
+        ({"measurement": {"epsilon": 0.0}}, 2),
+        ({}, 3),
+    ], ids=["validate", "after-numeric-initial"])
+    def test_a_failed_run_leaves_no_joint_wf(self, tmp_path, capsys, monkeypatch,
+                                             overrides, code):
+        def vanished(*args, **kwargs):
+            raise ZeroNormError("the state vanishes")
+        # forced: the Schmidt stage runs after the readout pass fed the file
+        monkeypatch.setattr(experiment, "pair_entropy", vanished)
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == code
+        assert list(out.iterdir()) == []
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unwritable_joint_wf_exits_2_before_computing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", refuse_compute)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        (out / "joint.wf").mkdir(parents=True)
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:")
+        assert "Traceback" not in err
+
+    def test_a_write_error_mid_stream_exits_2(self, tmp_path, capsys, monkeypatch):
+        real, calls = wavefunction.EPWFWriter.write, []
+
+        def full_disk(self, rows, room):
+            calls.append(len(rows))
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            real(self, rows, room)
+
+        monkeypatch.setattr(wavefunction.EPWFWriter, "write", full_disk)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("error: stage 'numeric_initial' failed: cannot write output: "
+                "[Errno 28] No space left on device") in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("measurement,passes", [({"epsilon": 0.5}, 2), (None, 3)],
+                             ids=["slit", "coincidence"])
+    def test_amplitudes_are_computed_once_per_pass(self, tmp_path, monkeypatch,
+                                                   measurement, passes):
+        # slit: the norm and the readout, which writes joint.wf; coincidence
+        # adds the sampler's table, one block of all 256 rows at 256 points.
+        # pair_schmidt evaluates single columns: N·(k + 1) amplitudes.
+        real, counts = states._amplitude, {1: 0, 2: 0}
+
+        def counted(y1, y2, params, out, scratch):
+            counts[out.ndim] += out.size
+            return real(y1, y2, params, out, scratch)
+
+        monkeypatch.setattr(states, "_amplitude", counted)
+        cfg = self.factored_config(tmp_path / "cfg.json", measurement)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        n = 256
+        assert (out / "joint.wf").stat().st_size == 48 + 16 * n * n
+        assert counts[2] == passes * n * n
+        assert counts[1] % n == 0 and 0 < counts[1] <= n * (n // 4 + 2)
 
 
 class TestSweep:
@@ -734,6 +838,11 @@ class TestVerifyCommand:
         return dataclasses.replace(ss, entropy=ss.entropy * (1.0 + 1e-12))
 
     @staticmethod
+    def number_off(params, grid):
+        ss = states.pair_schmidt(params, grid)
+        return dataclasses.replace(ss, coefficients=ss.coefficients * (1.0 + 1e-11))
+
+    @staticmethod
     def scaled(func, k):
         return lambda *args, **kwargs: func(*args, **kwargs) * k
 
@@ -760,8 +869,11 @@ class TestVerifyCommand:
          "Schmidt entropy: closed form vs grid"),
         ("popperlab.verify.pair_schmidt", factored_off,
          "Schmidt entropy: factored vs dense route"),
+        ("popperlab.verify.pair_schmidt", number_off,
+         "Schmidt number: grid vs closed form"),
     ], ids=["omega", "spectral-dp2", "correlation", "route-dp2", "initial-dp2",
-            "closed-product", "grid-product", "entropy-closed", "entropy-route"])
+            "closed-product", "grid-product", "entropy-closed", "entropy-route",
+            "schmidt-number"])
     def test_injected_fault_fails_its_row(self, monkeypatch, capsys, target, fault, row):
         monkeypatch.setattr(target, fault)
         assert cli.main(["verify"]) == 1
@@ -919,6 +1031,24 @@ SIDE_A_POINTER_PAST_THE_EDGE = (
 )
 
 
+# Side-B flights whose flown reduced state fits 7.43 of its widths but not
+# 7.62: the periodic FFT flight adds its image one period away, and both
+# boundaries read over 1e-6 of the peak at 512, 1024 and 2048 points.
+def side_b_flight(sigma, omega0, half, eps, center, t):
+    return (json.dumps({"params": {"sigma": sigma, "omega0": omega0, "hbar": 1.0, "mass": 1.0},
+                        "grid": {"n_points": 512, "y_min": -half, "y_max": half},
+                        "detector": {"n_bins": 48, "y_range": [-5.0, 5.0], "side": "B"},
+                        "measurement": {"epsilon": eps, "center": center},
+                        "evolution_time": t, "n_samples": 2000, "seed": 1}),
+            ["run"])
+
+
+SIDE_B_FLIGHTS_WITH_THEIR_IMAGES = [
+    side_b_flight(0.49935, 0.57386, 6.8438, 3.111, 3.600, 0.763),
+    side_b_flight(3.8007, 0.48249, 3.7094, 4.903, 1.950, 0.0539),
+]
+
+
 def run_case_text(case):
     """Exit code and printed output of cli.main on a (config text, argv) case."""
     text, argv = case
@@ -940,6 +1070,8 @@ class TestExitCodeFuzz:
     @example(case=OVERFLOWING_SPAN)
     @example(case=OFF_PAIR_POINTER)
     @example(case=SIDE_A_POINTER_PAST_THE_EDGE)
+    @example(case=SIDE_B_FLIGHTS_WITH_THEIR_IMAGES[0])
+    @example(case=SIDE_B_FLIGHTS_WITH_THEIR_IMAGES[1])
     @example(case=(json.dumps({"params": "RAW"}).replace('"RAW"', DEEP_NESTING), ["run"]))
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -959,6 +1091,13 @@ class TestExitCodeFuzz:
         assert code == 2, printed
         assert ("error: the side-A pointer is at 12; 7.43 x its post-evolution width "
                 "0.943398 spans [4.98693, 19.0131], outside the grid extent") in printed
+
+    @pytest.mark.parametrize("case", SIDE_B_FLIGHTS_WITH_THEIR_IMAGES, ids=["wide", "narrow"])
+    def test_side_b_flight_with_its_periodic_image_exits_2(self, case):
+        code, printed = run_case_text(case)
+        assert code == 2, printed
+        assert "leaves the reduced state at" in printed
+        assert "7.62 x its post-evolution width" in printed
 
     def test_side_a_flight_past_the_float_range_exits_2(self):
         text, argv = SIDE_A_POINTER_PAST_THE_EDGE

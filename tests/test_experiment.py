@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from popperlab import (
@@ -423,6 +425,37 @@ ZERO_CELLS = np.abs(np.sin(np.arange(40) / 3.0)) + 0.1
 ZERO_CELLS[:4] = 0.0
 ZERO_CELLS[15:22] = 0.0
 ZERO_CELLS[33:] = 0.0
+
+
+@st.composite
+def cdf_and_targets(draw):
+    """A nondecreasing CDF with ties and flat runs (all zero at times), and
+    targets on its knots, between them and past both ends."""
+    n = draw(st.integers(2, 300))
+    level = st.sampled_from([0.0, 0.0, 1.0, 0.25, 1e-300, 3.0])
+    density = np.array(draw(st.lists(st.one_of(level, st.floats(0.0, 5.0)),
+                                     min_size=n, max_size=n)))
+    c = experiment._cumulative_trapezoid(density, draw(st.sampled_from([1.0, 0.37, 1e-3])))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40)))
+    targets = np.concatenate((c, u * c[-1], [-1.0, c[-1] * 2 + 1.0]))
+    return GridSpec(n_points=n, y_min=-1.0, y_max=2.0), c, targets
+
+
+class TestInverse:
+    """``_invert`` counts a shared CDF array's prefix with ``np.searchsorted``
+    and a per-draw CDF's by bisection; the counts must agree on any
+    nondecreasing CDF, so sampling keeps its bits whichever it takes."""
+
+    @given(case=cdf_and_targets())
+    @settings(max_examples=300, deadline=None)
+    def test_searchsorted_counts_as_bisection_does(self, case):
+        grid, c, targets = case
+        assert np.array_equal(np.searchsorted(c, targets, side="right"),
+                              experiment._bisect(c.__getitem__, targets, grid.n_points))
+        u = np.clip(targets / c[-1] if c[-1] > 0 else targets, 0.0, 1.0 - 2.0 ** -53)
+        for got, want in zip(experiment._invert(c, u, grid),
+                             experiment._invert(c.__getitem__, u, grid)):
+            assert np.array_equal(got, want)
 
 
 class TestPositionSamplerAgainstReference:

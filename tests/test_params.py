@@ -25,6 +25,7 @@ from popperlab.params import (
     AUTO_EXTENT_SIGMAS,
     DEFAULT_MAX_POINTS,
     EXTENT_SIGMAS,
+    FLOWN_EXTENT_SIGMAS,
     FLOOR_POINTS_PER_WIDTH,
     MAX_BINS,
     MAX_SAMPLES,
@@ -199,7 +200,7 @@ class TestValidate:
         p = PhysicalParams(sigma=sigma, omega0=omega0)
         ms = MeasurementSpec(epsilon=eps, center=center)
         red = reduce_pair(build_pointer_state(ms, auto_grid(p, ms)), p, eps)
-        _, (_, c2, _, width) = _length_scales(p, ms, 0.0).held
+        _, (_, c2, _, width, _) = _length_scales(p, ms, 0.0).held
         assert width == red.dy2_closed
         assert c2 == pytest.approx(position_stats(red.phi2).mean, rel=1e-12, abs=1e-12)
 
@@ -264,7 +265,25 @@ class TestContainmentRule:
         assert math.exp(-EXTENT_SIGMAS ** 2 / 4) == pytest.approx(TAIL_RATIO_MAX)
 
     def test_auto_grids_keep_a_margin_over_the_floor(self):
-        assert EXTENT_SIGMAS < AUTO_EXTENT_SIGMAS
+        assert EXTENT_SIGMAS < FLOWN_EXTENT_SIGMAS < AUTO_EXTENT_SIGMAS
+
+    def test_a_flown_state_and_its_image_share_the_contract(self):
+        # the periodic flight's boundary meets two tails, each at half of it
+        assert 2.0 * math.exp(-FLOWN_EXTENT_SIGMAS ** 2 / 4) == pytest.approx(TAIL_RATIO_MAX)
+
+    @pytest.mark.parametrize("t,side,refused", [
+        (0.8, "B", True), (0.0, "B", False), (0.8, "A", False)])
+    def test_only_the_flown_side_b_state_is_held_with_its_image(self, t, side, refused):
+        # the README source on a grid whose half extent holds 7.5 of the
+        # reduced state's widths, flown or not: between the two rules
+        p, ms = PhysicalParams(sigma=1.0, omega0=2.0), MeasurementSpec(epsilon=0.5)
+        width = _length_scales(p, ms, t, "B").held[1][3]
+        half = 7.5 * width
+        cfg = make_config(params=p, grid=GridSpec(n_points=1024, y_min=-half, y_max=half),
+                          detector=DetectorGeometry(n_bins=32, y_range=(-1.0, 1.0), side=side),
+                          measurement=ms, evolution_time=t)
+        leaves = [v for v in validate(cfg).violations if "leaves the reduced state" in v]
+        assert bool(leaves) == refused
 
     def test_one_tail_contract(self):
         from popperlab import wavefunction
