@@ -19,7 +19,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .params import (
 )
 from .states import build_pointer_state
 from .verify import format_table, run_checks
-from .wavefunction import EPWFWriter, _axis_view, save_wavefunction
+from .wavefunction import EPWFWriter, save_wavefunction
 
 # Sweep grids are chosen automatically per step.  A step reduces the pair
 # by one convolution of length 2N and holds a few length-2N vectors (about
@@ -114,7 +113,7 @@ def _joint_sink(path: Path, grid: GridSpec):
     """A row sink that writes the pair on ``grid`` × ``grid`` to ``path``
     during its readout pass, or None above the save bound.  The file is
     opened now, so an unwritable one fails before any compute, and removed
-    if the run fails."""
+    if the run fails or the file cannot be closed."""
     n = grid.n_points
     # validate refuses fewer points, whose EPWF header may not even pack
     if not (MIN_GRID_POINTS <= n and n * n <= SAVE_MAX_AMPLITUDES):
@@ -129,12 +128,14 @@ def _joint_sink(path: Path, grid: GridSpec):
 
     try:
         yield sink
+        with _bad_input("cannot write output", OSError):
+            writer.close()
     except BaseException:
-        writer.close()
+        # the error in flight is the one to report, not a second close's
+        with contextlib.suppress(OSError):
+            writer.close()
         path.unlink(missing_ok=True)
         raise
-    with _bad_input("cannot write output", OSError):
-        writer.close()
 
 
 def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
@@ -155,14 +156,13 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
                            zip(edges, edges[1:], hist["counts"]))
                 written.append("histogram.csv")
             for name, wf in report.states.items():
-                size = math.prod(g.n_points for g in _axis_view(wf, 1).grids)
-                if size > SAVE_MAX_AMPLITUDES:
-                    print(f"note: {name}.wf skipped, {size} amplitudes exceeds "
-                          f"the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
-                    continue
-                # the sink wrote the pair during its readout pass
                 if name != "joint":
                     save_wavefunction(wf, out / f"{name}.wf")
+                elif sink is None:
+                    print(f"note: joint.wf skipped, {config.grid.n_points ** 2} amplitudes "
+                          f"exceeds the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
+                    continue
+                # else the sink wrote the pair during its readout pass
                 written.append(f"{name}.wf")
     print(f"wrote {', '.join(written)} to {out}")
     return 0

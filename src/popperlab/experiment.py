@@ -467,8 +467,9 @@ class ScenarioReport:
     inspect them; it never enters the JSON document.  "joint" is the pair's
     ``states.PairSource``, which holds no amplitudes:
     ``build_joint_state(source.recipe)`` materializes it, and
-    ``save_wavefunction`` streams it.  A run given a row sink has already
-    handed the sink every row of it, in its readout pass.
+    ``save_wavefunction(build_joint_state(source.recipe), path)`` saves it.
+    A run given a row sink has already handed the sink every row of it, in
+    its readout pass.
     """
 
     config: ScenarioConfig
@@ -554,7 +555,7 @@ def run_scenario(config: ScenarioConfig, *, sink: RowSink | None = None) -> Scen
         "ratios": None,
     }
     with _stage(timings, "schmidt"):
-        numeric["schmidt_entropy"] = pair_entropy(psi, params)
+        numeric["schmidt_entropy"] = pair_entropy(params, config.grid)
 
     if ms is not None:
         with _stage(timings, "reduce"):

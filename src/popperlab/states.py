@@ -33,8 +33,6 @@ buffers of that size.  A run makes two passes, and a coincidence run a third:
 * in coincidence mode, ``experiment.sample_joint`` computes its
   conditional-CDF table from the source's rows.
 
-``save_wavefunction`` streams a source's rows in a pass of its own.
-
 The ``WaveFunction2D`` readers stay the oracles of the readout.
 
 The pointer that stands in for slit + detector at station A is
@@ -61,13 +59,12 @@ Schmidt coefficients are the squared singular values of the k×N factor R,
 which are the singular values of the k×k Gram matrix R Rᵀ: O(N·k²) work and
 N·k floats for a numerical rank k.
 
-``pair_entropy`` takes the built pair or its source on one grid shared by
-both axes, as every caller makes it, and returns ``None`` above
-``SCHMIDT_MAX_POINTS``.  Below it takes ``pair_schmidt`` where the pair has
-at most ``FACTORED_MAX_MODE_SHARE``·N closed-form modes and a ≥ b or a
-symmetric grid, else the dense O(N³) ``wavefunction.schmidt``, the factored
-route's oracle, on the built pair: a source is built for it there.  Both
-routes raise ``ZeroNormError`` for a vanishing kernel.
+``pair_entropy`` takes the pair's parameters and the one grid shared by both
+axes, and returns ``None`` above ``SCHMIDT_MAX_POINTS``.  Below it takes
+``pair_schmidt`` where the pair has at most ``FACTORED_MAX_MODE_SHARE``·N
+closed-form modes and a ≥ b or a symmetric grid, else the dense O(N³)
+``wavefunction.schmidt``, the factored route's oracle, on the pair it builds
+there.  Both routes raise ``ZeroNormError`` for a vanishing kernel.
 """
 
 from __future__ import annotations
@@ -248,15 +245,6 @@ class PairSource:
         the same shape holds the kernel's second temporary."""
         return _fill_rows(self.recipe, lo, hi, out, scratch, self.norm_tag)
 
-    def row_blocks(self):
-        """The amplitudes of each ``_blocks`` row block, computed into one
-        reused buffer: a block is valid until the next is taken."""
-        n1, n2 = self.grid1.n_points, self.grid2.n_points
-        out, scratch = np.empty(_block_lines(n1, n2) * n2), np.empty(_block_lines(n1, n2) * n2)
-        for b in _blocks(n1, n2):
-            k = b.stop - b.start
-            yield self.rows(b.start, b.stop, _lines(out, k, n2), _lines(scratch, k, n2))
-
     @cached_property
     def readout(self) -> PairReadout:
         """The marginals, particle 2's momentum distribution and the tail
@@ -366,18 +354,16 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
     return _schmidt_tail(s / math.sqrt(_positive_total(np.sum(s ** 2))))
 
 
-def pair_entropy(psi: WaveFunction2D | PairSource, params: PhysicalParams) -> float | None:
-    """Schmidt entropy of the source pair ``psi``, built or a source, by the
-    route the module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
-    g = psi.grid1
-    if g.n_points > SCHMIDT_MAX_POINTS:
+def pair_entropy(params: PhysicalParams, grid: GridSpec) -> float | None:
+    """Schmidt entropy of the source pair on ``grid`` × ``grid`` by the route
+    the module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
+    if grid.n_points > SCHMIDT_MAX_POINTS:
         return None
     ex = _pair_spectrum(params)
-    if ex.modes <= FACTORED_MAX_MODE_SHARE * g.n_points and (ex.a >= ex.b or g.y_min == -g.y_max):
-        return pair_schmidt(params, g).entropy
-    if isinstance(psi, PairSource):
-        psi = build_joint_state(psi.recipe)
-    return schmidt(psi).entropy
+    if (ex.modes <= FACTORED_MAX_MODE_SHARE * grid.n_points
+            and (ex.a >= ex.b or grid.y_min == -grid.y_max)):
+        return pair_schmidt(params, grid).entropy
+    return schmidt(build_joint_state(JointStateRecipe(params, grid, grid))).entropy
 
 
 def build_pointer_state(measurement: MeasurementSpec, grid: GridSpec) -> WaveFunction1D:

@@ -198,7 +198,7 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
         dev = max(dev,
                   abs(position_stats(psi, 2).std - ref.dy2) / ref.dy2,
                   abs(momentum_std_spectral(psi, particle=2) - ref.dp2y) / ref.dp2y)
-        routed = pair_entropy(psi, params)
+        routed = pair_entropy(params, grid)
         if routed is not None:
             closed = _pair_spectrum(params).entropy
             dense = schmidt(psi).entropy

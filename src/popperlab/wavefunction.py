@@ -459,30 +459,18 @@ class EPWFWriter:
         self.close()
 
 
-def save_wavefunction(wf, path) -> None:
+def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
     """Write the little-endian EPWF container (see module docstring) of a
-    1D or 2D state, or of a ``states.PairSource``, streamed from its rows.
+    1D or 2D state.
 
     Real states are widened to complex128 on the way out, a block of rows at
     a time through one buffer, so no full-size complex copy is ever held.
     """
-    grids = _axis_view(wf, 1).grids
-    sizes = [g.n_points for g in grids]
-    lines, width = sizes if len(sizes) == 2 else (1, sizes[0])
-    room = np.empty(_block_lines(lines, width) * width, dtype=_WIDE)
-    with EPWFWriter(path, grids) as writer:
-        for block in _row_blocks(wf):
-            writer.write(block, room)
-
-
-def _row_blocks(wf):
-    """The amplitudes of each of ``_blocks``' row blocks of a state.  A 2D
-    source that holds no amplitudes (``states.PairSource``) computes its own
-    blocks; each is valid until the next is taken."""
-    if not isinstance(wf, (WaveFunction1D, WaveFunction2D)):
-        return wf.row_blocks()
     rows = np.atleast_2d(wf.amps)
-    return (rows[block] for block in _blocks(*rows.shape))
+    room = np.empty(_block_lines(*rows.shape) * rows.shape[1], dtype=_WIDE)
+    with EPWFWriter(path, _axis_view(wf, 1).grids) as writer:
+        for block in _blocks(*rows.shape):
+            writer.write(rows[block], room)
 
 
 def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:

@@ -60,6 +60,12 @@ def refuse_compute(*args, **kwargs):
     raise AssertionError("computed before --out was claimed")
 
 
+def vanished(*args, **kwargs):
+    """Patched over ``experiment.pair_entropy``: the Schmidt stage runs after
+    the readout pass, so the run fails after the pass that feeds ``joint.wf``."""
+    raise ZeroNormError("the state vanishes")
+
+
 def read_rows(csv_path):
     lines = csv_path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -241,19 +247,26 @@ class TestRun:
         assert code == 2
         assert "error: cannot write output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fails,code,written", [
+        (False, 0, ["report.json", "histogram.csv", "pointer.wf", "reduced.wf", "detector.wf"]),
+        (True, 3, []),
+    ], ids=["finished", "failed-after-numeric-initial"])
     def test_pair_above_the_save_bound_is_reported_not_written(self, tmp_path, capsys,
-                                                               monkeypatch):
+                                                               monkeypatch, fails, code,
+                                                               written):
+        # the note comes only from a finished run
         cfg = write_config(tmp_path / "cfg.json", evolution_time=0.8,
                            grid={"n_points": 256, "y_min": -16.2, "y_max": 16.2})
         monkeypatch.setattr(cli, "SAVE_MAX_AMPLITUDES", 256 * 256 - 1)
+        if fails:
+            monkeypatch.setattr(experiment, "pair_entropy", vanished)
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == code
         captured = capsys.readouterr()
-        assert "note: joint.wf skipped, 65536 amplitudes exceeds the 65535" in captured.err
-        assert not (out / "joint.wf").exists()
-        written = ["report.json", "histogram.csv", "pointer.wf", "reduced.wf", "detector.wf"]
+        note = "note: joint.wf skipped, 65536 amplitudes exceeds the 65535 save bound"
+        assert (note in captured.err) is not fails
         assert sorted(f.name for f in out.iterdir()) == sorted(written)
-        assert f"wrote {', '.join(written)} to {out}" in captured.out
+        assert (f"wrote {', '.join(written)} to {out}" in captured.out) is not fails
 
     @pytest.mark.parametrize("center", [16.2, 17.2, 1e6])
     def test_pointer_centre_off_the_grid_exits_2(self, tmp_path, capsys, center):
@@ -365,15 +378,29 @@ class TestJointSink:
     ], ids=["validate", "after-numeric-initial"])
     def test_a_failed_run_leaves_no_joint_wf(self, tmp_path, capsys, monkeypatch,
                                              overrides, code):
-        def vanished(*args, **kwargs):
-            raise ZeroNormError("the state vanishes")
-        # forced: the Schmidt stage runs after the readout pass fed the file
         monkeypatch.setattr(experiment, "pair_entropy", vanished)
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == code
         assert list(out.iterdir()) == []
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_failed_close_removes_joint_wf(self, tmp_path, capsys, monkeypatch):
+        real = wavefunction.EPWFWriter.close
+
+        def failing_close(self):
+            real(self)
+            if str(self._file.name).endswith("joint.wf"):
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(wavefunction.EPWFWriter, "close", failing_close)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write output: [Errno 5] Input/output error" in err
+        assert "Traceback" not in err
+        assert not (out / "joint.wf").exists()
 
     def test_unwritable_joint_wf_exits_2_before_computing(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -739,12 +766,12 @@ class TestImportBudget:
 
 class TestFastRouteCallers:
     """Every caller of the source pair's fast routes meets their preconditions:
-    ``reduce_pair`` gets a real, non-negative pointer and ``pair_entropy`` a
-    pair on one shared grid."""
+    ``reduce_pair`` gets a real, non-negative pointer.  ``pair_entropy``
+    takes one grid for both axes by its signature."""
 
     def test_run_sweep_and_verify_pass_what_the_routes_take(self, tmp_path, monkeypatch,
                                                            capsys):
-        pointers, pairs, sites = [], [], set()
+        pointers, sites = [], set()
 
         def spy(site, route, seen):
             def call(state, *args, **kwargs):
@@ -758,7 +785,7 @@ class TestFastRouteCallers:
                                 spy(f"{site}.reduce_pair", measurement.reduce_pair, pointers))
         for site in ("experiment", "verify"):
             monkeypatch.setattr(f"popperlab.{site}.pair_entropy",
-                                spy(f"{site}.pair_entropy", states.pair_entropy, pairs))
+                                spy(f"{site}.pair_entropy", states.pair_entropy, []))
         side_a = write_config(tmp_path / "a.json", evolution_time=0.8, n_samples=500,
                               measurement={"epsilon": 0.5, "center": 1.0},
                               detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"})
@@ -774,7 +801,6 @@ class TestFastRouteCallers:
                          "experiment.pair_entropy", "verify.pair_entropy"}
         for phi1 in pointers:
             assert not np.iscomplexobj(phi1.amps) and np.all(phi1.amps >= 0)
-        assert all(psi.grid1 == psi.grid2 for psi in pairs)
 
 
 class TestVerifyCommand:

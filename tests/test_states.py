@@ -26,7 +26,6 @@ from popperlab import (
     normalize,
     pointer_width_for_slit,
     position_stats,
-    save_wavefunction,
     schmidt,
 )
 from popperlab import experiment, states
@@ -239,10 +238,9 @@ class TestPairSchmidt:
         # a = 0.01 < b = 0.25 on a symmetric grid: the columns at -y2 make the
         # kernel PSD, and run's route never calls the dense eigensolver
         recipe = pair_recipe(0.1, 0.5, y_min=-20.4, y_max=20.4)
-        psi = build_joint_state(recipe)
         refuse(monkeypatch, states, "schmidt")
         refuse(monkeypatch, np.linalg, "eigvalsh")
-        entropy = pair_entropy(psi, recipe.params)
+        entropy = pair_entropy(recipe.params, recipe.grid1)
         assert entropy == pair_schmidt(recipe.params, recipe.grid1).entropy
         assert entropy == pytest.approx(oracles.oracle_schmidt_entropy(0.1, 0.5), rel=1e-12)
 
@@ -256,7 +254,7 @@ class TestPairSchmidt:
         recipe = pair_recipe(sigma, omega0, n=512, y_min=y_min, y_max=y_max)
         psi = build_joint_state(recipe)
         refuse(monkeypatch, states, "pair_schmidt")
-        assert pair_entropy(psi, recipe.params) == schmidt(psi).entropy
+        assert pair_entropy(recipe.params, recipe.grid1) == schmidt(psi).entropy
 
     @pytest.mark.parametrize("y_min,y_max", [(100.0, 200.0), (1000.0, 2000.0)])
     def test_vanishing_kernel_raises_on_both_routes(self, y_min, y_max):
@@ -309,23 +307,23 @@ class TestPairEntropyRoute:
     def test_mode_share_at_the_cap_is_factored(self, monkeypatch):
         psi, params = self.edge_pair(0)
         refuse(monkeypatch, states, "schmidt")
-        assert pair_entropy(psi, params) == pair_schmidt(params, psi.grid1).entropy
+        assert pair_entropy(params, psi.grid1) == pair_schmidt(params, psi.grid1).entropy
 
     def test_one_mode_past_the_share_is_dense(self, monkeypatch):
         psi, params = self.edge_pair(1)
         refuse(monkeypatch, states, "pair_schmidt")
-        assert pair_entropy(psi, params) == schmidt(psi).entropy
+        assert pair_entropy(params, psi.grid1) == schmidt(psi).entropy
 
     def test_grid_cap(self, monkeypatch):
         # the README source: 110 modes, factored at the cap itself
         params = PhysicalParams(1.0, 2.0)
         g = GridSpec(n_points=SCHMIDT_MAX_POINTS, y_min=-16.2, y_max=16.2)
-        at_cap = pair_entropy(build_joint_state(JointStateRecipe(params, g, g)), params)
+        at_cap = pair_entropy(params, g)
         assert at_cap == pytest.approx(oracles.oracle_schmidt_entropy(1.0, 2.0), rel=1e-12)
         refuse(monkeypatch, states, "schmidt")
         refuse(monkeypatch, states, "pair_schmidt")
         g = GridSpec(n_points=SCHMIDT_MAX_POINTS + 1, y_min=-16.2, y_max=16.2)
-        assert pair_entropy(build_joint_state(JointStateRecipe(params, g, g)), params) is None
+        assert pair_entropy(params, g) is None
 
 
 @given(sigma=st.floats(0.05, 20.0), omega0=st.floats(0.05, 20.0), hbar=st.floats(0.1, 10.0),
@@ -376,14 +374,6 @@ class TestPairSource:
                 a, b = lo + sl.start, lo + sl.stop
                 assert np.array_equal(source_rows(source, a, b), psi.amps[a:b]), (a, b)
 
-    def test_row_blocks_tile_the_built_pair(self):
-        psi, source = readme_pair(1000)
-        blocks = list(_blocks(1000, 1000))
-        got = list(map(np.copy, source.row_blocks()))
-        assert len(got) == len(blocks)
-        for rows, b in zip(got, blocks):
-            assert np.array_equal(rows, psi.amps[b])
-
     @pytest.mark.parametrize("n", [383, 1000, 2978])
     @pytest.mark.parametrize("params", [PhysicalParams(1.0, 2.0), PhysicalParams(1.3, 0.8, hbar=1.1)],
                              ids=["readme", "hbar"])
@@ -418,22 +408,16 @@ class TestPairSource:
             pair_source(params, g)
         assert str(got.value) == str(want.value)
 
-    def test_saved_bytes_are_the_built_pairs(self, tmp_path):
-        psi, source = readme_pair(383)
-        save_wavefunction(psi, tmp_path / "built.wf")
-        save_wavefunction(source, tmp_path / "source.wf")
-        assert (tmp_path / "built.wf").read_bytes() == (tmp_path / "source.wf").read_bytes()
-
     def test_dense_entropy_builds_the_pair(self, monkeypatch):
         # the README source has 110 modes, more than a quarter of 256 points
         psi, source = readme_pair(256)
         refuse(monkeypatch, states, "pair_schmidt")
-        assert pair_entropy(source, source.recipe.params) == schmidt(psi).entropy
+        assert pair_entropy(source.recipe.params, source.grid1) == schmidt(psi).entropy
 
     def test_factored_entropy_builds_nothing(self, monkeypatch):
-        psi, source = readme_pair(1024)
+        params, g = PhysicalParams(1.0, 2.0), GridSpec(n_points=1024, y_min=-16.2, y_max=16.2)
         refuse(monkeypatch, states, "build_joint_state")
-        assert pair_entropy(source, source.recipe.params) == pair_entropy(psi, source.recipe.params)
+        assert pair_entropy(params, g) == pair_schmidt(params, g).entropy
 
     def test_memory_does_not_grow_with_the_grid(self):
         # Each pass holds a few buffers of about 2**16 amplitudes; the built
