@@ -93,8 +93,10 @@ def _load_config(config_path: str) -> ScenarioConfig:
         return config_from_json(text)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows, written: list[Path]) -> None:
+    """``rows`` under ``header`` to ``path``, entered in ``written`` once open."""
     with open(path, "w", newline="") as f:
+        written.append(path)
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows([_fmt(x) for x in row] for row in rows)
@@ -110,10 +112,9 @@ def _claim_out(out_dir: str) -> Path:
 
 @contextlib.contextmanager
 def _joint_sink(path: Path, grid: GridSpec):
-    """A row sink that writes the pair on ``grid`` × ``grid`` to ``path``
-    during its readout pass, or None above the save bound.  The file is
-    opened now, so an unwritable one fails before any compute, and removed
-    if the run fails or the file cannot be closed."""
+    """A row sink writing the pair on ``grid`` × ``grid`` to ``path`` in its
+    readout pass, or None above the save bound.  The file is opened now, so
+    an unwritable one fails before any compute; its ``EPWFWriter`` owns it."""
     n = grid.n_points
     # validate refuses fewer points, whose EPWF header may not even pack
     if not (MIN_GRID_POINTS <= n and n * n <= SAVE_MAX_AMPLITUDES):
@@ -122,20 +123,12 @@ def _joint_sink(path: Path, grid: GridSpec):
     with _bad_input("cannot write output", OSError):
         writer = EPWFWriter(path, (grid, grid))
 
-    def sink(rows, room):
+    def sink(rows):
         with _bad_input("cannot write output", OSError):
-            writer.write(rows, room)
+            writer.write(rows)
 
-    try:
+    with _bad_input("cannot write output", OSError), writer:
         yield sink
-        with _bad_input("cannot write output", OSError):
-            writer.close()
-    except BaseException:
-        # the error in flight is the one to report, not a second close's
-        with contextlib.suppress(OSError):
-            writer.close()
-        path.unlink(missing_ok=True)
-        raise
 
 
 def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
@@ -143,28 +136,36 @@ def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) ->
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     out = _claim_out(out_dir)
-    with _joint_sink(out / "joint.wf", config.grid) as sink:
-        report = run_scenario(config, sink=sink)
-        doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-        with _bad_input("cannot write output", OSError):
-            (out / "report.json").write_text(doc + "\n")
-            written = ["report.json"]
-            if report.sampled is not None:
-                hist = report.sampled["histogram"]
-                edges = np.linspace(*hist["y_range"], hist["n_bins"] + 1)
-                _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
-                           zip(edges, edges[1:], hist["counts"]))
-                written.append("histogram.csv")
-            for name, wf in report.states.items():
-                if name != "joint":
-                    save_wavefunction(wf, out / f"{name}.wf")
-                elif sink is None:
-                    print(f"note: joint.wf skipped, {config.grid.n_points ** 2} amplitudes "
-                          f"exceeds the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
-                    continue
-                # else the sink wrote the pair during its readout pass
-                written.append(f"{name}.wf")
-    print(f"wrote {', '.join(written)} to {out}")
+    # each file this run finished or opened, removed if the run fails
+    written: list[Path] = []
+    try:
+        with _joint_sink(out / "joint.wf", config.grid) as sink:
+            report = run_scenario(config, sink=sink)
+            doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+            with _bad_input("cannot write output", OSError):
+                with open(out / "report.json", "w") as f:
+                    written.append(out / "report.json")
+                    f.write(doc + "\n")
+                if report.sampled is not None:
+                    hist = report.sampled["histogram"]
+                    edges = np.linspace(*hist["y_range"], hist["n_bins"] + 1)
+                    _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
+                               zip(edges, edges[1:], hist["counts"]), written)
+                for name, wf in report.states.items():
+                    path = out / f"{name}.wf"
+                    if name != "joint":
+                        save_wavefunction(wf, path)
+                    elif sink is None:
+                        print(f"note: joint.wf skipped, {config.grid.n_points ** 2} amplitudes "
+                              f"exceeds the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
+                        continue
+                    # else the sink wrote the pair during its readout pass
+                    written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    print(f"wrote {', '.join(path.name for path in written)} to {out}")
     return 0
 
 
@@ -208,7 +209,7 @@ def cmd_sweep(config_path: str, param: str, from_value: float, to_value: float,
     rows = sorted((_sweep_step(config.params, ms, param, float(v)) for v in values),
                   key=lambda r: r[0])
     with _bad_input("cannot write output", OSError):
-        _write_csv(out / "sweep.csv", _SWEEP_COLUMNS, rows)
+        _write_csv(out / "sweep.csv", _SWEEP_COLUMNS, rows, [])
     print(f"wrote sweep.csv ({len(rows)} rows) to {out}")
     return 0
 

@@ -468,8 +468,6 @@ class ScenarioReport:
     ``states.PairSource``, which holds no amplitudes:
     ``build_joint_state(source.recipe)`` materializes it, and
     ``save_wavefunction(build_joint_state(source.recipe), path)`` saves it.
-    A run given a row sink has already handed the sink every row of it, in
-    its readout pass.
     """
 
     config: ScenarioConfig
@@ -509,10 +507,8 @@ def _stage(timings: dict, name: str):
 def run_scenario(config: ScenarioConfig, *, sink: RowSink | None = None) -> ScenarioReport:
     """Execute the full pipeline described by a validated configuration.
 
-    ``sink``, if given, receives the normalized pair's row blocks during the
-    ``numeric_initial`` stage, as ``states.PairSource`` describes: ``run``
-    writes ``joint.wf`` through it instead of computing the pair again.  An
-    error it raises fails that stage.
+    ``sink``, if given, takes the pair's row blocks in the ``numeric_initial``
+    stage (``states.PairSource``); an error it raises fails that stage.
     """
     report = validate(config)
     if not report.ok:

@@ -12,24 +12,23 @@ it gives any rows the bits of the whole array.
 
 ``build_joint_state`` fills the N×N array with it.  ``run`` holds no such
 array: ``pair_source`` returns a ``PairSource``, which recomputes normalized
-row blocks from the recipe with the built array's bits, in passes of
-``_blocks`` row blocks of about 2¹⁶ amplitudes, each through a few reused
-buffers of that size.  A run makes two passes, and a coincidence run a third:
+row blocks of about 2¹⁶ amplitudes (``_blocks``) from the recipe with the
+built array's bits, through a few reused buffers of a block.  A run makes
+two passes, and a coincidence run a third:
 
 * the norm pass (``pair_source``) takes the norm as ``norm`` reads the
   built array, and refuses one below NORM_FLOOR;
-* the one pass over the normalized pair (``PairSource.readout``) takes both
-  marginals, particle 2's rfft momentum distribution and the tail ratio,
-  and hands each row block to the source's ``sink``, if it has one: ``run``
-  gives it the EPWF writer of ``joint.wf`` up to the save bound, so the
-  file costs no pass of its own.  On one grid shared by both axes the pair
-  is bitwise symmetric, (y₁−y₂)² = (y₂−y₁)² and y₁+y₂ = y₂+y₁ in IEEE
-  arithmetic, so a row block's transpose, laid out C-contiguous, is the
-  column block ``marginal_density(ψ, 2)`` reads, and the same
-  matrix-vector product gives its bits.  ``pair_spreads`` turns the readout
-  into Δy₁, Δy₂ and Δp₂ with the bits of ``position_stats`` and
-  ``momentum_std_spectral`` on the built pair, raising as they do, in the
-  order ``run`` called them;
+* the readout pass (``PairSource.readout``) takes both marginals, particle
+  2's rfft momentum distribution and the tail ratio, and hands each row
+  block to the source's ``sink``, if it has one: up to the save bound
+  ``run`` writes ``joint.wf`` through it, in no pass of its own.  On one
+  grid shared by both axes the pair is bitwise symmetric, (y₁−y₂)² =
+  (y₂−y₁)² and y₁+y₂ = y₂+y₁ in IEEE arithmetic, so a row block's
+  transpose, laid out C-contiguous, is the column block
+  ``marginal_density(ψ, 2)`` reads, and the same matrix-vector product
+  gives its bits.  ``pair_spreads`` turns the readout into Δy₁, Δy₂ and Δp₂
+  with the bits of ``position_stats`` and ``momentum_std_spectral`` on the
+  built pair, raising as they do, in the order ``run`` called them;
 * in coincidence mode, ``experiment.sample_joint`` computes its
   conditional-CDF table from the source's rows.
 
@@ -60,11 +59,12 @@ which are the singular values of the k×k Gram matrix R Rᵀ: O(N·k²) work and
 N·k floats for a numerical rank k.
 
 ``pair_entropy`` takes the pair's parameters and the one grid shared by both
-axes, and returns ``None`` above ``SCHMIDT_MAX_POINTS``.  Below it takes
-``pair_schmidt`` where the pair has at most ``FACTORED_MAX_MODE_SHARE``·N
-closed-form modes and a ≥ b or a symmetric grid, else the dense O(N³)
-``wavefunction.schmidt``, the factored route's oracle, on the pair it builds
-there.  Both routes raise ``ZeroNormError`` for a vanishing kernel.
+axes, and ``_entropy_route`` picks its route, the one rule ``verify`` reads
+too: none above ``SCHMIDT_MAX_POINTS``; below it ``pair_schmidt`` where the
+pair has at most ``FACTORED_MAX_MODE_SHARE``·N closed-form modes and a ≥ b
+or a symmetric grid, else the dense O(N³) ``wavefunction.schmidt``, the
+factored route's oracle, on the pair it builds.  Both routes raise
+``ZeroNormError`` for a vanishing kernel.
 """
 
 from __future__ import annotations
@@ -117,9 +117,8 @@ _PIVOT_FLOOR = 1e-17
 # Factor rows allocated at first; the buffer doubles when they run out.
 _FIRST_ROWS = 128
 
-# Takes each row block of the readout pass and a flat complex buffer it may
-# overwrite (``PairSource``).
-RowSink = Callable[[np.ndarray, np.ndarray], None]
+# Takes each row block of the readout pass, in order (``PairSource``).
+RowSink = Callable[[np.ndarray], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,13 +219,9 @@ class PairSource:
     """The normalized pair on one grid shared by both axes, computed a block
     of rows at a time from its recipe with ``build_joint_state``'s bits;
     ``build_joint_state(source.recipe)`` materializes it.  ``pair_source``
-    makes one.
-
-    ``sink``, if given, is called as ``sink(rows, room)`` with each row
-    block of the readout pass, in order, and a flat complex buffer ``room``
-    that it may overwrite (``wavefunction.EPWFWriter.write``): the readout
-    is taken once, so it sees the pair once.
-    """
+    makes one.  ``sink``, if given, is called as ``sink(rows)`` with each
+    row block of the readout pass, in order, once, and must not keep them:
+    the pass reuses their buffer.  ``run``'s sink writes them to ``joint.wf``."""
 
     recipe: JointStateRecipe
     norm_tag: float
@@ -254,8 +249,8 @@ class PairSource:
         w = trap_weights(self.grid1)
         half = n // 2 + 1
         size = _block_lines(n, n)
-        # Three blocks of room: the rows, then their transposed |ψ|²; the
-        # kernel's scratch, then |ψ̃|² and |ψ|²; the rows' rfft.
+        # Three blocks: the rows, then their transposed |ψ|²; the kernel's
+        # scratch, then |ψ̃|² and |ψ|²; the rows' rfft.
         rows, scratch = np.empty(size * n), np.empty(size * n)
         spectra = np.empty((size, half), dtype=np.complex128)
         part = np.empty(half)
@@ -265,8 +260,7 @@ class PairSource:
             k = b.stop - b.start
             a = self.rows(b.start, b.stop, _lines(rows, k, n), _lines(scratch, k, n))
             if self.sink is not None:
-                # The rfft below overwrites the room it widens them in.
-                self.sink(a, spectra.reshape(-1))
+                self.sink(a)
             # The amplitudes are non-negative: |ψ| is ψ, and |ψ|² its square.
             # ψ is symmetric, so the first and last columns hold the first
             # and last rows too, and the rows' transpose, laid out
@@ -288,9 +282,8 @@ class PairSource:
 
 def pair_source(params: PhysicalParams, grid: GridSpec, *,
                 sink: RowSink | None = None) -> PairSource:
-    """The source pair on ``grid`` × ``grid``, its norm taken in one pass over
-    its rows; ``ZeroNormError`` as ``build_joint_state`` raises it.  Its
-    readout pass feeds ``sink`` (``PairSource``)."""
+    """The source pair on ``grid`` × ``grid`` feeding ``sink`` (``PairSource``),
+    its norm taken in one pass; ``ZeroNormError`` as in ``build_joint_state``."""
     recipe = JointStateRecipe(params, grid, grid)
     return PairSource(recipe, _pair_norm(recipe), sink)
 
@@ -354,16 +347,23 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
     return _schmidt_tail(s / math.sqrt(_positive_total(np.sum(s ** 2))))
 
 
-def pair_entropy(params: PhysicalParams, grid: GridSpec) -> float | None:
-    """Schmidt entropy of the source pair on ``grid`` × ``grid`` by the route
-    the module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
+def _entropy_route(params: PhysicalParams, grid: GridSpec) -> str | None:
+    """``pair_entropy``'s route (module docstring): "factored", "dense" or None."""
     if grid.n_points > SCHMIDT_MAX_POINTS:
         return None
     ex = _pair_spectrum(params)
-    if (ex.modes <= FACTORED_MAX_MODE_SHARE * grid.n_points
-            and (ex.a >= ex.b or grid.y_min == -grid.y_max)):
-        return pair_schmidt(params, grid).entropy
-    return schmidt(build_joint_state(JointStateRecipe(params, grid, grid))).entropy
+    factored = (ex.modes <= FACTORED_MAX_MODE_SHARE * grid.n_points
+                and (ex.a >= ex.b or grid.y_min == -grid.y_max))
+    return "factored" if factored else "dense"
+
+
+def pair_entropy(params: PhysicalParams, grid: GridSpec) -> float | None:
+    """Schmidt entropy of the source pair on ``grid`` × ``grid`` by the route
+    the module docstring describes; ``None`` above ``SCHMIDT_MAX_POINTS``."""
+    route = _entropy_route(params, grid)
+    if route == "dense":
+        return schmidt(build_joint_state(JointStateRecipe(params, grid, grid))).entropy
+    return pair_schmidt(params, grid).entropy if route else None
 
 
 def build_pointer_state(measurement: MeasurementSpec, grid: GridSpec) -> WaveFunction1D:

@@ -11,14 +11,14 @@ writes the sweep's rows of criteria 1, 3 and 7.  Every reduction is the dense
 ``conditional_reduce`` of the pair state its site builds; ``reduce_pair``,
 the route ``run`` and ``sweep`` take, is checked against it at every sweep
 triple.  Criterion 2 checks the Schmidt entropy on the pairs where
-``states.pair_entropy``, the route ``run`` takes, reports one: that entropy
-against the closed form, and the factored route against the dense one, its
-oracle.  On the same pairs it checks the paper's invariant on the factored
-route's coefficients: the Schmidt number K = 1/Σλᵢ⁴ equals 2Δy₂Δp₂/ħ, so a
-slit that localizes particle 2 to Δy₂/K leaves it the initial Δp₂.  Where a
-bound could be read as absolute or relative, the row takes the larger
-deviation.  Each row reports expectation, observation and tolerance so a
-failure is directly actionable.
+``states.pair_entropy``, the route ``run`` takes, reports one, running each
+route once: the entropy of the route ``states._entropy_route`` names against
+the closed form, and the factored route against the dense one, its oracle,
+and the paper's invariant on the factored route's coefficients: the Schmidt
+number K = 1/Σλᵢ⁴ equals 2Δy₂Δp₂/ħ, so a slit that localizes particle 2 to
+Δy₂/K leaves it the initial Δp₂.  Where a bound could be read as absolute or
+relative, the row takes the larger deviation.  Each row reports expectation,
+observation and tolerance so a failure is directly actionable.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from .params import (
 from .rng import Xoshiro256StarStar
 from .states import (
     JointStateRecipe,
+    _entropy_route,
     build_joint_state,
     build_pointer_state,
-    pair_entropy,
     pair_schmidt,
 )
 from .wavefunction import (
@@ -198,12 +198,13 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
         dev = max(dev,
                   abs(position_stats(psi, 2).std - ref.dy2) / ref.dy2,
                   abs(momentum_std_spectral(psi, particle=2) - ref.dp2y) / ref.dp2y)
-        routed = pair_entropy(params, grid)
-        if routed is not None:
+        route = _entropy_route(params, grid)
+        if route is not None:
             closed = _pair_spectrum(params).entropy
             dense = schmidt(psi).entropy
-            entropy_dev = max(entropy_dev, abs(routed - closed) / closed)
             factored = pair_schmidt(params, grid)
+            routed = factored.entropy if route == "factored" else dense
+            entropy_dev = max(entropy_dev, abs(routed - closed) / closed)
             route_dev = max(route_dev, abs(factored.entropy - dense) / dense)
             number = 1.0 / float(np.sum(factored.coefficients ** 4))
             ratio = 2.0 * ref.dy2 * ref.dp2y / params.hbar

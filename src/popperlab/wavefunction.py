@@ -29,6 +29,7 @@ their marginals.  A real 2D state goes through ``rfft``, mirrored for −k:
 The binary container for states is little-endian throughout:
 magic ``EPWF``, version u32, n₁ u32, n₂ u32 (0 for 1D), four f64 grid
 bounds, then interleaved (re, im) f64 amplitudes in row-major order.
+``EPWFWriter`` writes it whole or removes it; ``load_wavefunction`` reads it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -422,55 +424,53 @@ def reduced_density_momentum_std(wf: WaveFunction2D, particle: int,
 
 
 class EPWFWriter:
-    """An EPWF container written a block of rows at a time: the header on
-    opening, then each block widened to little-endian complex128 through
-    ``room``, a flat complex buffer of the caller's that holds at least one
-    row.  ``save_wavefunction`` writes through one, and ``run`` hands the
-    pair's readout pass another (``states.PairSource.sink``)."""
+    """The one writer of an EPWF container: the header on opening, then rows
+    widened to ``<c16`` through a buffer of at most _BLOCK_LINES rows that
+    each ``write`` allocates.  As a context manager it closes the file, and
+    removes it if the body raised or the close failed, reporting the error
+    in flight; a header it cannot write removes it too.  So a file is whole
+    or absent."""
 
     def __init__(self, path, grids: tuple[GridSpec, ...]):
         # A 1D state pads the second axis with n₂ = 0 and zero bounds.
         sizes = [g.n_points for g in grids] + [0]
         bounds = [b for g in grids for b in (g.y_min, g.y_max)] + [0.0, 0.0]
         header = _HEADER.pack(_MAGIC, _VERSION, *sizes[:2], *bounds[:4])
+        self._path = Path(path)
         self._file = open(path, "wb")
         try:
             self._file.write(header)
-        except BaseException:
-            self._file.close()
+        except BaseException as e:
+            self.__exit__(type(e), e, e.__traceback__)
             raise
 
-    def write(self, rows: np.ndarray, room: np.ndarray) -> None:
-        wide = room.view(_WIDE)
-        step = wide.size // rows.shape[-1]
-        for lo in range(0, len(rows), step):
-            part = rows[lo:lo + step]
-            out = wide[:part.size].reshape(part.shape)
+    def write(self, rows: np.ndarray) -> None:
+        wide = np.empty((min(_BLOCK_LINES, len(rows)), rows.shape[1]), dtype=_WIDE)
+        for lo in range(0, len(rows), _BLOCK_LINES):
+            part = rows[lo:lo + _BLOCK_LINES]
+            out = wide[:len(part)]
             out[...] = part
             self._file.write(out)
-
-    def close(self) -> None:
-        self._file.close()
 
     def __enter__(self) -> "EPWFWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, kind, *_) -> None:
+        try:
+            self._file.close()
+        except OSError:
+            self._path.unlink(missing_ok=True)
+            if kind is None:  # else the error in flight is the one reported
+                raise
+        if kind is not None:
+            self._path.unlink(missing_ok=True)
 
 
 def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
-    """Write the little-endian EPWF container (see module docstring) of a
-    1D or 2D state.
-
-    Real states are widened to complex128 on the way out, a block of rows at
-    a time through one buffer, so no full-size complex copy is ever held.
-    """
-    rows = np.atleast_2d(wf.amps)
-    room = np.empty(_block_lines(*rows.shape) * rows.shape[1], dtype=_WIDE)
+    """Write the EPWF container of a 1D or 2D state through one
+    ``EPWFWriter``: whole, or, if the save fails, no file."""
     with EPWFWriter(path, _axis_view(wf, 1).grids) as writer:
-        for block in _blocks(*rows.shape):
-            writer.write(rows[block], room)
+        writer.write(np.atleast_2d(wf.amps))
 
 
 def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:

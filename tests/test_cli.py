@@ -2,13 +2,17 @@
 
 import contextlib
 import dataclasses
+import errno
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from popperlab import (
     experiment,
     measurement,
     states,
+    verify,
     wavefunction,
 )
 from popperlab.params import (
@@ -385,15 +390,9 @@ class TestJointSink:
         assert list(out.iterdir()) == []
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_a_failed_close_removes_joint_wf(self, tmp_path, capsys, monkeypatch):
-        real = wavefunction.EPWFWriter.close
-
-        def failing_close(self):
-            real(self)
-            if str(self._file.name).endswith("joint.wf"):
-                raise OSError(5, "Input/output error")
-
-        monkeypatch.setattr(wavefunction.EPWFWriter, "close", failing_close)
+    def test_a_failed_close_removes_joint_wf(self, tmp_path, capsys, epwf_faults):
+        # joint.wf is closed last, after every other artifact is written
+        epwf_faults("joint.wf", close_fails=True)
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
@@ -401,6 +400,7 @@ class TestJointSink:
         assert "error: cannot write output: [Errno 5] Input/output error" in err
         assert "Traceback" not in err
         assert not (out / "joint.wf").exists()
+        assert list(out.iterdir()) == []
 
     def test_unwritable_joint_wf_exits_2_before_computing(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -416,11 +416,11 @@ class TestJointSink:
     def test_a_write_error_mid_stream_exits_2(self, tmp_path, capsys, monkeypatch):
         real, calls = wavefunction.EPWFWriter.write, []
 
-        def full_disk(self, rows, room):
+        def full_disk(self, rows):
             calls.append(len(rows))
             if len(calls) == 2:
                 raise OSError(28, "No space left on device")
-            real(self, rows, room)
+            real(self, rows)
 
         monkeypatch.setattr(wavefunction.EPWFWriter, "write", full_disk)
         cfg = write_config(tmp_path / "cfg.json")
@@ -453,6 +453,106 @@ class TestJointSink:
         assert (out / "joint.wf").stat().st_size == 48 + 16 * n * n
         assert counts[2] == passes * n * n
         assert counts[1] % n == 0 and 0 < counts[1] <= n * (n // 4 + 2)
+
+
+def perfbench_run(monkeypatch):
+    """``perfbench/run.py`` as a module, for its workload configs; importing
+    it runs nothing."""
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(here))  # run.py imports its sibling gate.py
+    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def artifact_digests(out):
+    """SHA-256 of ``report.json`` without ``timings`` and of every ``.wf``."""
+    doc = json.loads((out / "report.json").read_text())
+    doc.pop("timings")
+    digests = {"report.json": sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()}
+    return digests | {p.name: sha256(p.read_bytes()).hexdigest() for p in out.glob("*.wf")}
+
+
+class TestBlasThreadCounts:
+    """The benchmark's workloads write the same artifacts at one and two
+    BLAS threads, each in its own ``popperlab run`` process."""
+
+    def test_workload_artifacts_agree_at_one_and_two_blas_threads(self, tmp_path, child_env,
+                                                                  monkeypatch):
+        run = perfbench_run(monkeypatch)
+        configs = {w: run.workload_config(w, 1) for w in ("slit-run", "coincidence-run")}
+        # above the joint.wf save bound: the streamed readout, and no joint.wf
+        configs["slit-run-4096"] = json.loads(json.dumps(configs["slit-run"]))
+        configs["slit-run-4096"]["grid"]["n_points"] = 4096
+        note = "note: joint.wf skipped, 16777216 amplitudes exceeds the 4194304 save bound"
+        for name, config in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            digests = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"threads-{threads}" / name
+                proc = subprocess.run(
+                    [sys.executable, "-m", "popperlab.cli", "run", "--config", str(path),
+                     "--out", str(out)], capture_output=True, text=True, timeout=300,
+                    env={**child_env, "OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                digests.append(artifact_digests(out))
+                if name == "slit-run-4096":
+                    assert not (out / "joint.wf").exists()
+                    assert note in proc.stderr
+            assert digests[0] == digests[1], name
+
+
+class TestFailedRunLeavesNothing:
+    """A run that fails removes every file it opened in ``--out``; a file it
+    never opened stays."""
+
+    @staticmethod
+    def readme_run(tmp_path):
+        # the README slit config at 512 points, into an --out holding a file
+        cfg = write_config(tmp_path / "cfg.json", evolution_time=0.8, n_samples=20000,
+                           grid={"n_points": 512, "y_min": -16.2, "y_max": 16.2})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("not this run's")
+        return ["run", "--config", cfg, "--out", str(out)], out
+
+    def test_a_failed_save_removes_the_files_written_before_it(self, tmp_path, capsys,
+                                                              monkeypatch):
+        real = cli.save_wavefunction
+
+        def full_after_reduced(wf, path):
+            if (path.parent / "reduced.wf").exists():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(wf, path)
+
+        monkeypatch.setattr(cli, "save_wavefunction", full_after_reduced)
+        argv, out = self.readme_run(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write output: [Errno 28] No space left on device" in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_enospc_inside_a_wf_removes_every_file(self, tmp_path, capsys, epwf_faults):
+        # write 2 is reduced.wf's one row, after its header
+        epwf_faults("reduced.wf", fail_at=2)
+        argv, out = self.readme_run(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot write output: [Errno 28] No space left on device" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_a_file_the_run_could_not_open_stays(self, tmp_path, capsys):
+        argv, out = self.readme_run(tmp_path)
+        (out / "report.json").mkdir()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: [Errno 21]")
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.json"]
 
 
 class TestSweep:
@@ -766,8 +866,8 @@ class TestImportBudget:
 
 class TestFastRouteCallers:
     """Every caller of the source pair's fast routes meets their preconditions:
-    ``reduce_pair`` gets a real, non-negative pointer.  ``pair_entropy``
-    takes one grid for both axes by its signature."""
+    ``reduce_pair`` gets a real, non-negative pointer.  ``pair_entropy`` and
+    ``pair_schmidt`` take one grid for both axes by their signatures."""
 
     def test_run_sweep_and_verify_pass_what_the_routes_take(self, tmp_path, monkeypatch,
                                                            capsys):
@@ -783,9 +883,9 @@ class TestFastRouteCallers:
         for site in ("experiment", "cli", "verify"):
             monkeypatch.setattr(f"popperlab.{site}.reduce_pair",
                                 spy(f"{site}.reduce_pair", measurement.reduce_pair, pointers))
-        for site in ("experiment", "verify"):
-            monkeypatch.setattr(f"popperlab.{site}.pair_entropy",
-                                spy(f"{site}.pair_entropy", states.pair_entropy, []))
+        for site, name in (("experiment", "pair_entropy"), ("verify", "pair_schmidt")):
+            monkeypatch.setattr(f"popperlab.{site}.{name}",
+                                spy(f"{site}.{name}", getattr(states, name), []))
         side_a = write_config(tmp_path / "a.json", evolution_time=0.8, n_samples=500,
                               measurement={"epsilon": 0.5, "center": 1.0},
                               detector={"n_bins": 48, "y_range": [-5.0, 5.0], "side": "A"})
@@ -798,7 +898,7 @@ class TestFastRouteCallers:
             assert cli.main(argv) == 0, argv
         capsys.readouterr()
         assert sites == {"experiment.reduce_pair", "cli.reduce_pair", "verify.reduce_pair",
-                         "experiment.pair_entropy", "verify.pair_entropy"}
+                         "experiment.pair_entropy", "verify.pair_schmidt"}
         for phi1 in pointers:
             assert not np.iscomplexobj(phi1.amps) and np.all(phi1.amps >= 0)
 
@@ -864,6 +964,11 @@ class TestVerifyCommand:
         return dataclasses.replace(ss, entropy=ss.entropy * (1.0 + 1e-12))
 
     @staticmethod
+    def entropy_off(params, grid):
+        ss = states.pair_schmidt(params, grid)
+        return dataclasses.replace(ss, entropy=ss.entropy * (1.0 + 1e-11))
+
+    @staticmethod
     def number_off(params, grid):
         ss = states.pair_schmidt(params, grid)
         return dataclasses.replace(ss, coefficients=ss.coefficients * (1.0 + 1e-11))
@@ -891,7 +996,7 @@ class TestVerifyCommand:
         ("popperlab.measurement.momentum_std_spectral",
          scaled(wavefunction.momentum_std_spectral, 1.0 + 1e-5),
          "reduced state is minimum-uncertainty (grid)"),
-        ("popperlab.verify.pair_entropy", scaled(states.pair_entropy, 1.0 + 1e-11),
+        ("popperlab.verify.pair_schmidt", entropy_off,
          "Schmidt entropy: closed form vs grid"),
         ("popperlab.verify.pair_schmidt", factored_off,
          "Schmidt entropy: factored vs dense route"),
@@ -906,6 +1011,45 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert next(line for line in out.splitlines() if line.startswith(row)).endswith("FAIL")
 
+
+class TestVerifySchmidtRoutes:
+    """Criterion 2 runs each Schmidt route once per pair, and takes the
+    entropy ``pair_entropy`` reports from the route ``states`` picks."""
+
+    def test_each_route_runs_once_per_pair(self, monkeypatch):
+        counts = {"build_joint_state": 0, "schmidt": 0, "pair_schmidt": 0}
+
+        def counted(name, func):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return call
+
+        for name in counts:
+            call = counted(name, getattr(states, name))
+            for module in (states, verify):
+                monkeypatch.setattr(module, name, call)
+        level = verify._LEVELS["quick"]
+        rows = verify._check_initial_closed_vs_grid(level)
+        assert all(r.passed for r in rows)
+        assert counts == dict.fromkeys(counts, level.n_pairs)
+
+    def test_the_routed_entropy_is_pair_entropys(self, monkeypatch):
+        # Each pair's closed form is replaced by pair_entropy(params, grid),
+        # so the row reads 0 only if every routed entropy has its bits.
+        level, seen = verify._LEVELS["quick"], []
+
+        def pair_entropy_as_closed(params):
+            grid = auto_grid(params, max_points=level.max_points)
+            seen.append(states._entropy_route(params, grid))
+            return types.SimpleNamespace(entropy=states.pair_entropy(params, grid))
+
+        monkeypatch.setattr(verify, "_pair_spectrum", pair_entropy_as_closed)
+        rows = verify._check_initial_closed_vs_grid(level)
+        row = next(r for r in rows if r.name.startswith("Schmidt entropy: closed form vs grid"))
+        assert row.actual == f"{0.0:.3e}"
+        # the quick pairs take both routes
+        assert sorted(set(seen)) == ["dense", "factored"] and len(seen) == level.n_pairs
 
 # --- exit-code fuzzing -------------------------------------------------------
 # Every drawn case stays small: a grid that passes validation has at most 512

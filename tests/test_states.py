@@ -408,6 +408,15 @@ class TestPairSource:
             pair_source(params, g)
         assert str(got.value) == str(want.value)
 
+    def test_the_sink_takes_each_row_block_only(self):
+        psi, _ = readme_pair(383)
+        calls = []
+        source = pair_source(PhysicalParams(1.0, 2.0), psi.grid1,
+                             sink=lambda *args: calls.append([a.copy() for a in args]))
+        source.readout
+        assert [len(args) for args in calls] == [1] * len(calls)
+        assert np.array_equal(np.concatenate([args[0] for args in calls]), psi.amps)
+
     def test_dense_entropy_builds_the_pair(self, monkeypatch):
         # the README source has 110 modes, more than a quarter of 256 points
         psi, source = readme_pair(256)

@@ -589,6 +589,66 @@ class TestContainerFormat:
             load_wavefunction(path)
 
 
+
+class TestWholeOrAbsent:
+    """``EPWFWriter`` owns its file: a file it cannot finish is removed."""
+
+    STATE = None
+
+    @classmethod
+    def setup_class(cls):
+        # 512 rows: many more than one buffer of the writer's
+        cls.STATE = pair_state(1.0, 2.0, n=512)
+
+    def grids(self):
+        return self.STATE.grid1, self.STATE.grid2
+
+    def test_a_body_error_removes_the_file(self, tmp_path):
+        path = tmp_path / "s.wf"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with wavefunction.EPWFWriter(path, self.grids()) as writer:
+                writer.write(self.STATE.amps[:100])
+                raise RuntimeError("interrupted")
+        assert not path.exists()
+
+    def test_a_close_error_removes_the_file(self, tmp_path, epwf_faults):
+        epwf_faults("s.wf", close_fails=True)
+        with pytest.raises(OSError, match="Input/output error"):
+            save_wavefunction(self.STATE, tmp_path / "s.wf")
+        assert not (tmp_path / "s.wf").exists()
+
+    def test_the_body_error_is_reported_over_a_close_error(self, tmp_path, epwf_faults):
+        epwf_faults("s.wf", close_fails=True)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with wavefunction.EPWFWriter(tmp_path / "s.wf", self.grids()):
+                raise RuntimeError("interrupted")
+        assert not (tmp_path / "s.wf").exists()
+
+    def test_a_header_error_removes_the_file(self, tmp_path, epwf_faults):
+        epwf_faults("s.wf", fail_at=1)
+        with pytest.raises(OSError, match="No space left on device"):
+            wavefunction.EPWFWriter(tmp_path / "s.wf", self.grids())
+        assert not (tmp_path / "s.wf").exists()
+
+    def test_a_mid_write_error_leaves_no_file(self, tmp_path, epwf_faults):
+        # write 3 is the second block of rows; a file truncated there has
+        # a whole header and is refused only when it is read
+        epwf_faults("s.wf", fail_at=3)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_wavefunction(self.STATE, tmp_path / "s.wf")
+        assert not (tmp_path / "s.wf").exists()
+
+    def test_the_writer_buffers_at_most_block_lines_rows(self, tmp_path):
+        # 512 rows of 1024 amplitudes, 64 rows to a read block; the file
+        # object's own buffer is at most 128 KiB
+        g1, g2 = GridSpec(512, -8.0, 8.0), GridSpec(1024, -8.0, 8.0)
+        wf = WaveFunction2D(grid1=g1, grid2=g2, amps=np.ones((512, 1024)))
+        row = 16 * 1024
+        peak = traced_peak(lambda: save_wavefunction(wf, tmp_path / "s.wf"))
+        lines = wavefunction._BLOCK_LINES * row
+        assert lines <= peak <= lines + 2 ** 17 + 2 ** 12
+
+
 class TestGridCaches:
     def test_cached_arrays_are_shared_and_frozen(self):
         g = GridSpec(n_points=128, y_min=-1.0, y_max=1.0)
