@@ -17,17 +17,18 @@ the source's readout or, for a built pair, the block reader's, and then y₂
 from the conditional slice, blended linearly between the two neighbouring
 grid rows; one block of 2n uniforms is drawn, its first half for the y₁
 draws and its second for the y₂ draws.  The conditional-CDF table is never
-held whole: it is filled a block of y₁ cells at a time, from row blocks of
-the pair (computed by a source, read from a built pair), into one reused
-buffer of 2¹⁸ values (2 MiB; two rows at the least), and each row block
-becomes |ψ|² and then its CDFs in place.  A block takes the draws whose y₁
-lands in its cells, which by the inverse's prefix rule are those with c₁[lo]
-≤ u < c₁[hi] (the last block takes every u ≥ c₁[lo]), so each draw lands in
-exactly one block.  The block scans the y₁ uniforms a slice at a time,
-inverts y₁ again for the draws it takes and y₂ against its own rows, so
-every draw keeps the bits of one pass over the whole table.  Past a built
-pair, the uniforms and the output, the sampler holds the buffer, length-N
-vectors and slice-sized temporaries, whatever N is.  The blocks number about
+held whole: it is filled a block of y₁ cells at a time into one reused
+buffer of 2¹⁸ values (2 MiB; two rows at the least), in one loop over
+``_blocks`` row blocks whose amplitudes a source computes (``rows``) and a
+built pair's |ψ| gives, and each row block becomes |ψ|² and then its CDFs
+in place.  A block takes the draws whose y₁ lands in its cells, which by
+the inverse's prefix rule are those with c₁[lo] ≤ u < c₁[hi] (the last
+block takes every u ≥ c₁[lo]), so each draw lands in exactly one block.
+The block scans the y₁ uniforms a slice at a time, inverts y₁ again for
+the draws it takes and y₂ against its own rows, so every draw keeps the
+bits of one pass over the whole table.  Past a built pair, the uniforms
+and the output, the sampler holds the buffer, length-N vectors and
+slice-sized temporaries, whatever N is.  The blocks number about
 N²/2¹⁸ (265 at 8,192 points), and each rescans the n uniforms.
 
 The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
@@ -90,7 +91,6 @@ from .states import (
 from .wavefunction import (
     WaveFunction1D,
     WaveFunction2D,
-    _block_lines,
     _blocks,
     grid_points,
     marginal_density,
@@ -221,21 +221,12 @@ def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndar
     cells = min(max(1, _TABLE_AMPLITUDES // n2 - 1), n1 - 1)
     table = np.empty((cells + 1, n2))
     if isinstance(psi, PairSource):
-        marginal = psi.readout.marginal1
-
-        def amplitude_blocks(lo: int, rows: np.ndarray):
-            # The kernel's scratch lives only while one block of the table fills.
-            scratch = np.empty(_block_lines(len(rows), n2) * n2)
-            for sl in _blocks(len(rows), n2):
-                out = rows[sl]
-                yield psi.rows(lo + sl.start, lo + sl.stop, out,
-                               scratch[:out.size].reshape(out.shape))
+        marginal, amplitudes = psi.readout.marginal1, psi.rows
     else:
         marginal = marginal_density(psi, 1)
 
-        def amplitude_blocks(lo: int, rows: np.ndarray):
-            for sl in _blocks(len(rows), n2):
-                yield np.abs(psi.amps[lo + sl.start:lo + sl.stop], out=rows[sl])
+        def amplitudes(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+            return np.abs(psi.amps[lo:hi], out=out)
     _, c1 = cumulative_distribution(psi.grid1, marginal)
 
     u = Xoshiro256StarStar(seed).uniforms(2 * n)
@@ -246,7 +237,8 @@ def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndar
         # Unnormalized conditional CDFs along y₂ of rows lo..hi: each block of
         # rows becomes |ψ|² and then its CDFs in place.
         rows = table[:hi + 1 - lo]
-        for dens in amplitude_blocks(lo, rows):
+        for sl in _blocks(len(rows), n2):
+            dens = amplitudes(lo + sl.start, lo + sl.stop, rows[sl])
             dens **= 2
             _cumulative_trapezoid(dens, psi.grid2.dy, out=dens)
         flat = rows.ravel()

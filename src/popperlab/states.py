@@ -6,31 +6,36 @@ The pair leaves the source in
 
 already integrated over the transverse momenta it was emitted with, so the
 builder evaluates this amplitude directly on the tensor grid and normalizes.
-One kernel evaluates it for a block of rows into reused buffers, with the
-same operations in the same order as ``joint_amplitude``; being elementwise,
-it gives any rows the bits of the whole array.
+``_fill_rows`` is the one producer of the pair's rows: it evaluates rows
+lo..hi-1 into a buffer of the caller's with the same operations in the
+same order as ``joint_amplitude`` (the kernel ``_amplitude`` allocates its
+one temporary itself); being elementwise, it gives any rows the bits of the
+whole array.  ``_row_blocks`` yields its ``_blocks`` row blocks of about
+2¹⁶ amplitudes into one reused buffer, and ``_pair_norm`` reads the norm
+from row blocks as ``norm`` reads the built array, refusing one below
+NORM_FLOOR.  ``build_joint_state`` hands it the blocks it fills into the
+N×N array, so the build is one kernel pass.  ``run`` holds no such array:
+``pair_source`` takes the norm from ``_row_blocks`` and returns a
+``PairSource``, whose rows are the built array's bits.  A run makes two
+passes, and a coincidence run a third:
 
-``build_joint_state`` fills the N×N array with it.  ``run`` holds no such
-array: ``pair_source`` returns a ``PairSource``, which recomputes normalized
-row blocks of about 2¹⁶ amplitudes (``_blocks``) from the recipe with the
-built array's bits, through a few reused buffers of a block.  A run makes
-two passes, and a coincidence run a third:
-
-* the norm pass (``pair_source``) takes the norm as ``norm`` reads the
-  built array, and refuses one below NORM_FLOOR;
+* the norm pass (``pair_source``);
 * the readout pass (``PairSource.readout``) takes both marginals, particle
-  2's rfft momentum distribution and the tail ratio, and hands each row
-  block to the source's ``sink``, if it has one: up to the save bound
-  ``run`` writes ``joint.wf`` through it, in no pass of its own.  On one
-  grid shared by both axes the pair is bitwise symmetric, (y₁−y₂)² =
-  (y₂−y₁)² and y₁+y₂ = y₂+y₁ in IEEE arithmetic, so a row block's
-  transpose, laid out C-contiguous, is the column block
+  2's rfft momentum distribution and the tail ratio from the normalized
+  ``_row_blocks``, and hands each block to the source's ``sink``, if it has
+  one: up to the save bound ``run`` writes ``joint.wf`` through it, in no
+  pass of its own.  Past the row buffer it keeps a block for |ψ̃|² and then
+  the transposed |ψ|², and one for the rfft; the rows become |ψ|² in
+  place.  On one grid shared by both axes the pair is bitwise symmetric,
+  (y₁−y₂)² = (y₂−y₁)² and y₁+y₂ = y₂+y₁ in IEEE arithmetic, so a row
+  block's transpose, laid out C-contiguous, is the column block
   ``marginal_density(ψ, 2)`` reads, and the same matrix-vector product
   gives its bits.  ``pair_spreads`` turns the readout into Δy₁, Δy₂ and Δp₂
   with the bits of ``position_stats`` and ``momentum_std_spectral`` on the
   built pair, raising as they do, in the order ``run`` called them;
-* in coincidence mode, ``experiment.sample_joint`` computes its
-  conditional-CDF table from the source's rows.
+* in coincidence mode, ``experiment.sample_joint`` fills its
+  conditional-CDF table with ``PairSource.rows``, the rows lo..hi-1 of the
+  normalized pair into a buffer of the caller's.
 
 The ``WaveFunction2D`` readers stay the oracles of the readout.
 
@@ -70,7 +75,7 @@ factored route's oracle, on the pair it builds.  Both routes raise
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -131,9 +136,8 @@ class JointStateRecipe:
 
 
 def _amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams,
-               out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``joint_amplitude`` of float64 arrays, written into ``out`` with
-    ``scratch`` of the same shape as its second temporary."""
+               out: np.ndarray) -> np.ndarray:
+    """``joint_amplitude`` of float64 arrays, written into ``out``."""
     sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
     # The steps of exp(-(y1-y2)²σ²/ħ² - (y1+y2)²/16Ω₀²) in the same order;
     # -a - b == -(a + b) exactly in IEEE arithmetic.
@@ -141,10 +145,10 @@ def _amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams,
     out **= 2
     out *= sigma ** 2
     out /= hbar ** 2
-    np.add(y1, y2, out=scratch)
-    scratch **= 2
-    scratch /= 16.0 * omega0 ** 2
-    out += scratch
+    second = np.add(y1, y2)
+    second **= 2
+    second /= 16.0 * omega0 ** 2
+    out += second
     np.negative(out, out=out)
     return np.exp(out, out=out)
 
@@ -154,14 +158,14 @@ def joint_amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams) -> n
     # asarray keeps 0-d inputs writable arrays (a numpy scalar is not).
     y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
     shape = np.broadcast_shapes(y1.shape, y2.shape)
-    return _amplitude(y1, y2, params, np.empty(shape), np.empty(shape))
+    return _amplitude(y1, y2, params, np.empty(shape))
 
 
 def _fill_rows(recipe: JointStateRecipe, lo: int, hi: int, out: np.ndarray,
-               scratch: np.ndarray, norm: float | None = None) -> np.ndarray:
+               norm: float | None = None) -> np.ndarray:
     """Rows lo..hi-1 of the pair into ``out``, divided by ``norm`` if given."""
     y1 = grid_points(recipe.grid1)[lo:hi, None]
-    _amplitude(y1, grid_points(recipe.grid2), recipe.params, out, scratch)
+    _amplitude(y1, grid_points(recipe.grid2), recipe.params, out)
     if norm is not None:
         out /= norm
     return out
@@ -172,25 +176,29 @@ def _lines(buffer: np.ndarray, lines: int, width: int) -> np.ndarray:
     return buffer[:lines * width].reshape(lines, width)
 
 
-def _pair_norm(recipe: JointStateRecipe, into: np.ndarray | None = None) -> float:
-    """Norm of the unnormalized pair, read as ``norm`` reads the built array:
-    |ψ|² of each ``_blocks`` row block times w₂, then w₁ over y₁.  The rows
-    are computed into ``into`` if given, else into one reused buffer.
-    ``ZeroNormError`` below NORM_FLOOR."""
+def _row_blocks(recipe: JointStateRecipe,
+                norm: float | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+    """(slice, rows) of the pair for each ``_blocks`` row block, divided by
+    ``norm`` if given, into one buffer that the next block reuses."""
+    n1, n2 = recipe.grid1.n_points, recipe.grid2.n_points
+    buffer = np.empty(_block_lines(n1, n2) * n2)
+    for b in _blocks(n1, n2):
+        yield b, _fill_rows(recipe, b.start, b.stop, _lines(buffer, b.stop - b.start, n2), norm)
+
+
+def _pair_norm(recipe: JointStateRecipe, blocks: Iterable[tuple[slice, np.ndarray]]) -> float:
+    """Norm of the unnormalized pair from its ``_blocks`` row blocks, read as
+    ``norm`` reads the built array: |ψ|² of each block times w₂, then w₁
+    over y₁.  ``ZeroNormError`` below NORM_FLOOR."""
     g1, g2 = recipe.grid1, recipe.grid2
     n1, n2 = g1.n_points, g2.n_points
     w2 = trap_weights(g2)
-    size = _block_lines(n1, n2) * n2
-    rows = np.empty(size) if into is None else None
-    scratch = np.empty(size)
+    dens = np.empty(_block_lines(n1, n2) * n2)
     marginal = np.empty(n1)
-    for b in _blocks(n1, n2):
-        k = b.stop - b.start
-        a = _lines(rows, k, n2) if into is None else into[b]
-        _fill_rows(recipe, b.start, b.stop, a, _lines(scratch, k, n2))
+    for b, a in blocks:
         # The amplitudes are non-negative, so |ψ|² is their square.
-        dens = np.square(a, out=_lines(scratch, k, n2))
-        np.matmul(dens, w2, out=marginal[b])
+        d = np.square(a, out=_lines(dens, b.stop - b.start, n2))
+        np.matmul(d, w2, out=marginal[b])
     return _above_floor(float(np.sqrt(np.sum(trap_weights(g1) * marginal))))
 
 
@@ -199,7 +207,8 @@ def build_joint_state(recipe: JointStateRecipe) -> WaveFunction2D:
     are filled a block at a time, the norm is read from each block as it is
     filled, and the array is divided in place: one N×N array."""
     amps = np.empty((recipe.grid1.n_points, recipe.grid2.n_points))
-    n = _pair_norm(recipe, into=amps)
+    n = _pair_norm(recipe, ((b, _fill_rows(recipe, b.start, b.stop, amps[b]))
+                            for b in _blocks(*amps.shape)))
     amps /= n
     return WaveFunction2D(grid1=recipe.grid1, grid2=recipe.grid2, amps=amps, norm_tag=n)
 
@@ -235,10 +244,9 @@ class PairSource:
     def grid2(self) -> GridSpec:
         return self.recipe.grid2
 
-    def rows(self, lo: int, hi: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Rows lo..hi-1 of the normalized pair, into ``out``; ``scratch`` of
-        the same shape holds the kernel's second temporary."""
-        return _fill_rows(self.recipe, lo, hi, out, scratch, self.norm_tag)
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo..hi-1 of the normalized pair, into ``out``."""
+        return _fill_rows(self.recipe, lo, hi, out, self.norm_tag)
 
     @cached_property
     def readout(self) -> PairReadout:
@@ -249,16 +257,15 @@ class PairSource:
         w = trap_weights(self.grid1)
         half = n // 2 + 1
         size = _block_lines(n, n)
-        # Three blocks: the rows, then their transposed |ψ|²; the kernel's
-        # scratch, then |ψ̃|² and |ψ|²; the rows' rfft.
-        rows, scratch = np.empty(size * n), np.empty(size * n)
+        # Past the rows' own buffer, two blocks: |ψ̃|², then the transposed
+        # |ψ|²; the rows' rfft.
+        scratch = np.empty(size * n)
         spectra = np.empty((size, half), dtype=np.complex128)
         part = np.empty(half)
         marginal1, marginal2, spectrum = np.empty(n), np.empty(n), np.zeros(half)
         peak = edge = 0.0
-        for b in _blocks(n, n):
+        for b, a in _row_blocks(self.recipe, self.norm_tag):
             k = b.stop - b.start
-            a = self.rows(b.start, b.stop, _lines(rows, k, n), _lines(scratch, k, n))
             if self.sink is not None:
                 self.sink(a)
             # The amplitudes are non-negative: |ψ| is ψ, and |ψ|² its square.
@@ -270,10 +277,10 @@ class PairSource:
             p = np.abs(np.fft.rfft(a, axis=1, out=spectra[:k]), out=_lines(scratch, k, half))
             p **= 2
             spectrum += np.matmul(w[b], p, out=part)
-            d = np.square(a, out=_lines(scratch, k, n))
-            np.matmul(d, w, out=marginal1[b])
-            t = _lines(rows, n, k)
-            t[...] = d.T
+            # The rows are spent: they become |ψ|² in place.
+            np.matmul(np.square(a, out=a), w, out=marginal1[b])
+            t = _lines(scratch, n, k)
+            t[...] = a.T
             np.matmul(w, t, out=marginal2[b])
         for v in (marginal1, marginal2, spectrum):
             v.flags.writeable = False
@@ -285,7 +292,7 @@ def pair_source(params: PhysicalParams, grid: GridSpec, *,
     """The source pair on ``grid`` × ``grid`` feeding ``sink`` (``PairSource``),
     its norm taken in one pass; ``ZeroNormError`` as in ``build_joint_state``."""
     recipe = JointStateRecipe(params, grid, grid)
-    return PairSource(recipe, _pair_norm(recipe), sink)
+    return PairSource(recipe, _pair_norm(recipe, _row_blocks(recipe)), sink)
 
 
 def pair_spreads(source: PairSource) -> tuple[Moments, Moments, float]:

@@ -441,9 +441,9 @@ class TestJointSink:
         # pair_schmidt evaluates single columns: N·(k + 1) amplitudes.
         real, counts = states._amplitude, {1: 0, 2: 0}
 
-        def counted(y1, y2, params, out, scratch):
+        def counted(y1, y2, params, out):
             counts[out.ndim] += out.size
-            return real(y1, y2, params, out, scratch)
+            return real(y1, y2, params, out)
 
         monkeypatch.setattr(states, "_amplitude", counted)
         cfg = self.factored_config(tmp_path / "cfg.json", measurement)

@@ -132,6 +132,36 @@ class TestBuildJointState:
         assert psi.norm_tag == n
         assert np.array_equal(psi.amps, raw / n)
 
+    @pytest.mark.parametrize("n1,n2", [(383, 257), (1000, 1000)])
+    def test_each_amplitude_is_evaluated_once(self, monkeypatch, n1, n2):
+        # One kernel pass whose blocks do not divide the rows evenly: each
+        # row reaches the kernel once, in order, across all n2 columns.
+        g1, g2 = GridSpec(n1, -10.0, 10.0), GridSpec(n2, -6.0, 8.0)
+        real, rows = states._amplitude, []
+
+        def counted(y1, y2, params, out):
+            assert out.shape == (len(y1), n2)
+            rows.append(y1.ravel().copy())
+            return real(y1, y2, params, out)
+
+        monkeypatch.setattr(states, "_amplitude", counted)
+        build_joint_state(JointStateRecipe(PhysicalParams(1.3, 0.8, hbar=1.1), g1, g2))
+        assert len(rows) > 1
+        assert np.array_equal(np.concatenate(rows), grid_points(g1))
+
+    @pytest.mark.parametrize("n1,n2", [(383, 257), (257, 383), (48, 66000)])
+    def test_row_blocks_tile_the_built_rows(self, n1, n2):
+        g1, g2 = GridSpec(n1, -10.0, 10.0), GridSpec(n2, -6.0, 8.0)
+        recipe = JointStateRecipe(PhysicalParams(1.3, 0.8, hbar=1.1), g1, g2)
+        psi = build_joint_state(recipe)
+        raw = joint_amplitude(grid_points(g1)[:, None], grid_points(g2)[None, :], recipe.params)
+        for norm, want in ((None, raw), (psi.norm_tag, psi.amps)):
+            # The blocks share one buffer, so each is copied as it comes.
+            blocks = [(b, a.copy()) for b, a in states._row_blocks(recipe, norm)]
+            assert [b for b, _ in blocks] == list(_blocks(n1, n2))
+            for b, a in blocks:
+                assert np.array_equal(a, want[b]), b
+
     def test_zero_pair_raises(self):
         # Off the diagonal σ, on it Ω₀ puts every amplitude below the least float.
         g = GridSpec(n_points=64, y_min=-10.0, y_max=10.0)
@@ -344,9 +374,8 @@ def readme_pair(n, params=PhysicalParams(1.0, 2.0), extent=16.2):
 
 
 def source_rows(source, lo, hi):
-    """Rows lo..hi-1 of a source, into fresh buffers."""
-    shape = (hi - lo, source.grid2.n_points)
-    return source.rows(lo, hi, np.empty(shape), np.empty(shape))
+    """Rows lo..hi-1 of a source, into a fresh buffer."""
+    return source.rows(lo, hi, np.empty((hi - lo, source.grid2.n_points)))
 
 
 class TestPairSource:
@@ -358,8 +387,8 @@ class TestPairSource:
         psi, source = readme_pair(383)
         lo = data.draw(st.integers(0, 382))
         hi = data.draw(st.integers(lo + 1, 383))
-        out, scratch = np.empty((hi - lo, 383)), np.empty((hi - lo, 383))
-        assert source.rows(lo, hi, out, scratch) is out
+        out = np.empty((hi - lo, 383))
+        assert source.rows(lo, hi, out) is out
         assert np.array_equal(out, psi.amps[lo:hi])
 
     @pytest.mark.parametrize("n", [383, 1000])
