@@ -6,15 +6,25 @@ The pair leaves the source in
 
 already integrated over the transverse momenta it was emitted with, so the
 builder evaluates this amplitude directly on the tensor grid and normalizes.
-``_fill_rows`` is the one producer of the pair's rows: it evaluates rows
-lo..hi-1 into a buffer of the caller's with the same operations in the
-same order as ``joint_amplitude`` (the kernel ``_amplitude`` allocates its
-one temporary itself); being elementwise, it gives any rows the bits of the
-whole array.  ``_row_blocks`` yields its ``_blocks`` row blocks of about
-2¹⁶ amplitudes into one reused buffer, and ``_pair_norm`` reads the norm
-from row blocks as ``norm`` reads the built array, refusing one below
-NORM_FLOOR.  ``build_joint_state`` hands it the blocks it fills into the
-N×N array, so the build is one kernel pass.  ``run`` holds no such array:
+``_fill_rows`` is the one producer of the pair's rows: it writes rows
+lo..hi-1 into a buffer of the caller's.  On one grid shared by both axes,
+y₁−y₂ depends only on i−j and y₁+y₂ only on i+j, so the pair factors as
+
+    ψ(i, j) = T[i−j] · H[i+j],  T[m] = exp(−(m·dy)²σ²/ħ²),
+                                H[s] = exp(−(2y_min + s·dy)²/16Ω₀²):
+
+two tables of 2N−1 exponentials, which ``_factors`` builds once per recipe,
+and a row block is one product of their sliding windows, N² multiplies
+where the formula takes N² exponentials.  It differs from
+``joint_amplitude``, which takes the nodes' own differences and sums, in
+the last bits (5.1e-13 relative at most on the README source).  A recipe on
+two grids does not factor: there ``_amplitude`` takes ``joint_amplitude``'s
+steps in its order.  Either kernel is elementwise, so it gives any rows the
+bits of the whole array.  ``_row_blocks`` yields its ``_blocks`` row blocks
+of about 2¹⁶ amplitudes into one reused buffer, and ``_pair_norm`` reads
+the norm from row blocks as ``norm`` reads the built array, refusing one
+below NORM_FLOOR.  ``build_joint_state`` hands it the blocks it fills into
+the N×N array, so the build is one kernel pass.  ``run`` holds no such array:
 ``pair_source`` takes the norm from ``_row_blocks`` and returns a
 ``PairSource``, whose rows are the built array's bits.  A run makes two
 passes, and a coincidence run a third:
@@ -26,10 +36,10 @@ passes, and a coincidence run a third:
   one: up to the save bound ``run`` writes ``joint.wf`` through it, in no
   pass of its own.  Past the row buffer it keeps a block for |ψ̃|² and then
   the transposed |ψ|², and one for the rfft; the rows become |ψ|² in
-  place.  On one grid shared by both axes the pair is bitwise symmetric,
-  (y₁−y₂)² = (y₂−y₁)² and y₁+y₂ = y₂+y₁ in IEEE arithmetic, so a row
-  block's transpose, laid out C-contiguous, is the column block
-  ``marginal_density(ψ, 2)`` reads, and the same matrix-vector product
+  place.  On one grid shared by both axes the pair is bitwise symmetric:
+  T is even, (−m·dy)² = (m·dy)² in IEEE arithmetic, and H depends on i+j
+  alone.  So a row block's transpose, laid out C-contiguous, is the column
+  block ``marginal_density(ψ, 2)`` reads, and the same matrix-vector product
   gives its bits.  ``pair_spreads`` turns the readout into Δy₁, Δy₂ and Δp₂
   with the bits of ``position_stats`` and ``momentum_std_spectral`` on the
   built pair, raising as they do, in the order ``run`` called them;
@@ -77,10 +87,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytic import _pair_spectrum
 from .errors import UnderResolvedError
@@ -161,11 +172,38 @@ def joint_amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams) -> n
     return _amplitude(y1, y2, params, np.empty(shape))
 
 
+# Every pass of a run reads one recipe's tables; the bound keeps a process
+# that visits many pairs, as verify does, from holding all of theirs.
+@lru_cache(maxsize=16)
+def _factors(recipe: JointStateRecipe) -> tuple[np.ndarray, np.ndarray]:
+    """T[i−j] and H[i+j] (module docstring) on one grid shared by both axes,
+    as read-only views whose row i runs over the columns j."""
+    g, p = recipe.grid1, recipe.params
+    n = g.n_points
+    # T's exponent takes joint_amplitude's steps in its order, so extreme σ
+    # and ħ overflow or underflow as they do there.
+    t = np.arange(1 - n, n) * g.dy
+    t **= 2
+    t *= p.sigma ** 2
+    t /= p.hbar ** 2
+    h = np.arange(2 * n - 1) * g.dy
+    h += 2.0 * g.y_min
+    h **= 2
+    h /= 16.0 * p.omega0 ** 2
+    # T is indexed from m = 1−n: row i reads T[i+n−1−j], its window reversed.
+    return sliding_window_view(np.exp(-t), n)[:, ::-1], sliding_window_view(np.exp(-h), n)
+
+
 def _fill_rows(recipe: JointStateRecipe, lo: int, hi: int, out: np.ndarray,
                norm: float | None = None) -> np.ndarray:
-    """Rows lo..hi-1 of the pair into ``out``, divided by ``norm`` if given."""
-    y1 = grid_points(recipe.grid1)[lo:hi, None]
-    _amplitude(y1, grid_points(recipe.grid2), recipe.params, out)
+    """Rows lo..hi-1 of the pair into ``out``, divided by ``norm`` if given:
+    the product T·H on one grid shared by both axes, else ``_amplitude``."""
+    if recipe.grid1 == recipe.grid2:
+        t, h = _factors(recipe)
+        np.multiply(t[lo:hi], h[lo:hi], out=out)
+    else:
+        _amplitude(grid_points(recipe.grid1)[lo:hi, None], grid_points(recipe.grid2),
+                   recipe.params, out)
     if norm is not None:
         out /= norm
     return out

@@ -438,20 +438,30 @@ class TestJointSink:
                                                    measurement, passes):
         # slit: the norm and the readout, which writes joint.wf; coincidence
         # adds the sampler's table, one block of all 256 rows at 256 points.
-        # pair_schmidt evaluates single columns: N·(k + 1) amplitudes.
-        real, counts = states._amplitude, {1: 0, 2: 0}
+        # On the run's one grid each pass's rows are the T·H product of
+        # _fill_rows, and _amplitude makes no 2-D call; pair_schmidt
+        # evaluates single columns: N·(k + 1) amplitudes.
+        real_fill, real_amplitude = states._fill_rows, states._amplitude
+        counts = {"rows": 0, 1: 0, 2: 0}
+
+        def counted_fill(recipe, lo, hi, out, norm=None):
+            assert recipe.grid1 == recipe.grid2
+            counts["rows"] += out.size
+            return real_fill(recipe, lo, hi, out, norm)
 
         def counted(y1, y2, params, out):
             counts[out.ndim] += out.size
-            return real(y1, y2, params, out)
+            return real_amplitude(y1, y2, params, out)
 
+        monkeypatch.setattr(states, "_fill_rows", counted_fill)
         monkeypatch.setattr(states, "_amplitude", counted)
         cfg = self.factored_config(tmp_path / "cfg.json", measurement)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         n = 256
         assert (out / "joint.wf").stat().st_size == 48 + 16 * n * n
-        assert counts[2] == passes * n * n
+        assert counts["rows"] == passes * n * n
+        assert counts[2] == 0
         assert counts[1] % n == 0 and 0 < counts[1] <= n * (n // 4 + 2)
 
 
@@ -647,13 +657,14 @@ class TestSweep:
 
     def test_sweep_builds_no_pair_state(self, tmp_path, monkeypatch):
         # every step reduces by convolution, including the 8192-point
-        # escalation of the 0.05 step, so no N×N amplitude is evaluated
+        # escalation of the 0.05 step, so no N×N amplitude is evaluated:
+        # _fill_rows produces every row of the pair, a source's included
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep step built the pair state")
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("popperlab"):
-                for name in ("build_joint_state", "joint_amplitude"):
+                for name in ("build_joint_state", "joint_amplitude", "_fill_rows"):
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, refuse)
         cfg = write_config(tmp_path / "cfg.json",

@@ -95,6 +95,9 @@ class TestBuildJointState:
         assert np.all(psi.amps.real >= 0.0)
 
     def test_amplitudes_match_out_of_place_formula(self):
+        # Two grids take the formula's steps; one shared grid takes the T·H
+        # product, whose largest relative gap to the formula here is 3.3e-13
+        # (its smallest amplitude is 1.6e-243, so no gap is a subnormal's).
         g1 = GridSpec(n_points=256, y_min=-10.0, y_max=10.0)
         g2 = GridSpec(n_points=128, y_min=-6.0, y_max=8.0)
         p = PhysicalParams(1.3, 0.8, hbar=1.1)
@@ -103,7 +106,30 @@ class TestBuildJointState:
             raw = oracles.ref_joint_amplitude(grid_points(ga)[:, None], grid_points(gb)[None, :],
                                               p.sigma, p.omega0, p.hbar)
             ref = normalize(WaveFunction2D(grid1=ga, grid2=gb, amps=raw))
-            assert np.array_equal(psi.amps, ref.amps)
+            if ga == gb:
+                assert np.max(np.abs(psi.amps - ref.amps) / ref.amps) < 1e-12
+            else:
+                assert np.array_equal(psi.amps, ref.amps)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is double on this platform")
+    @pytest.mark.parametrize("sigma,omega0,hbar", [(1.0, 2.0, 1.0), (1.3, 0.8, 1.1),
+                                                   (0.3, 4.0, 1.0)])
+    def test_shared_grid_rows_match_a_long_double_evaluation(self, sigma, omega0, hbar):
+        # The formula in long double on the same float64 nodes, wherever it
+        # exceeds 1e-290.  Largest relative gaps at 1024 points: 3.2e-13,
+        # 4.3e-13 and 5.0e-14 for the T·H product, against 2.0e-13, 2.9e-13
+        # and 3.6e-14 for the float64 formula.
+        g = GridSpec(n_points=1024, y_min=-16.2, y_max=16.2)
+        recipe = JointStateRecipe(PhysicalParams(sigma, omega0, hbar=hbar), g, g)
+        rows = np.concatenate([a.copy() for _, a in states._row_blocks(recipe)])
+        y = grid_points(g).astype(np.longdouble)
+        diff, com = y[:, None] - y[None, :], y[:, None] + y[None, :]
+        s, o, h = (np.longdouble(v) for v in (sigma, omega0, hbar))
+        ref = np.exp(-(diff * diff * s * s / (h * h)) - com * com / (16 * o * o))
+        kept = ref > 1e-290
+        assert kept.mean() > 0.8
+        assert np.max(np.abs(rows[kept] - ref[kept]) / ref[kept]) < 1e-12
 
     def test_peak_is_the_state_and_a_few_blocks(self):
         # Rows are evaluated into one array and divided in place: at 1024
@@ -132,22 +158,38 @@ class TestBuildJointState:
         assert psi.norm_tag == n
         assert np.array_equal(psi.amps, raw / n)
 
-    @pytest.mark.parametrize("n1,n2", [(383, 257), (1000, 1000)])
-    def test_each_amplitude_is_evaluated_once(self, monkeypatch, n1, n2):
+    @pytest.mark.parametrize("n1,n2,shared", [(383, 257, False), (1000, 1000, False),
+                                              (1000, 1000, True)],
+                             ids=["383-257", "1000-1000", "1000-shared"])
+    def test_each_amplitude_is_evaluated_once(self, monkeypatch, n1, n2, shared):
         # One kernel pass whose blocks do not divide the rows evenly: each
-        # row reaches the kernel once, in order, across all n2 columns.
+        # row reaches the kernel once, in order, across all n2 columns.  Two
+        # grids reach it through _amplitude; a shared grid's T·H product
+        # does not call _amplitude.
         g1, g2 = GridSpec(n1, -10.0, 10.0), GridSpec(n2, -6.0, 8.0)
-        real, rows = states._amplitude, []
+        if shared:
+            g2 = g1
+        real_fill, real_amplitude, filled, rows = states._fill_rows, states._amplitude, [], []
+
+        def counted_fill(recipe, lo, hi, out, norm=None):
+            assert out.shape == (hi - lo, n2)
+            filled.append(np.arange(lo, hi))
+            return real_fill(recipe, lo, hi, out, norm)
 
         def counted(y1, y2, params, out):
             assert out.shape == (len(y1), n2)
             rows.append(y1.ravel().copy())
-            return real(y1, y2, params, out)
+            return real_amplitude(y1, y2, params, out)
 
+        monkeypatch.setattr(states, "_fill_rows", counted_fill)
         monkeypatch.setattr(states, "_amplitude", counted)
         build_joint_state(JointStateRecipe(PhysicalParams(1.3, 0.8, hbar=1.1), g1, g2))
-        assert len(rows) > 1
-        assert np.array_equal(np.concatenate(rows), grid_points(g1))
+        assert len(filled) > 1
+        assert np.array_equal(np.concatenate(filled), np.arange(n1))
+        if shared:
+            assert rows == []
+        else:
+            assert np.array_equal(np.concatenate(rows), grid_points(g1))
 
     @pytest.mark.parametrize("n1,n2", [(383, 257), (257, 383), (48, 66000)])
     def test_row_blocks_tile_the_built_rows(self, n1, n2):
@@ -366,6 +408,25 @@ def test_joint_amplitude_is_bitwise_symmetric_on_shared_grids(sigma, omega0, hba
     y = grid_points(GridSpec(n_points=n, y_min=y_min, y_max=y_min + span))
     a = joint_amplitude(y[:, None], y[None, :], params)
     assert np.array_equal(a, a.T)
+
+
+@given(sigma=st.floats(0.05, 20.0), omega0=st.floats(0.05, 20.0), hbar=st.floats(0.1, 10.0),
+       n=st.integers(2, 200), y_min=st.floats(-50.0, 50.0), span=st.floats(1e-3, 100.0))
+@settings(max_examples=200, deadline=None)
+def test_pair_rows_are_bitwise_symmetric_on_shared_grids(sigma, omega0, hbar, n, y_min, span):
+    # T is even and H depends on i+j only, so the T·H rows are symmetric
+    # whether or not the grid is centred; the built pair is where it builds.
+    g = GridSpec(n_points=n, y_min=y_min, y_max=y_min + span)
+    recipe = JointStateRecipe(PhysicalParams(sigma, omega0, hbar=hbar), g, g)
+    rows = np.concatenate([a.copy() for _, a in states._row_blocks(recipe)])
+    assert np.array_equal(rows, rows.T)
+    try:
+        psi = build_joint_state(recipe)
+    except ZeroNormError:
+        assert not np.any(rows > 1e-15)
+        return
+    assert np.array_equal(psi.amps, psi.amps.T)
+    assert np.array_equal(psi.amps, rows / psi.norm_tag)
 
 
 def readme_pair(n, params=PhysicalParams(1.0, 2.0), extent=16.2):
