@@ -15,7 +15,7 @@ One private core records the s1 each step reads and then applies the **
 scrambler to all of them at once on uint64 arrays, whose wrap-around is the
 recurrence's arithmetic mod 2⁶⁴; ``uniforms``, ``next_u64`` and ``random``
 all read from it.  A short block steps the state on four Python ints.  A
-long one (2¹⁵ draws or more) steps L ≈ √(n/32) uint64 lanes together: the
+long one (18,432 draws or more) steps L ≈ √(n/32) uint64 lanes together: the
 transition T is linear over GF(2) (Blackman & Vigna, ACM TOMS 47(4), 2021),
 so B = n // L steps are the polynomial x^B mod p applied to the state, p
 being T's characteristic polynomial (Haramoto et al., INFORMS J. Comput.
@@ -166,9 +166,9 @@ class Xoshiro256StarStar:
         """The next n outputs as a uint64 array, in stream order."""
         # A lane costs a 256-step jump on Python ints (~170 µs) and a row of
         # lanes a few µs of numpy calls, so about √(n/32) lanes balance the
-        # two; below 32 lanes (2¹⁵ draws) the serial loop is about as fast.
+        # two; below 24 lanes (18,432 draws) the serial loop is as fast.
         lanes = math.isqrt(n // 32)
-        laned = n - n % lanes if lanes >= 32 else 0
+        laned = n - n % lanes if lanes >= 24 else 0
         x = np.empty(n, dtype=np.uint64)
         s = _laned(self._s, x[:laned].reshape(lanes, -1)) if laned else self._s
         seen, self._s = _serial(s, n - laned)

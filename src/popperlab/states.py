@@ -18,16 +18,15 @@ and a row block is one product of their sliding windows, N² multiplies
 where the formula takes N² exponentials.  It differs from
 ``joint_amplitude``, which takes the nodes' own differences and sums, in
 the last bits (5.1e-13 relative at most on the README source).  A recipe on
-two grids does not factor: there ``_amplitude`` takes ``joint_amplitude``'s
-steps in its order.  Either kernel is elementwise, so it gives any rows the
-bits of the whole array.  ``_row_blocks`` yields its ``_blocks`` row blocks
-of about 2¹⁶ amplitudes into one reused buffer, and ``_pair_norm`` reads
-the norm from row blocks as ``norm`` reads the built array, refusing one
-below NORM_FLOOR.  ``build_joint_state`` hands it the blocks it fills into
-the N×N array, so the build is one kernel pass.  ``run`` holds no such array:
-``pair_source`` takes the norm from ``_row_blocks`` and returns a
-``PairSource``, whose rows are the built array's bits.  A run makes two
-passes, and a coincidence run a third:
+two grids does not factor: there the rows are ``joint_amplitude``'s own.
+Either kernel is elementwise, so it gives any rows the bits of the whole
+array.  ``_row_blocks`` yields its ``_blocks`` row blocks of about 2¹⁶
+amplitudes into one reused buffer, and ``_pair_norm`` reads the norm from row
+blocks as ``norm`` reads the built array, refusing one below NORM_FLOOR.
+``build_joint_state`` hands it the blocks it fills into the N×N array, so the
+build is one kernel pass.  ``run`` holds no such array: ``pair_source`` takes
+the norm from ``_row_blocks`` and returns a ``PairSource``, whose rows are the
+built array's bits.  A run makes two passes, and a coincidence run a third:
 
 * the norm pass (``pair_source``);
 * the readout pass (``PairSource.readout``) takes both marginals, particle
@@ -65,13 +64,14 @@ For a ≥ b the last factor is an entrywise exponential of the positive
 semidefinite matrix 2(a−b)y yᵀ, so the weighted kernel K = √w₁ ψ √w₂ is
 positive semidefinite on any shared grid (Schur product theorem).  For a < b
 the same holds once the columns are taken at −y₂; on a symmetric grid
-(y_min = −y_max) that permutes the columns, which leaves the singular values
-alone.  There ``pair_schmidt`` runs greedy pivoted Cholesky (Harbrecht,
-Peters & Schneider, Appl. Numer. Math. 62(4), 2012): it builds one kernel
-column per step until the remaining diagonal reaches rounding level, and the
-Schmidt coefficients are the squared singular values of the k×N factor R,
-which are the singular values of the k×k Gram matrix R Rᵀ: O(N·k²) work and
-N·k floats for a numerical rank k.
+(y_min = −y_max) that is column n−1−j for column j, which leaves the
+singular values alone.  There ``pair_schmidt`` runs greedy pivoted Cholesky
+(Harbrecht, Peters & Schneider, Appl. Numer. Math. 62(4), 2012): it takes
+one kernel column per step, row j or n−1−j of the bitwise symmetric pair
+from ``_fill_rows``, until the remaining diagonal reaches rounding level,
+and the Schmidt coefficients are the squared singular values of the k×N
+factor R, which are the singular values of the k×k Gram matrix R Rᵀ:
+O(N·k²) work and N·k floats for a numerical rank k.
 
 ``pair_entropy`` takes the pair's parameters and the one grid shared by both
 axes, and ``_entropy_route`` picks its route, the one rule ``verify`` reads
@@ -146,30 +146,21 @@ class JointStateRecipe:
     grid2: GridSpec
 
 
-def _amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams,
-               out: np.ndarray) -> np.ndarray:
-    """``joint_amplitude`` of float64 arrays, written into ``out``."""
-    sigma, omega0, hbar = params.sigma, params.omega0, params.hbar
-    # The steps of exp(-(y1-y2)²σ²/ħ² - (y1+y2)²/16Ω₀²) in the same order;
-    # -a - b == -(a + b) exactly in IEEE arithmetic.
-    np.subtract(y1, y2, out=out)
+def joint_amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """Unnormalized pair amplitude on broadcastable coordinate arrays."""
+    y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
+    # exp(-(y1-y2)²σ²/ħ² - (y1+y2)²/16Ω₀²) in place, into an array even for
+    # 0-d inputs; -a - b == -(a + b) exactly in IEEE arithmetic.
+    out = np.subtract(y1, y2, out=np.empty(np.broadcast_shapes(y1.shape, y2.shape)))
     out **= 2
-    out *= sigma ** 2
-    out /= hbar ** 2
+    out *= params.sigma ** 2
+    out /= params.hbar ** 2
     second = np.add(y1, y2)
     second **= 2
-    second /= 16.0 * omega0 ** 2
+    second /= 16.0 * params.omega0 ** 2
     out += second
     np.negative(out, out=out)
     return np.exp(out, out=out)
-
-
-def joint_amplitude(y1: np.ndarray, y2: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Unnormalized pair amplitude on broadcastable coordinate arrays."""
-    # asarray keeps 0-d inputs writable arrays (a numpy scalar is not).
-    y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
-    shape = np.broadcast_shapes(y1.shape, y2.shape)
-    return _amplitude(y1, y2, params, np.empty(shape))
 
 
 # Every pass of a run reads one recipe's tables; the bound keeps a process
@@ -197,13 +188,13 @@ def _factors(recipe: JointStateRecipe) -> tuple[np.ndarray, np.ndarray]:
 def _fill_rows(recipe: JointStateRecipe, lo: int, hi: int, out: np.ndarray,
                norm: float | None = None) -> np.ndarray:
     """Rows lo..hi-1 of the pair into ``out``, divided by ``norm`` if given:
-    the product T·H on one grid shared by both axes, else ``_amplitude``."""
+    the product T·H on one grid shared by both axes, else ``joint_amplitude``."""
     if recipe.grid1 == recipe.grid2:
         t, h = _factors(recipe)
         np.multiply(t[lo:hi], h[lo:hi], out=out)
     else:
-        _amplitude(grid_points(recipe.grid1)[lo:hi, None], grid_points(recipe.grid2),
-                   recipe.params, out)
+        out[...] = joint_amplitude(grid_points(recipe.grid1)[lo:hi, None],
+                                   grid_points(recipe.grid2), recipe.params)
     if norm is not None:
         out /= norm
     return out
@@ -348,22 +339,24 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
     """Schmidt spectrum of the source pair on ``grid`` × ``grid`` by pivoted
     Cholesky of its kernel.
 
-    Columns are built on demand from ``joint_amplitude``; see the module
-    docstring.  The coefficients are the singular values of the k×k Gram
-    matrix R Rᵀ of the k×N factor R, which are those of R squared; its lower
-    triangle is filled a row at a time by matrix-vector products and
-    mirrored, so no matrix-matrix product leaves BLAS's buffers resident.
-    They are normalized as those of the built, normalized pair.  The kernel
-    must be positive semidefinite with its columns at ±y₂, so a ≥ b or a
-    symmetric grid, as ``pair_entropy`` ensures; elsewhere the result is not
-    the pair's spectrum.
+    Column p is row p of the pair, or row n−1−p with the columns reversed,
+    and the diagonal the T·H product there; see the module docstring.  The
+    coefficients are the singular values of the k×k Gram matrix R Rᵀ of the
+    k×N factor R, which are those of R squared; its lower triangle is filled
+    a row at a time by matrix-vector products and mirrored, so no
+    matrix-matrix product leaves BLAS's buffers resident.  They are
+    normalized as those of the built, normalized pair.  The kernel must be
+    positive semidefinite, so a ≥ b or a symmetric grid, as ``pair_entropy``
+    ensures; elsewhere the result is not the pair's spectrum.
     """
-    ex = _pair_spectrum(params)
-    sign = 1.0 if ex.a >= ex.b else -1.0
-    y = grid_points(grid)
+    a, b = _pair_spectrum(params)
+    recipe = JointStateRecipe(params, grid, grid)
+    n = grid.n_points
+    nodes = np.arange(n)
+    row_of = nodes[::-1] if a < b else nodes
+    t, h = _factors(recipe)
     sw = np.sqrt(trap_weights(grid))
-    n = len(y)
-    diag = sw * joint_amplitude(y, sign * y, params) * sw
+    diag = sw * (t[nodes, row_of] * h[nodes, row_of]) * sw
     stop = _PIVOT_FLOOR * n * diag.max()
     rows = np.empty((min(n, _FIRST_ROWS), n))
     k = 0
@@ -373,12 +366,11 @@ def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:
             break
         if k == len(rows):
             rows = np.concatenate([rows, np.empty((min(k, n - k), n))])
-        col = joint_amplitude(y, sign * y[p], params)
+        col = _fill_rows(recipe, row_of[p], row_of[p] + 1, rows[k:k + 1])[0]
         col *= sw
         col *= sw[p]
         col -= rows[:k, p] @ rows[:k]
         col /= math.sqrt(diag[p])
-        rows[k] = col
         diag -= col ** 2
         diag[p] = 0.0
         k += 1

@@ -8,15 +8,16 @@ parameter box so it finishes in seconds.  ``full`` takes the gate's inputs:
 100 reduction triples and 20 initial-spread pairs drawn log-uniformly from
 [0.1, 10] at ħ = 1, on grids up to 4096 points.  One pass over the triples
 writes the sweep's rows of criteria 1, 3 and 7.  Every reduction is the dense
-``conditional_reduce`` of the pair state its site builds; ``reduce_pair``,
-the route ``run`` and ``sweep`` take, is checked against it at every sweep
-triple.  Criterion 2 checks the Schmidt entropy on the pairs where
-``states.pair_entropy``, the route ``run`` takes, reports one, running each
-route once: the entropy of the route ``states._entropy_route`` names against
-the closed form, and the factored route against the dense one, its oracle,
-and the paper's invariant on the factored route's coefficients: the Schmidt
-number K = 1/Σλᵢ⁴ equals 2Δy₂Δp₂/ħ, so a slit that localizes particle 2 to
-Δy₂/K leaves it the initial Δp₂.  Where a bound could be read as absolute or
+``conditional_reduce`` of the pair state its site builds; ``reduce_pair``, the
+route ``run`` and ``sweep`` take, is checked against it at every sweep triple.
+A site frees its pair before it builds the next.  Criterion 2 reads its spreads
+as ``run`` does, from ``pair_spreads``, and checks the Schmidt entropy on the
+pairs where ``states.pair_entropy``, the route ``run`` takes, reports one,
+running each route once: the entropy of the route ``states._entropy_route``
+names against the closed form, and the factored route against the dense one,
+its oracle, and the paper's invariant on the factored route's coefficients: the
+Schmidt number K = 1/Σλᵢ⁴ equals 2Δy₂Δp₂/ħ, so a slit that localizes particle 2
+to Δy₂/K leaves it the initial Δp₂.  Where a bound could be read as absolute or
 relative, the row takes the larger deviation.  Each row reports expectation,
 observation and tolerance so a failure is directly actionable.
 """
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +61,8 @@ from .states import (
     build_joint_state,
     build_pointer_state,
     pair_schmidt,
+    pair_source,
+    pair_spreads,
 )
 from .wavefunction import (
     marginal_density,
@@ -123,12 +128,12 @@ def _abs_rel(value: float, ref: float) -> float:
     return max(dev, dev / abs(ref))
 
 
-def _reduce(params: PhysicalParams, ms: MeasurementSpec, grid: GridSpec
-            ) -> tuple[WaveFunction2D, WaveFunction1D, ReductionResult]:
-    """The pair on ``grid``, the pointer behind ``ms`` and the pair's dense reduction."""
+def _reduce(params: PhysicalParams, ms: MeasurementSpec, grid: GridSpec,
+            read: Callable) -> tuple[object, WaveFunction1D, ReductionResult]:
+    """``read`` of the pair on ``grid``, freed on return, the pointer and the reduction."""
     psi = build_joint_state(JointStateRecipe(params, grid, grid))
     phi1 = build_pointer_state(ms, grid)
-    return psi, phi1, conditional_reduce(psi, phi1, params, ms.epsilon)
+    return read(psi), phi1, conditional_reduce(psi, phi1, params, ms.epsilon)
 
 
 def _check_sweep(level: _Level) -> list[CheckRow]:
@@ -144,7 +149,7 @@ def _check_sweep(level: _Level) -> list[CheckRow]:
                                 omega0=_log_uniform(gen, lo, hi))
         ms = MeasurementSpec(epsilon=_log_uniform(gen, lo, hi))
         grid = auto_grid(params, ms, max_points=level.max_points)
-        psi, phi1, red = _reduce(params, ms, grid)
+        dp2_init, phi1, red = _reduce(params, ms, grid, partial(momentum_std_spectral, particle=2))
         conv = reduce_pair(phi1, params, ms.epsilon)
         biggest = max(biggest, grid.n_points)
         dev = max(dev,
@@ -156,7 +161,6 @@ def _check_sweep(level: _Level) -> list[CheckRow]:
             / float(np.max(np.abs(red.phi2.amps))),
             abs(conv.dy2_numeric - red.dy2_numeric) / red.dy2_numeric,
             abs(conv.dp2_numeric - red.dp2_numeric) / red.dp2_numeric)
-        dp2_init = momentum_std_spectral(psi, particle=2)
         worst = max(worst, red.dp2_numeric - dp2_init)
         # Clearly off the line Ω₀ = ħ/4σ the remote spread must strictly narrow.
         if abs(params.omega0 - 0.25 / params.sigma) > 0.05 * params.omega0:
@@ -193,15 +197,13 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
         params = PhysicalParams(sigma=_log_uniform(gen, lo, hi),
                                 omega0=_log_uniform(gen, lo, hi))
         grid = auto_grid(params, max_points=level.max_points)
-        psi = build_joint_state(JointStateRecipe(params, grid, grid))
+        _, st2, dp2 = pair_spreads(pair_source(params, grid))
         ref = initial_spreads(params)
-        dev = max(dev,
-                  abs(position_stats(psi, 2).std - ref.dy2) / ref.dy2,
-                  abs(momentum_std_spectral(psi, particle=2) - ref.dp2y) / ref.dp2y)
+        dev = max(dev, abs(st2.std - ref.dy2) / ref.dy2, abs(dp2 - ref.dp2y) / ref.dp2y)
         route = _entropy_route(params, grid)
         if route is not None:
             closed = _pair_spectrum(params).entropy
-            dense = schmidt(psi).entropy
+            dense = schmidt(build_joint_state(JointStateRecipe(params, grid, grid))).entropy
             factored = pair_schmidt(params, grid)
             routed = factored.entropy if route == "factored" else dense
             entropy_dev = max(entropy_dev, abs(routed - closed) / closed)
@@ -223,9 +225,10 @@ def _check_factorization_line(level: _Level) -> list[CheckRow]:
     for sigma in _LINE_SIGMAS:
         params = PhysicalParams(sigma=sigma, omega0=0.25 / sigma)
         ms = MeasurementSpec(epsilon=0.4)
-        psi, _, red = _reduce(params, ms, auto_grid(params, ms, max_points=level.max_points))
+        grid = auto_grid(params, ms, max_points=level.max_points)
+        dp2_init, _, red = _reduce(params, ms, grid, partial(momentum_std_spectral, particle=2))
         dev = max(dev,
-                  _abs_rel(red.dp2_numeric, momentum_std_spectral(psi, particle=2)),
+                  _abs_rel(red.dp2_numeric, dp2_init),
                   _abs_rel(red.dp2_closed, initial_spreads(params).dp2y))
     return [_bound_row(3, "equality on the factorization line (max abs/rel dev)", dev, 1e-9)]
 
@@ -234,7 +237,8 @@ def _check_fixed_point(level: _Level) -> list[CheckRow]:
     params = PhysicalParams(sigma=1.0, omega0=0.25)
     ms = MeasurementSpec(epsilon=0.3)
     grid = auto_grid(params, ms, max_points=level.max_points)
-    psi, _, red = _reduce(params, ms, grid)
+    (entropy, marginal), _, red = _reduce(
+        params, ms, grid, lambda psi: (schmidt(psi).entropy, marginal_density(psi, 2)))
     closed = reduced_spreads(params, ms.epsilon)
     root2 = math.sqrt(2.0)
     dev = max(_abs_rel(initial_spreads(params).dp2y, root2),
@@ -242,9 +246,8 @@ def _check_fixed_point(level: _Level) -> list[CheckRow]:
               _abs_rel(closed.dy2, 0.5 / root2))
     rows = [_bound_row(4, "factorization point: initial and closed spreads vs sqrt(2), "
                           "1/2sqrt(2)", dev, 1e-9)]
-    entropy = schmidt(psi).entropy
     rows.append(_bound_row(4, "factorization point: entanglement entropy", entropy, 1e-6))
-    marg = normalize(WaveFunction1D(grid=grid, amps=np.sqrt(marginal_density(psi, 2))))
+    marg = normalize(WaveFunction1D(grid=grid, amps=np.sqrt(marginal)))
     ref = np.abs(marg.amps)
     dev = float(np.max(np.abs(np.abs(red.phi2.amps) - ref)))
     rows.append(_bound_row(4, "factorization point: reduction leaves marginal unchanged",
@@ -299,7 +302,8 @@ def _check_sampling(level: _Level) -> list[CheckRow]:
     params = PhysicalParams(sigma=1.0, omega0=2.0)
     ms = MeasurementSpec(epsilon=0.5)
     grid = auto_grid(params, ms, max_points=max(level.max_points, 1024))
-    psi, _, red = _reduce(params, ms, grid)
+    pairs, _, red = _reduce(params, ms, grid,
+                            lambda psi: sample_joint(psi, N_SAMPLES, seed=20260815))
     samples = sample_positions(red.phi2, N_SAMPLES, seed=20260814)
     grid_std = position_stats(red.phi2).std
     rows = [_bound_row(9, "sampled detector spread vs grid spread (rel dev)",
@@ -311,7 +315,6 @@ def _check_sampling(level: _Level) -> list[CheckRow]:
         expected=">= 0.001", actual=f"{pvalue:.4f}", tolerance="0.001",
         passed=pvalue >= 0.001,
     ))
-    pairs = sample_joint(psi, N_SAMPLES, seed=20260815)
     corr = float(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1])
     expected = position_correlation(params)
     rows.append(_bound_row(9, "coincidence correlation vs closed form (abs dev)",
@@ -324,16 +327,20 @@ def _check_convergence(level: _Level) -> list[CheckRow]:
     ms = MeasurementSpec(epsilon=0.5)
     base = auto_grid(params, ms, max_points=max(level.max_points, 512))
     fine = GridSpec(n_points=base.n_points * 2, y_min=base.y_min, y_max=base.y_max)
-    runs = [_reduce(params, ms, grid) for grid in (base, fine)]
-    spreads = [(position_stats(psi, 2).std, momentum_std_spectral(psi, particle=2),
-                red.dy2_numeric, red.dp2_numeric) for psi, _, red in runs]
-    drift = max(abs(a - b) / min(abs(a), abs(b)) for a, b in zip(*spreads))
+
+    def spreads(psi: WaveFunction2D) -> tuple[float, float]:
+        return position_stats(psi, 2).std, momentum_std_spectral(psi, particle=2)
+
+    ((dy2, dp2_spectral), dp2_derivative), _, red = _reduce(
+        params, ms, base, lambda psi: (spreads(psi), momentum_std_derivative(psi, particle=2)))
+    fine_spreads, _, fine_red = _reduce(params, ms, fine, spreads)
+    drift = max(abs(a - b) / min(abs(a), abs(b)) for a, b in zip(
+        (dy2, dp2_spectral, red.dy2_numeric, red.dp2_numeric),
+        (*fine_spreads, fine_red.dy2_numeric, fine_red.dp2_numeric)))
     rows = [_bound_row(10, "doubling the resolution leaves spreads fixed (rel)",
                        drift, 1e-6)]
-    psi, _, red = runs[0]
-    dp2_spectral = spreads[0][1]
     dev = max(
-        abs(momentum_std_derivative(psi, particle=2) - dp2_spectral) / dp2_spectral,
+        abs(dp2_derivative - dp2_spectral) / dp2_spectral,
         abs(momentum_std_derivative(red.phi2) - momentum_std_spectral(red.phi2))
         / momentum_std_spectral(red.phi2),
     )

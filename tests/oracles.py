@@ -5,7 +5,8 @@ adaptive quadrature (scipy.integrate) on the analytic integrands, with the
 momentum route going through the analytic derivative of the pair amplitude
 (differentiation under the integral), plus straight-from-the-paper-trail
 reference implementations of the generators, a searchsorted inverse-CDF
-sampler, a row-materializing joint sampler, and grid-state moments with every
+sampler, a row-materializing joint sampler (which borrows only the package's
+row-block partition), and grid-state moments with every
 continuum normalization written out.  Frozen constants below were
 produced by these functions; ``python oracles.py`` regenerates them.
 """
@@ -18,6 +19,8 @@ import warnings
 import numpy as np
 import scipy.integrate
 from scipy.integrate import dblquad, quad
+
+from popperlab.wavefunction import _blocks
 
 M64 = (1 << 64) - 1
 
@@ -147,7 +150,9 @@ def ref_sample_joint(psi, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     w2 = np.full(g2.n_points, g2.dy)
     w2[0] *= 0.5
     w2[-1] *= 0.5
-    marginal = dens @ w2
+    # Row blocks, as the block reader takes y1's marginal: a whole-array
+    # product's last bits depend on the BLAS thread count.
+    marginal = np.concatenate([dens[b] @ w2 for b in _blocks(*dens.shape)])
     c1 = np.concatenate(([0.0], np.cumsum(0.5 * (marginal[:-1] + marginal[1:]) * g1.dy)))
     if c1[-1] <= 0:
         raise ValueError("density integrates to zero")

@@ -10,8 +10,10 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import warnings
+import weakref
 from hashlib import sha256
 from pathlib import Path
 
@@ -438,31 +440,30 @@ class TestJointSink:
                                                    measurement, passes):
         # slit: the norm and the readout, which writes joint.wf; coincidence
         # adds the sampler's table, one block of all 256 rows at 256 points.
-        # On the run's one grid each pass's rows are the T·H product of
-        # _fill_rows, and _amplitude makes no 2-D call; pair_schmidt
-        # evaluates single columns: N·(k + 1) amplitudes.
-        real_fill, real_amplitude = states._fill_rows, states._amplitude
-        counts = {"rows": 0, 1: 0, 2: 0}
+        # On the run's one grid every amplitude is the T·H product of
+        # _fill_rows, and joint_amplitude is not called; pair_schmidt reads
+        # one row of the pair for each of its k pivots.
+        real_fill = states._fill_rows
+        counts = {"amplitudes": 0, "pivots": 0}
 
         def counted_fill(recipe, lo, hi, out, norm=None):
             assert recipe.grid1 == recipe.grid2
-            counts["rows"] += out.size
+            counts["amplitudes"] += out.size
+            counts["pivots"] += out.shape == (1, recipe.grid1.n_points)
             return real_fill(recipe, lo, hi, out, norm)
 
-        def counted(y1, y2, params, out):
-            counts[out.ndim] += out.size
-            return real_amplitude(y1, y2, params, out)
+        def refused(*args, **kwargs):
+            raise AssertionError("joint_amplitude must not be called")
 
         monkeypatch.setattr(states, "_fill_rows", counted_fill)
-        monkeypatch.setattr(states, "_amplitude", counted)
+        monkeypatch.setattr(states, "joint_amplitude", refused)
         cfg = self.factored_config(tmp_path / "cfg.json", measurement)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-        n = 256
+        n, k = 256, counts["pivots"]
         assert (out / "joint.wf").stat().st_size == 48 + 16 * n * n
-        assert counts["rows"] == passes * n * n
-        assert counts[2] == 0
-        assert counts[1] % n == 0 and 0 < counts[1] <= n * (n // 4 + 2)
+        assert counts["amplitudes"] == passes * n * n + n * k
+        assert 0 < k <= n // 4 + 1
 
 
 def perfbench_run(monkeypatch):
@@ -985,14 +986,18 @@ class TestVerifyCommand:
         return dataclasses.replace(ss, coefficients=ss.coefficients * (1.0 + 1e-11))
 
     @staticmethod
+    def spread_dp2_off(source):
+        st1, st2, dp2 = states.pair_spreads(source)
+        return st1, st2, dp2 * (1.0 + 1e-5)
+
+    @staticmethod
     def scaled(func, k):
         return lambda *args, **kwargs: func(*args, **kwargs) * k
 
     @pytest.mark.parametrize("target,fault,row", [
         ("popperlab.measurement.reduced_spreads", scaled_omega,
          "reduced spreads: closed form vs grid"),
-        ("popperlab.verify.momentum_std_spectral",
-         lambda wf, *a, **k: wavefunction.momentum_std_spectral(wf, *a, **k) * (1.0 + 1e-5),
+        ("popperlab.verify.pair_spreads", spread_dp2_off,
          "initial spreads: closed form vs grid"),
         ("popperlab.verify.position_correlation",
          lambda params: analytic.position_correlation(params) + 0.02,
@@ -1061,6 +1066,50 @@ class TestVerifySchmidtRoutes:
         assert row.actual == f"{0.0:.3e}"
         # the quick pairs take both routes
         assert sorted(set(seen)) == ["dense", "factored"] and len(seen) == level.n_pairs
+
+class TestVerifyMemory:
+    """``verify`` holds one pair at a time: each site's pair is freed before
+    the next is built."""
+
+    @pytest.mark.parametrize("check", ["_check_sweep", "_check_initial_closed_vs_grid",
+                                       "_check_factorization_line", "_check_convergence"])
+    def test_each_pair_is_freed_before_the_next_is_built(self, monkeypatch, check):
+        built, real = [], verify.build_joint_state
+
+        def tracked(recipe):
+            assert all(ref() is None for ref in built), "the last pair is still held"
+            psi = real(recipe)
+            built.append(weakref.ref(psi))
+            return psi
+
+        monkeypatch.setattr(verify, "build_joint_state", tracked)
+        getattr(verify, check)(verify._Level(n_triples=3, n_pairs=3, box=(0.3, 3.0),
+                                             max_points=256))
+        assert len(built) >= 2
+
+    def test_the_sweep_peaks_near_one_pair(self, monkeypatch):
+        # Triples 2, 4 and 5 of the sweep's stream take 8 MiB pairs at 1024
+        # points; holding the last pair while the next is built peaks at two.
+        sizes, real = [], verify.build_joint_state
+
+        def recorded(recipe):
+            psi = real(recipe)
+            sizes.append(psi.amps.nbytes)
+            return psi
+
+        monkeypatch.setattr(verify, "build_joint_state", recorded)
+        level = verify._Level(n_triples=5, n_pairs=0, box=(0.3, 3.0), max_points=1024)
+        tracemalloc.start()
+        try:
+            rows = verify._check_sweep(level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in rows)
+        pair = max(sizes)
+        assert (pair, pair) in zip(sizes, sizes[1:])
+        assert peak < 1.5 * pair
+
 
 # --- exit-code fuzzing -------------------------------------------------------
 # Every drawn case stays small: a grid that passes validation has at most 512

@@ -387,6 +387,15 @@ class TestJointSamplerAgainstReference:
             monkeypatch.setattr(experiment, "_TABLE_AMPLITUDES", table)
         assert np.array_equal(sample_joint(psi, 20_000, 5), reference_pairs(psi, 20_000, 5))
 
+    def test_bit_identical_on_a_pair_of_uneven_rows(self):
+        # 565 × 2978: a whole-array |ψ|² @ w2 gives y1's marginal different
+        # last bits at 1 and 2 BLAS threads; the row blocks give one.
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        g1 = GridSpec(n_points=565, y_min=-16.2, y_max=16.2)
+        g2 = GridSpec(n_points=2978, y_min=-16.2, y_max=16.2)
+        psi = build_joint_state(JointStateRecipe(p, g1, g2))
+        assert np.array_equal(sample_joint(psi, 20_000, 6), reference_pairs(psi, 20_000, 6))
+
     def test_vanishing_conditional_row_takes_last_interior_column(self, monkeypatch):
         # Row 1 is zero between two live rows, so u1 on the CDF knot at row 1
         # lands on that row with weight 1: the conditional CDF is all zero,

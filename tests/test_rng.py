@@ -175,9 +175,9 @@ class TestGolden:
         code = ("import popperlab, popperlab.cli\n"
                 "from popperlab import rng\n"
                 "sizes = [rng._charpoly.cache_info().currsize]\n"
-                "rng.Xoshiro256StarStar(1).uniforms(2 ** 15 - 1)\n"
+                "rng.Xoshiro256StarStar(1).uniforms(24 ** 2 * 32 - 1)\n"
                 "sizes.append(rng._charpoly.cache_info().currsize)\n"
-                "rng.Xoshiro256StarStar(1).uniforms(2 ** 15)\n"
+                "rng.Xoshiro256StarStar(1).uniforms(24 ** 2 * 32)\n"
                 "sizes.append(rng._charpoly.cache_info().currsize)\n"
                 "print(sizes)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -164,25 +164,25 @@ class TestBuildJointState:
     def test_each_amplitude_is_evaluated_once(self, monkeypatch, n1, n2, shared):
         # One kernel pass whose blocks do not divide the rows evenly: each
         # row reaches the kernel once, in order, across all n2 columns.  Two
-        # grids reach it through _amplitude; a shared grid's T·H product
-        # does not call _amplitude.
+        # grids reach it through joint_amplitude; a shared grid's T·H
+        # product does not call joint_amplitude.
         g1, g2 = GridSpec(n1, -10.0, 10.0), GridSpec(n2, -6.0, 8.0)
         if shared:
             g2 = g1
-        real_fill, real_amplitude, filled, rows = states._fill_rows, states._amplitude, [], []
+        real_fill, real_amplitude, filled, rows = states._fill_rows, joint_amplitude, [], []
 
         def counted_fill(recipe, lo, hi, out, norm=None):
             assert out.shape == (hi - lo, n2)
             filled.append(np.arange(lo, hi))
             return real_fill(recipe, lo, hi, out, norm)
 
-        def counted(y1, y2, params, out):
-            assert out.shape == (len(y1), n2)
+        def counted(y1, y2, params):
+            assert np.broadcast_shapes(y1.shape, y2.shape) == (len(y1), n2)
             rows.append(y1.ravel().copy())
-            return real_amplitude(y1, y2, params, out)
+            return real_amplitude(y1, y2, params)
 
         monkeypatch.setattr(states, "_fill_rows", counted_fill)
-        monkeypatch.setattr(states, "_amplitude", counted)
+        monkeypatch.setattr(states, "joint_amplitude", counted)
         build_joint_state(JointStateRecipe(PhysicalParams(1.3, 0.8, hbar=1.1), g1, g2))
         assert len(filled) > 1
         assert np.array_equal(np.concatenate(filled), np.arange(n1))
@@ -272,6 +272,21 @@ def pair_recipe(sigma, omega0, n=1024, y_min=-14.0, y_max=14.0):
     return JointStateRecipe(PhysicalParams(sigma, omega0), g, g)
 
 
+def assert_factored_matches_dense(recipe):
+    """``pair_schmidt``'s spectrum against the dense one of the built pair."""
+    factored = pair_schmidt(recipe.params, recipe.grid1)
+    dense = schmidt(build_joint_state(recipe))
+    assert abs(factored.entropy - dense.entropy) <= 1e-13 * dense.entropy
+    lam, ref = factored.coefficients, dense.coefficients
+    assert abs(len(lam) - len(ref)) <= 1
+    m = min(len(lam), len(ref))
+    # normalized as the built pair's: the leading ones agree closely, and
+    # every shared one to a small share of the largest
+    big = ref >= 1e-6 * ref[0]
+    np.testing.assert_allclose(lam[big], ref[big], rtol=1e-10)
+    assert np.max(np.abs(lam[:m] - ref[:m])) <= 1e-12 * ref[0]
+
+
 def refuse(monkeypatch, owner, name):
     def refused(*args, **kwargs):
         raise AssertionError(f"{name} must not be called")
@@ -295,16 +310,32 @@ class TestPairSchmidt:
         (1.0, 2.0, 16.2), (0.7, 0.4, 8.0), (0.1, 0.5, 20.4), (2.0, 2.0, 17.0),
     ])
     def test_coefficients_against_dense(self, sigma, omega0, half):
-        recipe = pair_recipe(sigma, omega0, y_min=-half, y_max=half)
-        lam = pair_schmidt(recipe.params, recipe.grid1).coefficients
-        ref = schmidt(build_joint_state(recipe)).coefficients
-        assert abs(len(lam) - len(ref)) <= 1
-        m = min(len(lam), len(ref))
-        # normalized as the built pair's: the leading ones agree closely, and
-        # every shared one to a small share of the largest
-        big = ref >= 1e-6 * ref[0]
-        np.testing.assert_allclose(lam[big], ref[big], rtol=1e-10)
-        assert np.max(np.abs(lam[:m] - ref[:m])) <= 1e-12 * ref[0]
+        assert_factored_matches_dense(pair_recipe(sigma, omega0, y_min=-half, y_max=half))
+
+    @pytest.mark.parametrize("sigma,omega0,y_min,y_max", [
+        # a ≥ b on a shared grid that is not symmetric
+        (1.0, 2.0, -15.0, 17.4),
+        # a < b on a symmetric grid, whose kernel reverses the columns
+        (0.1, 0.5, -20.4, 20.4),
+    ])
+    def test_factored_route_reads_the_pairs_rows(self, monkeypatch, sigma, omega0,
+                                                 y_min, y_max):
+        recipe = pair_recipe(sigma, omega0, y_min=y_min, y_max=y_max)
+        assert states._entropy_route(recipe.params, recipe.grid1) == "factored"
+        dense = schmidt(build_joint_state(recipe)).entropy
+        refuse(monkeypatch, states, "joint_amplitude")
+        factored = pair_entropy(recipe.params, recipe.grid1)
+        assert abs(factored - dense) <= 1e-13 * dense
+
+    def test_reversed_columns_are_the_built_pairs_nodes(self):
+        # a = 0.09 < b = 0.25 on ±8: some nodes are not the negatives of
+        # their mirror nodes, and the kernel's columns are the mirror
+        # nodes', a permutation of the built pair's columns.
+        recipe = pair_recipe(0.3, 0.5, y_min=-8.0, y_max=8.0)
+        a, b = _pair_spectrum(recipe.params)
+        y = grid_points(recipe.grid1)
+        assert a < b and np.any(-y != y[::-1])
+        assert_factored_matches_dense(recipe)
 
     def test_anti_correlated_pair_flips_its_columns(self, monkeypatch):
         # a = 0.01 < b = 0.25 on a symmetric grid: the columns at -y2 make the
