@@ -10,6 +10,10 @@ Commands raise rather than print their failures.  One handler in ``main``
 maps every ``PopperLabError`` or ``MemoryError`` of ``run``, ``sweep`` and
 ``verify`` to its exit code and its one-line ``error:`` (2) or ``numerical
 failure:`` (3) message; an error with neither meaning is re-raised.
+
+``run`` opens no file until the scenario has run; then it saves each state
+of the report through ``save_wavefunction``, ``joint.wf`` up to
+``SAVE_MAX_AMPLITUDES``.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .errors import (
 from .experiment import run_scenario
 from .measurement import reduce_pair
 from .params import (
-    MIN_GRID_POINTS,
-    GridSpec,
     MeasurementSpec,
     PhysicalParams,
     ScenarioConfig,
@@ -45,7 +47,7 @@ from .params import (
 )
 from .states import build_pointer_state
 from .verify import format_table, run_checks
-from .wavefunction import EPWFWriter, save_wavefunction
+from .wavefunction import save_wavefunction
 
 # Sweep grids are chosen automatically per step.  A step reduces the pair
 # by one convolution of length 2N and holds a few length-2N vectors (about
@@ -55,8 +57,8 @@ SWEEP_MAX_POINTS = 4096
 SWEEP_MAX_POINTS_ESCALATED = 8192
 # Steps take 1-3 ms each, so the largest sweep runs for a few minutes.
 MAX_SWEEP_STEPS = 10 ** 5
-# Joint states above this amplitude count (a 64 MiB joint.wf, written during
-# the pair's readout pass) are reported but not written out.
+# Joint states above this amplitude count (a 64 MiB joint.wf) are reported
+# but not written out.
 SAVE_MAX_AMPLITUDES = 2048 * 2048
 
 _SWEEP_COLUMNS = ("param_value", "dy2_closed", "dp2_closed", "dp2_numeric",
@@ -110,57 +112,32 @@ def _claim_out(out_dir: str) -> Path:
     return out
 
 
-@contextlib.contextmanager
-def _joint_sink(path: Path, grid: GridSpec):
-    """A row sink writing the pair on ``grid`` × ``grid`` to ``path`` in its
-    readout pass, or None above the save bound.  The file is opened now, so
-    an unwritable one fails before any compute; its ``EPWFWriter`` owns it."""
-    n = grid.n_points
-    # validate refuses fewer points, whose EPWF header may not even pack
-    if not (MIN_GRID_POINTS <= n and n * n <= SAVE_MAX_AMPLITUDES):
-        yield None
-        return
-    with _bad_input("cannot write output", OSError):
-        writer = EPWFWriter(path, (grid, grid))
-
-    def sink(rows):
-        with _bad_input("cannot write output", OSError):
-            writer.write(rows)
-
-    with _bad_input("cannot write output", OSError), writer:
-        yield sink
-
-
 def cmd_run(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
     config = _load_config(config_path)
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     out = _claim_out(out_dir)
+    report = run_scenario(config)
+    doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     # each file this run finished or opened, removed if the run fails
     written: list[Path] = []
     try:
-        with _joint_sink(out / "joint.wf", config.grid) as sink:
-            report = run_scenario(config, sink=sink)
-            doc = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-            with _bad_input("cannot write output", OSError):
-                with open(out / "report.json", "w") as f:
-                    written.append(out / "report.json")
-                    f.write(doc + "\n")
-                if report.sampled is not None:
-                    hist = report.sampled["histogram"]
-                    edges = np.linspace(*hist["y_range"], hist["n_bins"] + 1)
-                    _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
-                               zip(edges, edges[1:], hist["counts"]), written)
-                for name, wf in report.states.items():
-                    path = out / f"{name}.wf"
-                    if name != "joint":
-                        save_wavefunction(wf, path)
-                    elif sink is None:
-                        print(f"note: joint.wf skipped, {config.grid.n_points ** 2} amplitudes "
-                              f"exceeds the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
-                        continue
-                    # else the sink wrote the pair during its readout pass
-                    written.append(path)
+        with _bad_input("cannot write output", OSError):
+            with open(out / "report.json", "w") as f:
+                written.append(out / "report.json")
+                f.write(doc + "\n")
+            if report.sampled is not None:
+                hist = report.sampled["histogram"]
+                edges = np.linspace(*hist["y_range"], hist["n_bins"] + 1)
+                _write_csv(out / "histogram.csv", ("bin_lo", "bin_hi", "count"),
+                           zip(edges, edges[1:], hist["counts"]), written)
+            for name, wf in report.states.items():
+                if name == "joint" and config.grid.n_points ** 2 > SAVE_MAX_AMPLITUDES:
+                    print(f"note: joint.wf skipped, {config.grid.n_points ** 2} amplitudes "
+                          f"exceeds the {SAVE_MAX_AMPLITUDES} save bound", file=sys.stderr)
+                    continue
+                save_wavefunction(wf, out / f"{name}.wf")
+                written.append(out / f"{name}.wf")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

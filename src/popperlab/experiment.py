@@ -50,10 +50,10 @@ bin.  It holds no N×N array: the pair is a ``states.PairSource``, whose
 norm pass is the ``build`` stage and whose readout pass, ``numeric_initial``,
 gives the spreads, and the marginals that sampling and the KS test take
 (``states`` module docstring); the reports keep the bits of reading a built
-pair.  A row sink passed to ``run_scenario`` rides on the readout pass:
-``run`` streams ``joint.wf`` through it.  Every numeric field in the report
-is tagged with the grid that produced it, and timings live in their own
-block so that reports stay byte-comparable across runs.
+pair.  ``run`` saves the source as ``joint.wf`` after the scenario, in a
+pass of its own, as it saves every other state.  Every numeric field in the
+report is tagged with the grid that produced it, and timings live in their
+own block so that reports stay byte-comparable across runs.
 
 The Schmidt entropy is ``states.pair_entropy``'s, which owns its route and
 its grid cap (see ``states``).
@@ -82,7 +82,6 @@ from .params import DetectorGeometry, GridSpec, ScenarioConfig, validate
 from .rng import Xoshiro256StarStar
 from .states import (
     PairSource,
-    RowSink,
     build_pointer_state,
     pair_entropy,
     pair_source,
@@ -459,7 +458,7 @@ class ScenarioReport:
     inspect them; it never enters the JSON document.  "joint" is the pair's
     ``states.PairSource``, which holds no amplitudes:
     ``build_joint_state(source.recipe)`` materializes it, and
-    ``save_wavefunction(build_joint_state(source.recipe), path)`` saves it.
+    ``save_wavefunction(source, path)`` saves it a block of rows at a time.
     """
 
     config: ScenarioConfig
@@ -496,12 +495,8 @@ def _stage(timings: dict, name: str):
         timings[name] = time.perf_counter() - t0
 
 
-def run_scenario(config: ScenarioConfig, *, sink: RowSink | None = None) -> ScenarioReport:
-    """Execute the full pipeline described by a validated configuration.
-
-    ``sink``, if given, takes the pair's row blocks in the ``numeric_initial``
-    stage (``states.PairSource``); an error it raises fails that stage.
-    """
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    """Execute the full pipeline described by a validated configuration."""
     report = validate(config)
     if not report.ok:
         raise UserParameterError("; ".join(report.violations))
@@ -512,7 +507,7 @@ def run_scenario(config: ScenarioConfig, *, sink: RowSink | None = None) -> Scen
     timings: dict = {}
 
     with _stage(timings, "build"):
-        psi = pair_source(params, config.grid, sink=sink)
+        psi = pair_source(params, config.grid)
     states: dict = {"joint": psi}
 
     init = initial_spreads(params)

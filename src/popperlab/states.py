@@ -26,14 +26,13 @@ blocks as ``norm`` reads the built array, refusing one below NORM_FLOOR.
 ``build_joint_state`` hands it the blocks it fills into the N×N array, so the
 build is one kernel pass.  ``run`` holds no such array: ``pair_source`` takes
 the norm from ``_row_blocks`` and returns a ``PairSource``, whose rows are the
-built array's bits.  A run makes two passes, and a coincidence run a third:
+built array's bits.  A run makes two passes, a coincidence run a third,
+and ``run`` a last one to save ``joint.wf``, up to its save bound:
 
 * the norm pass (``pair_source``);
 * the readout pass (``PairSource.readout``) takes both marginals, particle
   2's rfft momentum distribution and the tail ratio from the normalized
-  ``_row_blocks``, and hands each block to the source's ``sink``, if it has
-  one: up to the save bound ``run`` writes ``joint.wf`` through it, in no
-  pass of its own.  Past the row buffer it keeps a block for |ψ̃|² and then
+  ``_row_blocks``.  Past the row buffer it keeps a block for |ψ̃|² and then
   the transposed |ψ|², and one for the rfft; the rows become |ψ|² in
   place.  On one grid shared by both axes the pair is bitwise symmetric:
   T is even, (−m·dy)² = (m·dy)² in IEEE arithmetic, and H depends on i+j
@@ -44,7 +43,9 @@ built array's bits.  A run makes two passes, and a coincidence run a third:
   built pair, raising as they do, in the order ``run`` called them;
 * in coincidence mode, ``experiment.sample_joint`` fills its
   conditional-CDF table with ``PairSource.rows``, the rows lo..hi-1 of the
-  normalized pair into a buffer of the caller's.
+  normalized pair into a buffer of the caller's;
+* ``wavefunction.save_wavefunction`` writes the normalized ``_row_blocks``
+  of a ``PairSource`` as they come.
 
 The ``WaveFunction2D`` readers stay the oracles of the readout.
 
@@ -85,8 +86,8 @@ factored route's oracle, on the pair it builds.  Both routes raise
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -124,7 +125,8 @@ SCHMIDT_MAX_POINTS = 2048
 # The factored Schmidt route is taken up to this many closed-form modes per
 # grid point.  Both routes cost the same near 0.33-0.43 at 2048 points and
 # near 0.3 at 512 and 1024 (2-core host, OpenBLAS); the README source at
-# 2048 points, 110 modes, took 0.03 s factored against 0.6 s dense.
+# 2048 points, 110 modes, took 8.9-9.2 ms factored, its tables built each
+# time, against 0.70-0.76 s dense (same host).
 FACTORED_MAX_MODE_SHARE = 0.25
 
 # Pivoting stops once no remaining diagonal entry exceeds this share, times
@@ -132,9 +134,6 @@ FACTORED_MAX_MODE_SHARE = 0.25
 _PIVOT_FLOOR = 1e-17
 # Factor rows allocated at first; the buffer doubles when they run out.
 _FIRST_ROWS = 128
-
-# Takes each row block of the readout pass, in order (``PairSource``).
-RowSink = Callable[[np.ndarray], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,14 +255,11 @@ class PairReadout(NamedTuple):
 class PairSource:
     """The normalized pair on one grid shared by both axes, computed a block
     of rows at a time from its recipe with ``build_joint_state``'s bits;
-    ``build_joint_state(source.recipe)`` materializes it.  ``pair_source``
-    makes one.  ``sink``, if given, is called as ``sink(rows)`` with each
-    row block of the readout pass, in order, once, and must not keep them:
-    the pass reuses their buffer.  ``run``'s sink writes them to ``joint.wf``."""
+    ``build_joint_state(source.recipe)`` materializes it, and
+    ``save_wavefunction(source, path)`` saves it.  ``pair_source`` makes one."""
 
     recipe: JointStateRecipe
     norm_tag: float
-    sink: RowSink | None = field(default=None, compare=False, repr=False)
 
     @property
     def grid1(self) -> GridSpec:
@@ -280,8 +276,8 @@ class PairSource:
     @cached_property
     def readout(self) -> PairReadout:
         """The marginals, particle 2's momentum distribution and the tail
-        ratio from one pass over the row blocks (module docstring), which
-        also feeds the sink; taken on first use and kept read-only."""
+        ratio from one pass over the row blocks (module docstring), taken
+        on first use and kept read-only."""
         n = self.grid1.n_points
         w = trap_weights(self.grid1)
         half = n // 2 + 1
@@ -295,8 +291,6 @@ class PairSource:
         peak = edge = 0.0
         for b, a in _row_blocks(self.recipe, self.norm_tag):
             k = b.stop - b.start
-            if self.sink is not None:
-                self.sink(a)
             # The amplitudes are non-negative: |ψ| is ψ, and |ψ|² its square.
             # ψ is symmetric, so the first and last columns hold the first
             # and last rows too, and the rows' transpose, laid out
@@ -316,12 +310,11 @@ class PairSource:
         return PairReadout(marginal1, marginal2, spectrum, edge / peak if peak else 0.0)
 
 
-def pair_source(params: PhysicalParams, grid: GridSpec, *,
-                sink: RowSink | None = None) -> PairSource:
-    """The source pair on ``grid`` × ``grid`` feeding ``sink`` (``PairSource``),
-    its norm taken in one pass; ``ZeroNormError`` as in ``build_joint_state``."""
+def pair_source(params: PhysicalParams, grid: GridSpec) -> PairSource:
+    """The source pair on ``grid`` × ``grid`` (``PairSource``), its norm
+    taken in one pass; ``ZeroNormError`` as in ``build_joint_state``."""
     recipe = JointStateRecipe(params, grid, grid)
-    return PairSource(recipe, _pair_norm(recipe, _row_blocks(recipe)), sink)
+    return PairSource(recipe, _pair_norm(recipe, _row_blocks(recipe)))
 
 
 def pair_spreads(source: PairSource) -> tuple[Moments, Moments, float]:

@@ -29,7 +29,9 @@ their marginals.  A real 2D state goes through ``rfft``, mirrored for −k:
 The binary container for states is little-endian throughout:
 magic ``EPWF``, version u32, n₁ u32, n₂ u32 (0 for 1D), four f64 grid
 bounds, then interleaved (re, im) f64 amplitudes in row-major order.
-``EPWFWriter`` writes it whole or removes it; ``load_wavefunction`` reads it.
+``EPWFWriter`` writes it whole or removes it; ``save_wavefunction`` writes a
+state, or a ``states.PairSource`` a row block at a time, through it, and
+``load_wavefunction`` reads it.
 """
 
 from __future__ import annotations
@@ -41,12 +43,15 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import MemoryBoundError, TailLeakError, ZeroNormError
 from .params import NORM_FLOOR, TAIL_RATIO_MAX, GridSpec
+
+if TYPE_CHECKING:  # states imports this module
+    from .states import PairSource
 
 DENSITY_MATRIX_MAX_POINTS = 4096
 SCHMIDT_TRUNCATION = 1e-12
@@ -466,11 +471,19 @@ class EPWFWriter:
             self._path.unlink(missing_ok=True)
 
 
-def save_wavefunction(wf: WaveFunction1D | WaveFunction2D, path) -> None:
-    """Write the EPWF container of a 1D or 2D state through one
+def save_wavefunction(wf: WaveFunction1D | WaveFunction2D | PairSource, path) -> None:
+    """Write the EPWF container of a 1D or 2D state, or of a ``PairSource`` a
+    block of its rows at a time with the built pair's bits, through one
     ``EPWFWriter``: whole, or, if the save fails, no file."""
-    with EPWFWriter(path, _axis_view(wf, 1).grids) as writer:
-        writer.write(np.atleast_2d(wf.amps))
+    if isinstance(wf, (WaveFunction1D, WaveFunction2D)):
+        grids, blocks = _axis_view(wf, 1).grids, [np.atleast_2d(wf.amps)]
+    else:
+        from .states import _row_blocks
+        grids = (wf.grid1, wf.grid2)
+        blocks = (a for _, a in _row_blocks(wf.recipe, wf.norm_tag))
+    with EPWFWriter(path, grids) as writer:
+        for rows in blocks:
+            writer.write(rows)
 
 
 def load_wavefunction(path) -> WaveFunction1D | WaveFunction2D:

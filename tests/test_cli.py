@@ -69,7 +69,7 @@ def refuse_compute(*args, **kwargs):
 
 def vanished(*args, **kwargs):
     """Patched over ``experiment.pair_entropy``: the Schmidt stage runs after
-    the readout pass, so the run fails after the pass that feeds ``joint.wf``."""
+    the pair's readout pass, so the run fails late, before it writes a file."""
     raise ZeroNormError("the state vanishes")
 
 
@@ -353,10 +353,10 @@ class TestRun:
         assert "error: bad config" in capsys.readouterr().err
 
 
-class TestJointSink:
-    """``run`` writes ``joint.wf`` during the pair's readout pass, through
-    the EPWF writer ``save_wavefunction`` uses, and computes the pair for
-    no other pass of its own."""
+class TestJointWf:
+    """``run`` saves the pair's source as ``joint.wf`` through
+    ``save_wavefunction``, as it saves every other state, in one pass of
+    its own over the source's rows."""
 
     @staticmethod
     def factored_config(path, measurement):
@@ -393,7 +393,8 @@ class TestJointSink:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_a_failed_close_removes_joint_wf(self, tmp_path, capsys, epwf_faults):
-        # joint.wf is closed last, after every other artifact is written
+        # joint.wf is the first state saved, after report.json and
+        # histogram.csv, which the failed run removes too
         epwf_faults("joint.wf", close_fails=True)
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
@@ -403,17 +404,6 @@ class TestJointSink:
         assert "Traceback" not in err
         assert not (out / "joint.wf").exists()
         assert list(out.iterdir()) == []
-
-    def test_unwritable_joint_wf_exits_2_before_computing(self, tmp_path, capsys,
-                                                          monkeypatch):
-        monkeypatch.setattr(cli, "run_scenario", refuse_compute)
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
-        (out / "joint.wf").mkdir(parents=True)
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write output:")
-        assert "Traceback" not in err
 
     def test_a_write_error_mid_stream_exits_2(self, tmp_path, capsys, monkeypatch):
         real, calls = wavefunction.EPWFWriter.write, []
@@ -429,17 +419,20 @@ class TestJointSink:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert ("error: stage 'numeric_initial' failed: cannot write output: "
-                "[Errno 28] No space left on device") in err
+        assert "error: cannot write output: [Errno 28] No space left on device" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("measurement,passes", [({"epsilon": 0.5}, 2), (None, 3)],
-                             ids=["slit", "coincidence"])
+    @pytest.mark.parametrize("measurement,bound,passes", [
+        ({"epsilon": 0.5}, cli.SAVE_MAX_AMPLITUDES, 3),
+        (None, cli.SAVE_MAX_AMPLITUDES, 4),
+        ({"epsilon": 0.5}, 256 * 256 - 1, 2),
+    ], ids=["slit", "coincidence", "slit-above-the-save-bound"])
     def test_amplitudes_are_computed_once_per_pass(self, tmp_path, monkeypatch,
-                                                   measurement, passes):
-        # slit: the norm and the readout, which writes joint.wf; coincidence
-        # adds the sampler's table, one block of all 256 rows at 256 points.
+                                                   measurement, bound, passes):
+        # slit: the norm, the readout and, up to the save bound, the save
+        # of joint.wf; coincidence adds the sampler's table, one block of
+        # all 256 rows at 256 points.
         # On the run's one grid every amplitude is the T·H product of
         # _fill_rows, and joint_amplitude is not called; pair_schmidt reads
         # one row of the pair for each of its k pivots.
@@ -457,11 +450,15 @@ class TestJointSink:
 
         monkeypatch.setattr(states, "_fill_rows", counted_fill)
         monkeypatch.setattr(states, "joint_amplitude", refused)
+        monkeypatch.setattr(cli, "SAVE_MAX_AMPLITUDES", bound)
         cfg = self.factored_config(tmp_path / "cfg.json", measurement)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         n, k = 256, counts["pivots"]
-        assert (out / "joint.wf").stat().st_size == 48 + 16 * n * n
+        if n * n <= bound:
+            assert (out / "joint.wf").stat().st_size == 48 + 16 * n * n
+        else:
+            assert not (out / "joint.wf").exists()
         assert counts["amplitudes"] == passes * n * n + n * k
         assert 0 < k <= n // 4 + 1
 
@@ -564,6 +561,18 @@ class TestFailedRunLeavesNothing:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: cannot write output: [Errno 21]")
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.json"]
+
+    def test_an_unwritable_joint_wf_exits_2_after_computing(self, tmp_path, capsys):
+        # joint.wf is saved after report.json and histogram.csv, which the
+        # failed run removes
+        argv, out = self.readme_run(tmp_path)
+        (out / "joint.wf").mkdir()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: [Errno 21]")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["joint.wf", "notes.txt"]
 
 
 class TestSweep:

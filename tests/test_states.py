@@ -38,7 +38,7 @@ from popperlab.states import (
     pair_source,
     pair_spreads,
 )
-from popperlab.wavefunction import _blocks, grid_points, norm, tail_ratio
+from popperlab.wavefunction import _blocks, grid_points, norm, save_wavefunction, tail_ratio
 
 import oracles
 
@@ -529,14 +529,27 @@ class TestPairSource:
             pair_source(params, g)
         assert str(got.value) == str(want.value)
 
-    def test_the_sink_takes_each_row_block_only(self):
-        psi, _ = readme_pair(383)
-        calls = []
-        source = pair_source(PhysicalParams(1.0, 2.0), psi.grid1,
-                             sink=lambda *args: calls.append([a.copy() for a in args]))
-        source.readout
-        assert [len(args) for args in calls] == [1] * len(calls)
-        assert np.array_equal(np.concatenate([args[0] for args in calls]), psi.amps)
+    @pytest.mark.parametrize("y_min,y_max", [(-16.2, 16.2), (-11.3, 19.4)],
+                             ids=["symmetric", "asymmetric"])
+    def test_a_saved_source_is_the_saved_built_pair(self, tmp_path, y_min, y_max):
+        g = GridSpec(n_points=383, y_min=y_min, y_max=y_max)
+        source = pair_source(PhysicalParams(1.0, 2.0), g)
+        save_wavefunction(source, tmp_path / "source.wf")
+        save_wavefunction(build_joint_state(source.recipe), tmp_path / "built.wf")
+        assert (tmp_path / "source.wf").read_bytes() == (tmp_path / "built.wf").read_bytes()
+
+    def test_saving_a_source_holds_no_pair(self, tmp_path):
+        # the built pair would be 8 MiB at 1024 points
+        g = GridSpec(n_points=1024, y_min=-16.2, y_max=16.2)
+        source = pair_source(PhysicalParams(1.0, 2.0), g)
+        tracemalloc.start()
+        try:
+            save_wavefunction(source, tmp_path / "joint.wf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 21
+        assert (tmp_path / "joint.wf").stat().st_size == 48 + 16 * 1024 ** 2
 
     def test_dense_entropy_builds_the_pair(self, monkeypatch):
         # the README source has 110 modes, more than a quarter of 256 points
