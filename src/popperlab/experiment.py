@@ -17,19 +17,19 @@ the source's readout or, for a built pair, the block reader's, and then y₂
 from the conditional slice, blended linearly between the two neighbouring
 grid rows; one block of 2n uniforms is drawn, its first half for the y₁
 draws and its second for the y₂ draws.  The conditional-CDF table is never
-held whole: it is filled a block of y₁ cells at a time into one reused
-buffer of 2¹⁸ values (2 MiB; two rows at the least), in one loop over
-``_blocks`` row blocks whose amplitudes a source computes (``rows``) and a
-built pair's |ψ| gives, and each row block becomes |ψ|² and then its CDFs
-in place.  A block takes the draws whose y₁ lands in its cells, which by
-the inverse's prefix rule are those with c₁[lo] ≤ u < c₁[hi] (the last
-block takes every u ≥ c₁[lo]), so each draw lands in exactly one block.
-The block scans the y₁ uniforms a slice at a time, inverts y₁ again for
-the draws it takes and y₂ against its own rows, so every draw keeps the
-bits of one pass over the whole table.  Past a built pair, the uniforms
-and the output, the sampler holds the buffer, length-N vectors and
-slice-sized temporaries, whatever N is.  The blocks number about
-N²/2¹⁸ (265 at 8,192 points), and each rescans the n uniforms.
+held whole: the sampler walks the ``_blocks`` of the N−1 y₁ cells, as the
+other passes walk rows, and fills a block's rows lo..hi into one reused
+buffer of a block plus one row, from a source's ``rows`` or a built pair's
+|ψ|; the rows become |ψ|² and then their CDFs in place.  By the inverse's
+prefix rule a draw lands in cells lo..hi−1 when c₁[lo] ≤ u < c₁[hi], and
+c₁ ends at exactly 1, so once the draws are ordered by their y₁ uniform
+(one argsort) each block's draws are one run of that order, found by
+``searchsorted`` on c₁.  A block inverts y₁ again for its run, a slice at a
+time, and y₂ against its own rows, so every draw keeps the bits of one pass
+over the whole table; a block that no draw lands in is not filled.  Past a
+built pair, the uniforms, the output and the order index (8 B a draw), the
+sampler holds the buffer, length-N vectors and slice-sized temporaries,
+whatever N is.
 
 The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
 ``sampled.ks`` holds D and its exact two-sided p-value P(D_n ≥ D), both
@@ -82,6 +82,7 @@ from .params import DetectorGeometry, GridSpec, ScenarioConfig, validate
 from .rng import Xoshiro256StarStar
 from .states import (
     PairSource,
+    _lines,
     build_pointer_state,
     pair_entropy,
     pair_source,
@@ -90,6 +91,7 @@ from .states import (
 from .wavefunction import (
     WaveFunction1D,
     WaveFunction2D,
+    _block_lines,
     _blocks,
     grid_points,
     marginal_density,
@@ -120,9 +122,6 @@ class DetectorHistogram:
 # Draws inverted at once: bounds the bisection's temporaries (about 140 B a
 # pair draw), changes no draw.
 _SLICE = 1 << 14
-# Conditional-CDF values the coincidence sampler holds at once: 2 MiB of
-# float64, whatever the grid (module docstring).
-_TABLE_AMPLITUDES = 1 << 18
 
 
 def _cumulative_trapezoid(density: np.ndarray, dy: float,
@@ -196,29 +195,12 @@ def sample_positions(wf: WaveFunction1D, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _draws_in(u: np.ndarray, lo: float, hi: float):
-    """Indices of the draws lo <= u < hi, in batches of at most _SLICE."""
-    batch, size = [], 0
-    for start in range(0, len(u), _SLICE):
-        t = u[start:start + _SLICE]
-        k = start + np.flatnonzero((t >= lo) & (t < hi))
-        if size + k.size > _SLICE:
-            yield np.concatenate(batch)
-            batch, size = [], 0
-        batch.append(k)
-        size += k.size
-    if size:
-        yield np.concatenate(batch)
-
-
 def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndarray:
     """n deterministic (y₁, y₂) coincidence draws from the joint density of a
     built pair or of a ``PairSource``, whose readout gives y₁'s marginal."""
     if n == 0:
         return np.empty((0, 2))
     n1, n2 = psi.grid1.n_points, psi.grid2.n_points
-    cells = min(max(1, _TABLE_AMPLITUDES // n2 - 1), n1 - 1)
-    table = np.empty((cells + 1, n2))
     if isinstance(psi, PairSource):
         marginal, amplitudes = psi.readout.marginal1, psi.rows
     else:
@@ -230,24 +212,27 @@ def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndar
 
     u = Xoshiro256StarStar(seed).uniforms(2 * n)
     u1, u2 = u[:n], u[n:]
+    # c₁ ends at exactly 1, so _invert's target is u itself, and its prefix
+    # rule puts a draw in cells lo..hi-1 when c₁[lo] <= u < c₁[hi]: in the y₁
+    # order, the draws order[edges[lo]:edges[hi]].
+    order = np.argsort(u1)
+    edges = np.searchsorted(u1, c1, sorter=order)
+    buffer = np.empty((_block_lines(n1 - 1, n2) + 1) * n2)
     out = np.empty((n, 2))
-    for lo in range(0, n1 - 1, cells):
-        hi = min(lo + cells, n1 - 1)
-        # Unnormalized conditional CDFs along y₂ of rows lo..hi: each block of
-        # rows becomes |ψ|² and then its CDFs in place.
-        rows = table[:hi + 1 - lo]
-        for sl in _blocks(len(rows), n2):
-            dens = amplitudes(lo + sl.start, lo + sl.stop, rows[sl])
-            dens **= 2
-            _cumulative_trapezoid(dens, psi.grid2.dy, out=dens)
-        flat = rows.ravel()
-        # c₁ ends at exactly 1, so _invert's target is u itself, and its prefix
-        # rule puts the draw in cells lo..hi-1 when c₁[lo] <= u < c₁[hi].
-        for k in _draws_in(u1, c1[lo], c1[hi] if hi < n1 - 1 else np.inf):
+    for b in _blocks(n1 - 1, n2):
+        run = order[edges[b.start]:edges[b.stop]]
+        if run.size == 0:
+            continue
+        # Unnormalized conditional CDFs along y₂ of rows b.start..b.stop, in place.
+        rows = amplitudes(b.start, b.stop + 1, _lines(buffer, b.stop + 1 - b.start, n2))
+        rows **= 2
+        flat = _cumulative_trapezoid(rows, psi.grid2.dy, out=rows).ravel()
+        for lo in range(0, run.size, _SLICE):
+            k = run[lo:lo + _SLICE]
             out[k, 0], i, f = _invert(c1, u1[k], psi.grid1)
             # y₂ inverts rows i and i+1 blended with weights 1-f and f; a blend
             # of two nondecreasing rows stays nondecreasing under IEEE rounding.
-            lower, g = (i - lo) * n2, 1.0 - f
+            lower, g = (i - b.start) * n2, 1.0 - f
             upper = lower + n2
             out[k, 1] = _invert(lambda j: flat[lower + j] * g + flat[upper + j] * f,
                                 u2[k], psi.grid2)[0]

@@ -44,10 +44,11 @@ from .errors import CapExceededError, UserParameterError
 MIN_GRID_POINTS = 64
 DEFAULT_MAX_POINTS = 2 ** 14
 # Upper bounds on the sizes a config may request, checked before anything
-# is allocated.  Joint sampling holds about 31 B per pair on top of a fixed
-# working set (tracemalloc peaks of 7.2 MiB at 10⁵ pairs and 34.7 MiB at
-# 10⁶ on the README source's 1024-point PairSource, so about 0.3 GiB at the
-# bound); report.json and histogram.csv list every bin.
+# is allocated.  Joint sampling holds about 40 B per pair on top of a fixed
+# working set: the uniforms, the output and the y₁ order (tracemalloc peaks
+# of 6.2 MiB at 10⁵ pairs, 40.6 MiB at 10⁶ and 384 MiB at the bound on the
+# README source's 1024-point PairSource); report.json and histogram.csv
+# list every bin.
 MAX_SAMPLES = 10 ** 7
 MAX_BINS = 10 ** 5
 # Tail contract: a state's boundary amplitude is at most this share of its peak.

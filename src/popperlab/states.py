@@ -43,7 +43,8 @@ and ``run`` a last one to save ``joint.wf``, up to its save bound:
   built pair, raising as they do, in the order ``run`` called them;
 * in coincidence mode, ``experiment.sample_joint`` fills its
   conditional-CDF table with ``PairSource.rows``, the rows lo..hi-1 of the
-  normalized pair into a buffer of the caller's;
+  normalized pair into a buffer of the caller's: for each ``_blocks`` block
+  of y₁ cells that a draw lands in, its rows and the next one;
 * ``wavefunction.save_wavefunction`` writes the normalized ``_row_blocks``
   of a ``PairSource`` as they come.
 

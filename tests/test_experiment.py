@@ -43,12 +43,12 @@ from popperlab import (
     sample_positions,
     schmidt,
 )
-from popperlab import experiment, states
+from popperlab import experiment, states, wavefunction
 from popperlab.experiment import cumulative_distribution
 from popperlab.params import ValidationReport
 from popperlab.analytic import _pair_spectrum
 from popperlab.states import FACTORED_MAX_MODE_SHARE, pair_entropy, pair_schmidt, pair_source
-from popperlab.wavefunction import grid_points, marginal_density, trap_weights
+from popperlab.wavefunction import _block_lines, grid_points, marginal_density, trap_weights
 
 import oracles
 
@@ -313,11 +313,13 @@ FLAT_RUNS[::2, 11:] = 0.0
 FLAT_RUNS[3, 9:] = 0.0
 
 
-# With 4 x 13 table values a block holds 3 of the 39 y1 cells.  Rows 3-6 are
-# the whole of block [3, 6) and rows 21-24 of block [21, 24); row 30 closes
-# block [27, 30) and opens block [30, 33).
-BLOCK_EDGES = np.outer(2.0 + np.sin(np.arange(40)), np.linspace(1.0, 2.0, 13)) ** 2
-BLOCK_EDGES[[3, 4, 5, 6, 21, 22, 23, 24, 30]] = 0.0
+# With 8 x 13 block values the 43 y1 cells fall into the blocks [0, 8),
+# [8, 16), [16, 24), [24, 32) and [32, 43), the rest of 3 joined to the
+# last.  Rows 8-16 are the whole of block [8, 16); row 24 closes block
+# [16, 24) and opens block [24, 32); rows 31-33 straddle the edge at 32; row
+# 40 lies inside the joined last block.
+BLOCK_EDGES = np.outer(2.0 + np.sin(np.arange(44)), np.linspace(1.0, 2.0, 13)) ** 2
+BLOCK_EDGES[[8, 9, 10, 11, 12, 13, 14, 15, 16, 24, 31, 32, 33, 40]] = 0.0
 
 
 class PresetGenerator:
@@ -361,12 +363,12 @@ class TestJointSamplerAgainstReference:
         assert np.array_equal(pairs, oracles.ref_sample_joint(psi, u1, u2))
 
     def test_uniforms_on_table_block_edges(self, monkeypatch):
-        # u1 on every y1 CDF knot, the knots that bound a table block among
-        # them, with whole blocks of zero rows: a draw on a block's lower
+        # u1 on every y1 CDF knot, the knots that bound a block of cells among
+        # them, with a whole block of zero rows: a draw on a block's lower
         # knot belongs to that block, and a flat run of knots sends it past
         # the zero block, as the whole-table inverse does.
         psi = hand_built(BLOCK_EDGES)
-        monkeypatch.setattr(experiment, "_TABLE_AMPLITUDES", 4 * 13)
+        monkeypatch.setattr(wavefunction, "_BLOCK_AMPLITUDES", 8 * 13)
         _, c1 = cumulative_distribution(psi.grid1, np.abs(psi.amps) ** 2 @ trap_weights(psi.grid2))
         top = 1.0 - 2.0 ** -53
         u1 = np.repeat(np.concatenate(([0.0], c1[:-1], [top])), 3)
@@ -376,15 +378,17 @@ class TestJointSamplerAgainstReference:
         pairs = sample_joint(psi, len(u1), seed=0)
         assert np.array_equal(pairs, oracles.ref_sample_joint(psi, u1, u2))
 
-    @pytest.mark.parametrize("table", [None, 20 * 257, 2 * 257],
-                             ids=["one block", "19-cell blocks, the last of 2", "1-cell blocks"])
-    def test_bit_identical_in_table_blocks(self, table, monkeypatch):
+    @pytest.mark.parametrize("block", [None, 20 * 257, 2 * 257],
+                             ids=["248-cell blocks, the last of 134",
+                                  "16-cell blocks, the last of 14",
+                                  "8-cell blocks, the last of 14"])
+    def test_bit_identical_in_table_blocks(self, block, monkeypatch):
         p = PhysicalParams(sigma=1.0, omega0=2.0)
         g1 = GridSpec(n_points=383, y_min=-16.2, y_max=16.2)
         g2 = GridSpec(n_points=257, y_min=-16.2, y_max=16.2)
         psi = build_joint_state(JointStateRecipe(p, g1, g2))
-        if table is not None:
-            monkeypatch.setattr(experiment, "_TABLE_AMPLITUDES", table)
+        if block is not None:
+            monkeypatch.setattr(wavefunction, "_BLOCK_AMPLITUDES", block)
         assert np.array_equal(sample_joint(psi, 20_000, 5), reference_pairs(psi, 20_000, 5))
 
     def test_bit_identical_on_a_pair_of_uneven_rows(self):
@@ -418,6 +422,28 @@ class TestJointSamplerAgainstReference:
         source = pair_source(p, g)
         assert np.array_equal(sample_joint(source, n, seed),
                               sample_joint(build_joint_state(source.recipe), n, seed))
+
+    def test_draws_in_one_cell_fill_one_block_of_rows(self, monkeypatch):
+        # Every y1 uniform lands in cell 500, inside the block [448, 512) of
+        # the 1023 cells: the sampler fills rows 448..512 and skips the
+        # blocks that no draw lands in.
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        source = pair_source(p, GridSpec(n_points=1024, y_min=-16.2, y_max=16.2))
+        _, c1 = cumulative_distribution(source.grid1, source.readout.marginal1)
+        u1 = c1[500] + (c1[501] - c1[500]) * np.linspace(0.0, 1.0, 3000, endpoint=False)
+        u2 = np.random.default_rng(8).random(len(u1))
+        monkeypatch.setattr(experiment, "Xoshiro256StarStar",
+                            lambda seed: PresetGenerator(np.concatenate((u1, u2))))
+        filled = []
+        rows = states.PairSource.rows
+
+        def counted(self, lo, hi, out):
+            filled.append(hi - lo)
+            return rows(self, lo, hi, out)
+        monkeypatch.setattr(states.PairSource, "rows", counted)
+        pairs = sample_joint(source, len(u1), seed=0)
+        assert filled == [65]
+        assert np.array_equal(pairs, oracles.ref_sample_joint(build_joint_state(source.recipe), u1, u2))
 
     def test_zero_density_raises(self):
         with pytest.raises(ZeroNormError):
@@ -498,8 +524,9 @@ class TestPositionSamplerAgainstReference:
 
 
 class TestSamplerMemory:
-    """Draws are inverted in fixed-size slices, so past the uniforms and the
-    output a sampler's working set does not grow with the number of draws."""
+    """Draws are inverted in fixed-size slices, so past the uniforms, the
+    output and, for pairs, one index of the y₁ order per draw, a sampler's
+    working set does not grow with the number of draws."""
 
     @staticmethod
     def traced_peak(sample, state, n, monkeypatch):
@@ -518,7 +545,8 @@ class TestSamplerMemory:
     def test_extra_draws_cost_only_their_output(self, mode, monkeypatch):
         psi = source_pair(64)
         if mode == "joint":
-            sample, state, out_bytes = sample_joint, psi, 16
+            # The (y₁, y₂) output and its draw's place in the y₁ order.
+            sample, state, out_bytes = sample_joint, psi, 24
         else:
             sample, state, out_bytes = sample_positions, WaveFunction1D(psi.grid2, psi.amps[32]), 8
         small, large = 1 << 17, 1 << 20
@@ -528,8 +556,8 @@ class TestSamplerMemory:
 
     def test_working_set_does_not_grow_with_the_grid(self, monkeypatch):
         # The conditional-CDF table is filled a block of rows at a time into
-        # 2**18 values.  With the whole table held, the peaks were 10.6 MiB
-        # at 512 points and 96.0 MiB at 2048.
+        # about 2**16 values.  With the whole table held, the peaks were
+        # 10.6 MiB at 512 points and 96.0 MiB at 2048.
         p = PhysicalParams(sigma=1.0, omega0=2.0)
         peaks = []
         for n_points in (512, 2048):
@@ -546,9 +574,8 @@ class TestScenarioMemory:
 
     @staticmethod
     def table_bytes(n_points):
-        # sample_joint's table: cells + 1 rows of n_points float64 values
-        cells = min(max(1, experiment._TABLE_AMPLITUDES // n_points - 1), n_points - 1)
-        return 8 * (cells + 1) * n_points
+        # sample_joint's buffer: a block of cells plus one row of float64
+        return 8 * (_block_lines(n_points - 1, n_points) + 1) * n_points
 
     @pytest.mark.parametrize("measurement,n_samples", [
         (MeasurementSpec(epsilon=0.5), 20_000), (None, 200_000)],

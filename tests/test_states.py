@@ -28,7 +28,7 @@ from popperlab import (
     position_stats,
     schmidt,
 )
-from popperlab import experiment, states
+from popperlab import states
 from popperlab.analytic import _pair_spectrum
 from popperlab.states import (
     FACTORED_MAX_MODE_SHARE,
@@ -485,15 +485,12 @@ class TestPairSource:
 
     @pytest.mark.parametrize("n", [383, 1000])
     def test_the_samplers_overlapping_table_rows(self, n):
-        # sample_joint's table blocks share their edge rows: rows lo..hi of
-        # each block, read in _blocks pieces
+        # sample_joint's blocks of y1 cells share their edge rows: rows
+        # b.start..b.stop, inclusive, of each _blocks(n - 1, n) block
         psi, source = readme_pair(n)
-        cells = min(max(1, experiment._TABLE_AMPLITUDES // n - 1), n - 1)
-        for lo in range(0, n - 1, cells):
-            hi = min(lo + cells, n - 1)
-            for sl in _blocks(hi + 1 - lo, n):
-                a, b = lo + sl.start, lo + sl.stop
-                assert np.array_equal(source_rows(source, a, b), psi.amps[a:b]), (a, b)
+        for b in _blocks(n - 1, n):
+            lo, hi = b.start, b.stop + 1
+            assert np.array_equal(source_rows(source, lo, hi), psi.amps[lo:hi]), (lo, hi)
 
     @pytest.mark.parametrize("n", [383, 1000, 2978])
     @pytest.mark.parametrize("params", [PhysicalParams(1.0, 2.0), PhysicalParams(1.3, 0.8, hbar=1.1)],
