@@ -48,12 +48,13 @@ closed-form and grid-measured spreads, optionally reduce the source pair
 behind the pointer (by convolution), fly to the detector plane, sample, and
 bin.  It holds no N×N array: the pair is a ``states.PairSource``, whose
 norm pass is the ``build`` stage and whose readout pass, ``numeric_initial``,
-gives the spreads, and the marginals that sampling and the KS test take
-(``states`` module docstring); the reports keep the bits of reading a built
-pair.  ``run`` saves the source as ``joint.wf`` after the scenario, in a
-pass of its own, as it saves every other state.  Every numeric field in the
-report is tagged with the grid that produced it, and timings live in their
-own block so that reports stay byte-comparable across runs.
+gives the spreads and the one marginal, either particle's by exchange
+symmetry, that sampling and the KS test take (``states`` module docstring);
+the reports keep the bits of reading particle 1 of a built pair.  ``run``
+saves the source as ``joint.wf`` after the scenario, in a pass of its own,
+as it saves every other state.  Every numeric field in the report is tagged
+with the grid that produced it, and timings live in their own block so that
+reports stay byte-comparable across runs.
 
 The Schmidt entropy is ``states.pair_entropy``'s, which owns its route and
 its grid cap (see ``states``).
@@ -202,7 +203,7 @@ def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndar
         return np.empty((0, 2))
     n1, n2 = psi.grid1.n_points, psi.grid2.n_points
     if isinstance(psi, PairSource):
-        marginal, amplitudes = psi.readout.marginal1, psi.rows
+        marginal, amplitudes = psi.readout.marginal, psi.rows
     else:
         marginal = marginal_density(psi, 1)
 
@@ -514,10 +515,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         }
 
     with _stage(timings, "numeric_initial"):
-        st1, st2, dp2_initial = pair_spreads(psi)
+        st, dp2_initial = pair_spreads(psi)
     numeric = {
         "grid": {**asdict(config.grid), "dy": config.grid.dy},
-        "initial": {"dy1": st1.std, "dy2": st2.std, "dp2y": dp2_initial},
+        "initial": {"dy1": st.std, "dy2": st.std, "dp2y": dp2_initial},
         "schmidt_entropy": None,
         "reduced": None,
         "ratios": None,
@@ -562,11 +563,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 predicted = gaussian_width_at(side_width, ep)
             else:
                 # Coincidence mode: both particles sampled at the slit plane.
+                # The pair is exchange-symmetric: one marginal serves both.
                 pairs = sample_joint(psi, config.n_samples, config.seed)
-                particle = 1 if config.detector.side == "A" else 2
-                samples = pairs[:, particle - 1]
-                grid = psi.grid1 if particle == 1 else psi.grid2
-                dens = psi.readout.marginal1 if particle == 1 else psi.readout.marginal2
+                samples = pairs[:, 0 if config.detector.side == "A" else 1]
+                grid, dens = psi.grid1, psi.readout.marginal
                 # Undefined for one pair or a coordinate without spread;
                 # reported as null rather than NaN, which is not JSON.
                 corr = None

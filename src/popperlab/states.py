@@ -30,17 +30,18 @@ built array's bits.  A run makes two passes, a coincidence run a third,
 and ``run`` a last one to save ``joint.wf``, up to its save bound:
 
 * the norm pass (``pair_source``);
-* the readout pass (``PairSource.readout``) takes both marginals, particle
-  2's rfft momentum distribution and the tail ratio from the normalized
-  ``_row_blocks``.  Past the row buffer it keeps a block for |ψ̃|² and then
-  the transposed |ψ|², and one for the rfft; the rows become |ψ|² in
-  place.  On one grid shared by both axes the pair is bitwise symmetric:
-  T is even, (−m·dy)² = (m·dy)² in IEEE arithmetic, and H depends on i+j
-  alone.  So a row block's transpose, laid out C-contiguous, is the column
-  block ``marginal_density(ψ, 2)`` reads, and the same matrix-vector product
-  gives its bits.  ``pair_spreads`` turns the readout into Δy₁, Δy₂ and Δp₂
-  with the bits of ``position_stats`` and ``momentum_std_spectral`` on the
-  built pair, raising as they do, in the order ``run`` called them;
+* the readout pass (``PairSource.readout``) takes particle 1's marginal,
+  particle 2's rfft momentum distribution and the tail ratio from the
+  normalized ``_row_blocks``.  Past the row buffer it keeps a block for
+  |ψ̃|² and one for the rfft; the rows become |ψ|² in place.  On one grid
+  shared by both axes the pair is bitwise symmetric: T is even,
+  (−m·dy)² = (m·dy)² in IEEE arithmetic, and H depends on i+j alone;
+  ``pair_schmidt`` and the readout's edge columns rely on it.  Particle 2's
+  marginal is particle 1's, by exchange symmetry, so the readout takes one;
+  ``marginal_density(ψ, 2)`` agrees with it to rounding.  ``pair_spreads``
+  turns the readout into one Δy, for both particles, and Δp₂ with the bits
+  of ``position_stats(ψ, 1)`` and ``momentum_std_spectral`` on the built
+  pair, raising as they do, in the order ``run`` called them;
 * in coincidence mode, ``experiment.sample_joint`` fills its
   conditional-CDF table with ``PairSource.rows``, the rows lo..hi-1 of the
   normalized pair into a buffer of the caller's: for each ``_blocks`` block
@@ -244,10 +245,10 @@ def build_joint_state(recipe: JointStateRecipe) -> WaveFunction2D:
 
 class PairReadout(NamedTuple):
     """What one pass over the normalized source pair reads, each with the
-    bits of its ``WaveFunction2D`` reader on the built pair."""
+    bits of its ``WaveFunction2D`` reader on the built pair.  The pair is
+    exchange-symmetric, so ``marginal`` is either particle's."""
 
-    marginal1: np.ndarray  # marginal_density(ψ, 1)
-    marginal2: np.ndarray  # marginal_density(ψ, 2)
+    marginal: np.ndarray  # marginal_density(ψ, 1)
     spectrum2: np.ndarray  # particle 2's rfft momentum distribution, unscaled
     tail: float  # tail_ratio(ψ)
 
@@ -276,39 +277,34 @@ class PairSource:
 
     @cached_property
     def readout(self) -> PairReadout:
-        """The marginals, particle 2's momentum distribution and the tail
+        """The marginal, particle 2's momentum distribution and the tail
         ratio from one pass over the row blocks (module docstring), taken
         on first use and kept read-only."""
         n = self.grid1.n_points
         w = trap_weights(self.grid1)
         half = n // 2 + 1
         size = _block_lines(n, n)
-        # Past the rows' own buffer, two blocks: |ψ̃|², then the transposed
-        # |ψ|²; the rows' rfft.
-        scratch = np.empty(size * n)
+        # Past the rows' own buffer: a block of |ψ̃|², and the rows' rfft.
+        scratch = np.empty(size * half)
         spectra = np.empty((size, half), dtype=np.complex128)
         part = np.empty(half)
-        marginal1, marginal2, spectrum = np.empty(n), np.empty(n), np.zeros(half)
+        marginal, spectrum = np.empty(n), np.zeros(half)
         peak = edge = 0.0
         for b, a in _row_blocks(self.recipe, self.norm_tag):
             k = b.stop - b.start
             # The amplitudes are non-negative: |ψ| is ψ, and |ψ|² its square.
             # ψ is symmetric, so the first and last columns hold the first
-            # and last rows too, and the rows' transpose, laid out
-            # C-contiguous, is the column block marginal_density(ψ, 2) reads.
+            # and last rows too.
             peak = max(peak, float(a.max()))
             edge = max(edge, float(a[:, 0].max()), float(a[:, -1].max()))
             p = np.abs(np.fft.rfft(a, axis=1, out=spectra[:k]), out=_lines(scratch, k, half))
             p **= 2
             spectrum += np.matmul(w[b], p, out=part)
             # The rows are spent: they become |ψ|² in place.
-            np.matmul(np.square(a, out=a), w, out=marginal1[b])
-            t = _lines(scratch, n, k)
-            t[...] = a.T
-            np.matmul(w, t, out=marginal2[b])
-        for v in (marginal1, marginal2, spectrum):
+            np.matmul(np.square(a, out=a), w, out=marginal[b])
+        for v in (marginal, spectrum):
             v.flags.writeable = False
-        return PairReadout(marginal1, marginal2, spectrum, edge / peak if peak else 0.0)
+        return PairReadout(marginal, spectrum, edge / peak if peak else 0.0)
 
 
 def pair_source(params: PhysicalParams, grid: GridSpec) -> PairSource:
@@ -318,15 +314,15 @@ def pair_source(params: PhysicalParams, grid: GridSpec) -> PairSource:
     return PairSource(recipe, _pair_norm(recipe, _row_blocks(recipe)))
 
 
-def pair_spreads(source: PairSource) -> tuple[Moments, Moments, float]:
-    """Position moments of particles 1 and 2 and particle 2's spectral
-    momentum spread, equal to ``position_stats`` and ``momentum_std_spectral``
-    on the built pair and raising as they do, in that order."""
+def pair_spreads(source: PairSource) -> tuple[Moments, float]:
+    """Position moments of either particle of the exchange-symmetric pair
+    and particle 2's spectral momentum spread, equal to
+    ``position_stats(ψ, 1)`` and ``momentum_std_spectral`` on the built pair
+    and raising as they do, in that order."""
     r, g = source.readout, source.grid1
-    y, w = grid_points(g), trap_weights(g)
-    st1, st2 = _moments(y, r.marginal1, w), _moments(y, r.marginal2, w)
+    st = _moments(grid_points(g), r.marginal, trap_weights(g))
     _check_tail_ratio(r.tail)
-    return st1, st2, _half_spectrum_moments(r.spectrum2, g, source.recipe.params.hbar).std
+    return st, _half_spectrum_moments(r.spectrum2, g, source.recipe.params.hbar).std
 
 
 def pair_schmidt(params: PhysicalParams, grid: GridSpec) -> SchmidtSpectrum:

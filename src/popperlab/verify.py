@@ -197,9 +197,9 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
         params = PhysicalParams(sigma=_log_uniform(gen, lo, hi),
                                 omega0=_log_uniform(gen, lo, hi))
         grid = auto_grid(params, max_points=level.max_points)
-        _, st2, dp2 = pair_spreads(pair_source(params, grid))
+        st, dp2 = pair_spreads(pair_source(params, grid))
         ref = initial_spreads(params)
-        dev = max(dev, abs(st2.std - ref.dy2) / ref.dy2, abs(dp2 - ref.dp2y) / ref.dp2y)
+        dev = max(dev, abs(st.std - ref.dy2) / ref.dy2, abs(dp2 - ref.dp2y) / ref.dp2y)
         route = _entropy_route(params, grid)
         if route is not None:
             closed = _pair_spectrum(params).entropy

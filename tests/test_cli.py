@@ -996,8 +996,8 @@ class TestVerifyCommand:
 
     @staticmethod
     def spread_dp2_off(source):
-        st1, st2, dp2 = states.pair_spreads(source)
-        return st1, st2, dp2 * (1.0 + 1e-5)
+        st, dp2 = states.pair_spreads(source)
+        return st, dp2 * (1.0 + 1e-5)
 
     @staticmethod
     def scaled(func, k):

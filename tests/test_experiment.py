@@ -429,7 +429,7 @@ class TestJointSamplerAgainstReference:
         # blocks that no draw lands in.
         p = PhysicalParams(sigma=1.0, omega0=2.0)
         source = pair_source(p, GridSpec(n_points=1024, y_min=-16.2, y_max=16.2))
-        _, c1 = cumulative_distribution(source.grid1, source.readout.marginal1)
+        _, c1 = cumulative_distribution(source.grid1, source.readout.marginal)
         u1 = c1[500] + (c1[501] - c1[500]) * np.linspace(0.0, 1.0, 3000, endpoint=False)
         u2 = np.random.default_rng(8).random(len(u1))
         monkeypatch.setattr(experiment, "Xoshiro256StarStar",
@@ -730,6 +730,18 @@ class TestRunScenario:
         corr = report.sampled["correlation"]
         assert abs(corr - position_correlation(cfg.params)) < 0.02
         assert report.sampled["predicted_detector_width"] is None
+
+    def test_side_b_coincidence_ks_reads_particle_1s_marginal(self):
+        # The pair is exchange-symmetric, so side B's draws are tested
+        # against the one marginal, marginal_density(ψ, 1) of the built pair.
+        g = GridSpec(n_points=1024, y_min=-16.2, y_max=16.2)
+        cfg = self.base_config(measurement=None, grid=g, n_samples=20_000, seed=3)
+        report = run_scenario(cfg)
+        source = pair_source(cfg.params, g)
+        pairs = sample_joint(source, 20_000, 3)
+        stat, p = ks_against_density(pairs[:, 1], g,
+                                     marginal_density(build_joint_state(source.recipe), 1))
+        assert report.sampled["ks"] == {"statistic": stat, "pvalue": p}
 
     def test_detector_side_a_samples_pointer_plane(self):
         # station A sees the pointer, far narrower than side B: width ε at
