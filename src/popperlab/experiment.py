@@ -18,18 +18,19 @@ from the conditional slice, blended linearly between the two neighbouring
 grid rows; one block of 2n uniforms is drawn, its first half for the y₁
 draws and its second for the y₂ draws.  The conditional-CDF table is never
 held whole: the sampler walks the ``_blocks`` of the N−1 y₁ cells, as the
-other passes walk rows, and fills a block's rows lo..hi into one reused
-buffer of a block plus one row, from a source's ``rows`` or a built pair's
-|ψ|; the rows become |ψ|² and then their CDFs in place.  By the inverse's
-prefix rule a draw lands in cells lo..hi−1 when c₁[lo] ≤ u < c₁[hi], and
-c₁ ends at exactly 1, so once the draws are ordered by their y₁ uniform
-(one argsort) each block's draws are one run of that order, found by
-``searchsorted`` on c₁.  A block inverts y₁ again for its run, a slice at a
-time, and y₂ against its own rows, so every draw keeps the bits of one pass
-over the whole table; a block that no draw lands in is not filled.  Past a
-built pair, the uniforms, the output and the order index (8 B a draw), the
-sampler holds the buffer, length-N vectors and slice-sized temporaries,
-whatever N is.
+other passes walk rows, and fills rows of a block into one reused buffer of
+a block plus one row, from a source's ``rows`` or a built pair's |ψ|; the
+rows become |ψ|² and then their CDFs in place.  By the inverse's prefix rule
+a draw lands in cells lo..hi−1 when c₁[lo] ≤ u < c₁[hi], and c₁ ends at
+exactly 1, so once the draws are ordered by their y₁ uniform (one argsort)
+each block's draws are one run of that order, found by ``searchsorted`` on
+c₁, and their cells run from the run's first draw's to its last's.  A block
+fills only the rows from that first cell to the last cell plus one, inverts
+y₁ again for its run, a slice at a time, and y₂ against those rows, so every
+draw keeps the bits of one pass over the whole table; a block that no draw
+lands in is not filled.  Past a built pair, the uniforms, the output and the
+order index (8 B a draw), the sampler holds the buffer, length-N vectors and
+slice-sized temporaries, whatever N is.
 
 The sampled hits are checked against |ψ|² by a Kolmogorov-Smirnov test:
 ``sampled.ks`` holds D and its exact two-sided p-value P(D_n ≥ D), both
@@ -46,18 +47,24 @@ package of scipy is never imported.
 ``run_scenario`` is the whole tabletop: take the pair's norm, record
 closed-form and grid-measured spreads, optionally reduce the source pair
 behind the pointer (by convolution), fly to the detector plane, sample, and
-bin.  It holds no N×N array: the pair is a ``states.PairSource``, whose
-norm pass is the ``build`` stage and whose readout pass, ``numeric_initial``,
-gives the spreads and the one marginal, either particle's by exchange
-symmetry, that sampling and the KS test take (``states`` module docstring);
-the reports keep the bits of reading particle 1 of a built pair.  ``run``
-saves the source as ``joint.wf`` after the scenario, in a pass of its own,
-as it saves every other state.  Every numeric field in the report is tagged
-with the grid that produced it, and timings live in their own block so that
-reports stay byte-comparable across runs.
+bin.  It holds no N×N array: the pair is a ``states.PairSource``, built in
+the ``build`` stage.  Where ``states`` takes the pair's factor, that stage
+runs its one pivoted Cholesky and reads the norm, the readout and the
+Schmidt spectrum from it, with no pass over the pair; elsewhere it is the
+norm pass, and the readout pass is ``numeric_initial``.  The readout gives
+the spreads and the one marginal, either particle's by exchange symmetry,
+that sampling and the KS test take (``states`` module docstring); on the
+rows route the reports keep the bits of reading particle 1 of a built pair,
+on the factor route they agree with them to rounding.  ``run`` saves the
+source as ``joint.wf`` after the scenario, in a pass of its own, as it saves
+every other state: up to its save bound, the one pass over the pair on the
+factor route.  Every numeric field in the report is tagged with the grid
+that produced it, and timings live in their own block so that reports stay
+byte-comparable across runs.
 
 The Schmidt entropy is ``states.pair_entropy``'s, which owns its route and
-its grid cap (see ``states``).
+its grid cap (see ``states``); where the ``build`` stage took the pair's
+factor, the factored route reads its spectrum from it.
 """
 
 from __future__ import annotations
@@ -224,8 +231,11 @@ def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndar
         run = order[edges[b.start]:edges[b.stop]]
         if run.size == 0:
             continue
-        # Unnormalized conditional CDFs along y₂ of rows b.start..b.stop, in place.
-        rows = amplitudes(b.start, b.stop + 1, _lines(buffer, b.stop + 1 - b.start, n2))
+        # The run's draws lie in cells first..last, its first draw's to its
+        # last's; the unnormalized conditional CDFs along y₂ of rows
+        # first..last+1, in place.
+        first, last = np.searchsorted(c1, u1[run[[0, -1]]], side="right") - 1
+        rows = amplitudes(first, last + 2, _lines(buffer, last + 2 - first, n2))
         rows **= 2
         flat = _cumulative_trapezoid(rows, psi.grid2.dy, out=rows).ravel()
         for lo in range(0, run.size, _SLICE):
@@ -233,7 +243,7 @@ def sample_joint(psi: WaveFunction2D | PairSource, n: int, seed: int) -> np.ndar
             out[k, 0], i, f = _invert(c1, u1[k], psi.grid1)
             # y₂ inverts rows i and i+1 blended with weights 1-f and f; a blend
             # of two nondecreasing rows stays nondecreasing under IEEE rounding.
-            lower, g = (i - b.start) * n2, 1.0 - f
+            lower, g = (i - first) * n2, 1.0 - f
             upper = lower + n2
             out[k, 1] = _invert(lambda j: flat[lower + j] * g + flat[upper + j] * f,
                                 u2[k], psi.grid2)[0]

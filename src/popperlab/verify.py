@@ -11,7 +11,9 @@ writes the sweep's rows of criteria 1, 3 and 7.  Every reduction is the dense
 ``conditional_reduce`` of the pair state its site builds; ``reduce_pair``, the
 route ``run`` and ``sweep`` take, is checked against it at every sweep triple.
 A site frees its pair before it builds the next.  Criterion 2 reads its spreads
-as ``run`` does, from ``pair_spreads``, and checks the Schmidt entropy on the
+as ``run`` does, from ``pair_spreads``; on the pairs where ``pair_source``
+reads the pair's factor, it checks that readout and its spreads against the
+rows route's, their oracle.  It checks the Schmidt entropy on the
 pairs where ``states.pair_entropy``, the route ``run`` takes, reports one,
 running each route once: the entropy of the route ``states._entropy_route``
 names against the closed form, and the factored route against the dense one,
@@ -57,7 +59,9 @@ from .params import (
 from .rng import Xoshiro256StarStar
 from .states import (
     JointStateRecipe,
+    PairSource,
     _entropy_route,
+    _rows_source,
     build_joint_state,
     build_pointer_state,
     pair_schmidt,
@@ -187,19 +191,33 @@ def _check_sweep(level: _Level) -> list[CheckRow]:
     ]
 
 
+def _readout_dev(factor: PairSource, rows: PairSource) -> float:
+    """The largest relative deviation of the factor route's readout and
+    spreads from the rows route's: the arrays against their peaks."""
+    (st, dp2), (ref_st, ref_dp2) = pair_spreads(factor), pair_spreads(rows)
+    a, b = factor.readout, rows.readout
+    return max(*(float(np.max(np.abs(x - y))) / float(np.max(y))
+                 for x, y in ((a.marginal, b.marginal), (a.spectrum2, b.spectrum2))),
+               abs(st.std - ref_st.std) / ref_st.std, abs(dp2 - ref_dp2) / ref_dp2,
+               abs(a.tail - b.tail) / b.tail)
+
+
 def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
     """Criterion 2 over the seeded (σ, Ω₀) pairs: spreads, and the Schmidt
     entropy and number on the grids ``run`` takes the entropy on."""
     gen = Xoshiro256StarStar(PAIR_SEED)
     lo, hi = level.box
-    dev = entropy_dev = route_dev = number_dev = 0.0
+    dev = readout_dev = entropy_dev = route_dev = number_dev = 0.0
     for _ in range(level.n_pairs):
         params = PhysicalParams(sigma=_log_uniform(gen, lo, hi),
                                 omega0=_log_uniform(gen, lo, hi))
         grid = auto_grid(params, max_points=level.max_points)
-        st, dp2 = pair_spreads(pair_source(params, grid))
+        source = pair_source(params, grid)
+        st, dp2 = pair_spreads(source)
         ref = initial_spreads(params)
         dev = max(dev, abs(st.std - ref.dy2) / ref.dy2, abs(dp2 - ref.dp2y) / ref.dp2y)
+        if source.factored is not None:
+            readout_dev = max(readout_dev, _readout_dev(source, _rows_source(source.recipe)))
         route = _entropy_route(params, grid)
         if route is not None:
             closed = _pair_spectrum(params).entropy
@@ -213,6 +231,7 @@ def _check_initial_closed_vs_grid(level: _Level) -> list[CheckRow]:
             number_dev = max(number_dev, abs(number - ratio) / ratio)
     return [
         _bound_row(2, "initial spreads: closed form vs grid (max rel dev)", dev, 1e-6),
+        _bound_row(2, "Pair readout: factor vs rows route (max rel dev)", readout_dev, 1e-13),
         _bound_row(2, "Schmidt entropy: closed form vs grid (max rel dev)", entropy_dev, 1e-12),
         _bound_row(2, "Schmidt entropy: factored vs dense route (max rel dev)", route_dev, 1e-13),
         _bound_row(2, "Schmidt number: grid vs closed form 2 dy2 dp2 / hbar (max rel dev)",

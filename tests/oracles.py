@@ -143,8 +143,10 @@ def ref_sample_positions(wf, u: np.ndarray) -> np.ndarray:
     return _ref_invert(y, c / c[-1], u, g.dy)[0]
 
 
-def ref_sample_joint(psi, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """(y1, y2) pairs of a WaveFunction2D for the given y1 and y2 uniforms."""
+def ref_sample_joint(psi, u1: np.ndarray, u2: np.ndarray,
+                     marginal: np.ndarray | None = None) -> np.ndarray:
+    """(y1, y2) pairs of a WaveFunction2D for the given y1 and y2 uniforms,
+    y1 drawn from ``marginal`` if given, else from the pair's own."""
     g1, g2 = psi.grid1, psi.grid2
     dens = np.abs(psi.amps) ** 2
     w2 = np.full(g2.n_points, g2.dy)
@@ -152,7 +154,8 @@ def ref_sample_joint(psi, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     w2[-1] *= 0.5
     # Row blocks, as the block reader takes y1's marginal: a whole-array
     # product's last bits depend on the BLAS thread count.
-    marginal = np.concatenate([dens[b] @ w2 for b in _blocks(*dens.shape)])
+    if marginal is None:
+        marginal = np.concatenate([dens[b] @ w2 for b in _blocks(*dens.shape)])
     c1 = np.concatenate(([0.0], np.cumsum(0.5 * (marginal[:-1] + marginal[1:]) * g1.dy)))
     if c1[-1] <= 0:
         raise ValueError("density integrates to zero")

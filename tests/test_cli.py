@@ -359,25 +359,33 @@ class TestJointWf:
     its own over the source's rows."""
 
     @staticmethod
-    def factored_config(path, measurement):
-        # σ = Ω₀ = 1 has 55 closed-form modes, so at 256 points the entropy
-        # takes the factored route, which builds no pair
-        extent = auto_grid(PhysicalParams(1.0, 1.0), MeasurementSpec(0.5), 0.8).y_max
-        return write_config(path, params={"sigma": 1.0, "omega0": 1.0},
-                            grid={"n_points": 256, "y_min": -extent, "y_max": extent},
+    def factored_config(path, measurement, params=(1.0, 1.0), n=256):
+        # σ = Ω₀ = 1 has 55 closed-form modes, so at 256 points the source
+        # reads the pair's factor and the entropy takes the factored route,
+        # which builds no pair
+        extent = auto_grid(PhysicalParams(*params), MeasurementSpec(0.5), 0.8).y_max
+        return write_config(path, params={"sigma": params[0], "omega0": params[1]},
+                            grid={"n_points": n, "y_min": -extent, "y_max": extent},
                             measurement=measurement,
                             evolution_time=0.8 if measurement else 0.0)
 
     @pytest.mark.parametrize("measurement", [{"epsilon": 0.5}, None],
                              ids=["slit", "coincidence"])
     def test_joint_wf_is_the_saved_built_pair(self, tmp_path, measurement):
+        # The README source at 1024 points reads its norm from the pair's
+        # factor: joint.wf is the saved source, and the built pair to rounding.
         cfg = write_config(tmp_path / "cfg.json", measurement=measurement)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         config = cli._load_config(cfg)
-        recipe = states.JointStateRecipe(config.params, config.grid, config.grid)
-        wavefunction.save_wavefunction(states.build_joint_state(recipe), tmp_path / "built.wf")
-        assert (out / "joint.wf").read_bytes() == (tmp_path / "built.wf").read_bytes()
+        source = states.pair_source(config.params, config.grid)
+        assert source.factored is not None
+        wavefunction.save_wavefunction(source, tmp_path / "source.wf")
+        assert (out / "joint.wf").read_bytes() == (tmp_path / "source.wf").read_bytes()
+        built = states.build_joint_state(source.recipe)
+        saved = wavefunction.load_wavefunction(out / "joint.wf")
+        # subnormal amplitudes keep fewer bits
+        np.testing.assert_allclose(saved.amps.real, built.amps, rtol=1e-15, atol=1e-300)
 
     @pytest.mark.parametrize("overrides,code", [
         ({"measurement": {"epsilon": 0.0}}, 2),
@@ -423,43 +431,59 @@ class TestJointWf:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("measurement,bound,passes", [
-        ({"epsilon": 0.5}, cli.SAVE_MAX_AMPLITUDES, 3),
-        (None, cli.SAVE_MAX_AMPLITUDES, 4),
-        ({"epsilon": 0.5}, 256 * 256 - 1, 2),
-    ], ids=["slit", "coincidence", "slit-above-the-save-bound"])
+    @pytest.mark.parametrize("measurement,bound,params,n,passes", [
+        ({"epsilon": 0.5}, cli.SAVE_MAX_AMPLITUDES, (1.0, 1.0), 256, 1),
+        (None, cli.SAVE_MAX_AMPLITUDES, (1.0, 1.0), 256, 1),
+        ({"epsilon": 0.5}, 256 * 256 - 1, (1.0, 1.0), 256, 0),
+        # σ = Ω₀ = 1.6 has 142 modes: past 4·√1024 the source reads its
+        # rows, and up to 1024/4 the entropy takes the factored route
+        ({"epsilon": 0.5}, cli.SAVE_MAX_AMPLITUDES, (1.6, 1.6), 1024, 3),
+        (None, cli.SAVE_MAX_AMPLITUDES, (1.6, 1.6), 1024, 3),
+    ], ids=["slit", "coincidence", "slit-above-the-save-bound", "rows-slit",
+            "rows-coincidence"])
     def test_amplitudes_are_computed_once_per_pass(self, tmp_path, monkeypatch,
-                                                   measurement, bound, passes):
-        # slit: the norm, the readout and, up to the save bound, the save
-        # of joint.wf; coincidence adds the sampler's table, one block of
-        # all 256 rows at 256 points.
-        # On the run's one grid every amplitude is the T·H product of
-        # _fill_rows, and joint_amplitude is not called; pair_schmidt reads
-        # one row of the pair for each of its k pivots.
-        real_fill = states._fill_rows
-        counts = {"amplitudes": 0, "pivots": 0}
+                                                   measurement, bound, params, n, passes):
+        # The factor route reads one row of the pair for each of its k
+        # pivots and the two edge rows, and then, up to the save bound, the
+        # save of joint.wf is its one pass; the rows route adds the norm and
+        # the readout passes.  A coincidence run adds the rows its sampler
+        # fills.  On the run's one grid every amplitude is the T·H product of
+        # _fill_rows, and joint_amplitude is not called.
+        real_fill, real_rows = states._fill_rows, states.PairSource.rows
+        counts = {"amplitudes": 0, "single": 0, "sampled": 0}
+        states._factored.cache_clear()
 
         def counted_fill(recipe, lo, hi, out, norm=None):
             assert recipe.grid1 == recipe.grid2
             counts["amplitudes"] += out.size
-            counts["pivots"] += out.shape == (1, recipe.grid1.n_points)
+            counts["single"] += out.shape == (1, recipe.grid1.n_points) and norm is None
             return real_fill(recipe, lo, hi, out, norm)
+
+        def counted_rows(self, lo, hi, out):
+            counts["sampled"] += out.size
+            return real_rows(self, lo, hi, out)
 
         def refused(*args, **kwargs):
             raise AssertionError("joint_amplitude must not be called")
 
         monkeypatch.setattr(states, "_fill_rows", counted_fill)
+        monkeypatch.setattr(states.PairSource, "rows", counted_rows)
         monkeypatch.setattr(states, "joint_amplitude", refused)
         monkeypatch.setattr(cli, "SAVE_MAX_AMPLITUDES", bound)
-        cfg = self.factored_config(tmp_path / "cfg.json", measurement)
+        cfg = self.factored_config(tmp_path / "cfg.json", measurement, params, n)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-        n, k = 256, counts["pivots"]
+        config = cli._load_config(cfg)
+        factor = states._readout_route(config.params, config.grid)
+        assert factor == (passes < 3)
         if n * n <= bound:
             assert (out / "joint.wf").stat().st_size == 48 + 16 * n * n
         else:
             assert not (out / "joint.wf").exists()
-        assert counts["amplitudes"] == passes * n * n + n * k
+        assert (counts["sampled"] > 0) == (measurement is None)
+        # k pivots, and on the factor route the two edge rows
+        k = counts["single"] - 2 * factor
+        assert counts["amplitudes"] == passes * n * n + n * counts["single"] + counts["sampled"]
         assert 0 < k <= n // 4 + 1
 
 
@@ -491,13 +515,18 @@ class TestBlasThreadCounts:
                                                                   monkeypatch):
         run = perfbench_run(monkeypatch)
         configs = {w: run.workload_config(w, 1) for w in ("slit-run", "coincidence-run")}
-        # above the joint.wf save bound: the streamed readout, and no joint.wf
+        # above the joint.wf save bound: the factor readout, and no joint.wf
         configs["slit-run-4096"] = json.loads(json.dumps(configs["slit-run"]))
         configs["slit-run-4096"]["grid"]["n_points"] = 4096
+        # σ = Ω₀ = 1.6 has 142 modes, past 4·√1024: the rows readout
+        configs["rows-route"] = json.loads(json.dumps(configs["coincidence-run"]))
+        configs["rows-route"]["params"] |= {"sigma": 1.6, "omega0": 1.6}
         note = "note: joint.wf skipped, 16777216 amplitudes exceeds the 4194304 save bound"
         for name, config in configs.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(config))
+            loaded = cli._load_config(str(path))
+            assert states._readout_route(loaded.params, loaded.grid) == (name != "rows-route")
             digests = []
             for threads in ("1", "2"):
                 out = tmp_path / f"threads-{threads}" / name
@@ -937,7 +966,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_checks", lambda level: rows.extend(real(level)) or rows)
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
-        for fragment in ("closed form vs grid", "route agreement", "never exceeds initial",
+        for fragment in ("closed form vs grid", "route agreement", "factor vs rows route",
+                         "never exceeds initial",
                          "narrow strictly", "minimum-uncertainty", "chi-square",
                          "doubling the resolution"):
             assert fragment in out
@@ -995,6 +1025,14 @@ class TestVerifyCommand:
         return dataclasses.replace(ss, coefficients=ss.coefficients * (1.0 + 1e-11))
 
     @staticmethod
+    def factor_readout_off(params, grid):
+        source = states.pair_source(params, grid)
+        if source.factored is None:
+            return source
+        r = source.factored
+        return dataclasses.replace(source, factored=r._replace(spectrum2=r.spectrum2 * (1.0 + 1e-12)))
+
+    @staticmethod
     def spread_dp2_off(source):
         st, dp2 = states.pair_spreads(source)
         return st, dp2 * (1.0 + 1e-5)
@@ -1027,9 +1065,11 @@ class TestVerifyCommand:
          "Schmidt entropy: factored vs dense route"),
         ("popperlab.verify.pair_schmidt", number_off,
          "Schmidt number: grid vs closed form"),
+        ("popperlab.verify.pair_source", factor_readout_off,
+         "Pair readout: factor vs rows route"),
     ], ids=["omega", "spectral-dp2", "correlation", "route-dp2", "initial-dp2",
             "closed-product", "grid-product", "entropy-closed", "entropy-route",
-            "schmidt-number"])
+            "schmidt-number", "factor-readout"])
     def test_injected_fault_fails_its_row(self, monkeypatch, capsys, target, fault, row):
         monkeypatch.setattr(target, fault)
         assert cli.main(["verify"]) == 1

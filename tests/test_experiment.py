@@ -48,9 +48,17 @@ from popperlab.experiment import cumulative_distribution
 from popperlab.params import ValidationReport
 from popperlab.analytic import _pair_spectrum
 from popperlab.states import FACTORED_MAX_MODE_SHARE, pair_entropy, pair_schmidt, pair_source
-from popperlab.wavefunction import _block_lines, grid_points, marginal_density, trap_weights
+from popperlab.rng import Xoshiro256StarStar
+from popperlab.wavefunction import _block_lines, _blocks, grid_points, marginal_density, trap_weights
 
 import oracles
+
+
+def materialized(source):
+    """The source's normalized rows as a built pair."""
+    n1, n2 = source.grid1.n_points, source.grid2.n_points
+    return WaveFunction2D(grid1=source.grid1, grid2=source.grid2,
+                          amps=source.rows(0, n1, np.empty((n1, n2))), norm_tag=source.norm_tag)
 
 
 def reduced_state(sigma=1.0, omega0=2.0, eps=0.5):
@@ -417,16 +425,25 @@ class TestJointSamplerAgainstReference:
 
     @pytest.mark.parametrize("n_points,n,seed", [(383, 20_000, 4), (1024, 50_000, 5)])
     def test_a_source_draws_as_its_built_pair(self, n_points, n, seed):
+        # At 383 points the source reads its rows, and its rows and marginal
+        # are the built pair's; at 1024 it reads the pair's factor, whose
+        # norm and marginal differ from the built pair's by rounding, and it
+        # draws as its own rows and marginal do.
         p = PhysicalParams(sigma=1.0, omega0=2.0)
         g = GridSpec(n_points=n_points, y_min=-16.2, y_max=16.2)
         source = pair_source(p, g)
-        assert np.array_equal(sample_joint(source, n, seed),
-                              sample_joint(build_joint_state(source.recipe), n, seed))
+        pairs = sample_joint(source, n, seed)
+        assert (source.factored is None) == (n_points == 383)
+        if source.factored is None:
+            assert np.array_equal(pairs, sample_joint(build_joint_state(source.recipe), n, seed))
+        u1, u2 = np.split(Xoshiro256StarStar(seed).uniforms(2 * n), 2)
+        assert np.array_equal(pairs, oracles.ref_sample_joint(materialized(source), u1, u2,
+                                                              source.readout.marginal))
 
-    def test_draws_in_one_cell_fill_one_block_of_rows(self, monkeypatch):
+    def test_draws_in_one_cell_fill_its_two_rows(self, monkeypatch):
         # Every y1 uniform lands in cell 500, inside the block [448, 512) of
-        # the 1023 cells: the sampler fills rows 448..512 and skips the
-        # blocks that no draw lands in.
+        # the 1023 cells: the sampler fills rows 500 and 501 only and skips
+        # the blocks that no draw lands in.
         p = PhysicalParams(sigma=1.0, omega0=2.0)
         source = pair_source(p, GridSpec(n_points=1024, y_min=-16.2, y_max=16.2))
         _, c1 = cumulative_distribution(source.grid1, source.readout.marginal)
@@ -442,8 +459,39 @@ class TestJointSamplerAgainstReference:
             return rows(self, lo, hi, out)
         monkeypatch.setattr(states.PairSource, "rows", counted)
         pairs = sample_joint(source, len(u1), seed=0)
-        assert filled == [65]
-        assert np.array_equal(pairs, oracles.ref_sample_joint(build_joint_state(source.recipe), u1, u2))
+        assert filled == [2]
+        assert np.array_equal(pairs, oracles.ref_sample_joint(materialized(source), u1, u2,
+                                                              source.readout.marginal))
+
+    @pytest.mark.parametrize("n_points,seed", [(1024, 101), (8192, 101)])
+    def test_blocks_fill_the_rows_from_their_first_drawn_cell(self, monkeypatch, n_points,
+                                                              seed):
+        # Each filled block runs from its lowest drawn cell to its highest
+        # plus one, and the draws keep the bits of the whole-table reference.
+        p = PhysicalParams(sigma=1.0, omega0=2.0)
+        source = pair_source(p, GridSpec(n_points=n_points, y_min=-16.2, y_max=16.2))
+        filled = []
+        rows = states.PairSource.rows
+
+        def counted(self, lo, hi, out):
+            filled.append((lo, hi))
+            return rows(self, lo, hi, out)
+        monkeypatch.setattr(states.PairSource, "rows", counted)
+        pairs = sample_joint(source, 20_000, seed)
+        _, c1 = cumulative_distribution(source.grid1, source.readout.marginal)
+        cells = np.searchsorted(c1, np.sort(Xoshiro256StarStar(seed).uniforms(40_000)[:20_000]),
+                                side="right") - 1
+        blocks = _blocks(n_points - 1, n_points)
+        want = []
+        for b in blocks:
+            inside = cells[(cells >= b.start) & (cells < b.stop)]
+            if inside.size:
+                want.append((int(inside[0]), int(inside[-1]) + 2))
+        assert filled == want
+        if n_points == 1024:
+            u1, u2 = np.split(Xoshiro256StarStar(seed).uniforms(40_000), 2)
+            ref = oracles.ref_sample_joint(materialized(source), u1, u2, source.readout.marginal)
+            assert np.array_equal(pairs, ref)
 
     def test_zero_density_raises(self):
         with pytest.raises(ZeroNormError):
@@ -733,15 +781,16 @@ class TestRunScenario:
 
     def test_side_b_coincidence_ks_reads_particle_1s_marginal(self):
         # The pair is exchange-symmetric, so side B's draws are tested
-        # against the one marginal, marginal_density(ψ, 1) of the built pair.
+        # against the source's one marginal, particle 1's.
         g = GridSpec(n_points=1024, y_min=-16.2, y_max=16.2)
         cfg = self.base_config(measurement=None, grid=g, n_samples=20_000, seed=3)
         report = run_scenario(cfg)
         source = pair_source(cfg.params, g)
         pairs = sample_joint(source, 20_000, 3)
-        stat, p = ks_against_density(pairs[:, 1], g,
-                                     marginal_density(build_joint_state(source.recipe), 1))
+        stat, p = ks_against_density(pairs[:, 1], g, source.readout.marginal)
         assert report.sampled["ks"] == {"statistic": stat, "pvalue": p}
+        built = marginal_density(build_joint_state(source.recipe), 1)
+        assert np.max(np.abs(source.readout.marginal - built)) <= 1e-13 * built.max()
 
     def test_detector_side_a_samples_pointer_plane(self):
         # station A sees the pointer, far narrower than side B: width ε at
@@ -846,11 +895,14 @@ class TestRunScenario:
         config = self.base_config(n_samples=0)
         source = run_scenario(config).states["joint"]
         assert isinstance(source, states.PairSource)
+        assert source.norm_tag == pair_source(config.params, config.grid).norm_tag
         built = build_joint_state(source.recipe)
         assert built.grid1 == built.grid2 == config.grid
-        assert built.norm_tag == source.norm_tag
+        # The source's norm is its factor's: the built pair's to rounding.
+        assert source.norm_tag == pytest.approx(built.norm_tag, rel=1e-15, abs=0.0)
         n = config.grid.n_points
-        assert np.array_equal(source.rows(0, n, np.empty((n, n))), built.amps)
+        np.testing.assert_allclose(source.rows(0, n, np.empty((n, n))), built.amps,
+                                   rtol=1e-15, atol=1e-300)
 
     def test_schmidt_skipped_on_large_grids(self):
         p = PhysicalParams(sigma=1.0, omega0=2.0)

@@ -461,8 +461,10 @@ def test_pair_rows_are_bitwise_symmetric_on_shared_grids(sigma, omega0, hbar, n,
 
 
 def readme_pair(n, params=PhysicalParams(1.0, 2.0), extent=16.2):
+    """The built pair and the rows route's source of it."""
     g = GridSpec(n_points=n, y_min=-extent, y_max=extent)
-    return build_joint_state(JointStateRecipe(params, g, g)), pair_source(params, g)
+    recipe = JointStateRecipe(params, g, g)
+    return build_joint_state(recipe), states._rows_source(recipe)
 
 
 def source_rows(source, lo, hi):
@@ -471,7 +473,8 @@ def source_rows(source, lo, hi):
 
 
 class TestPairSource:
-    """A ``PairSource`` gives the built pair's bits without holding it."""
+    """A ``PairSource`` on the rows route gives the built pair's bits
+    without holding it."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -570,12 +573,163 @@ class TestPairSource:
         peaks = []
         for n in (256, 1024):
             g = GridSpec(n_points=n, y_min=-16.2, y_max=16.2)
-            pair_source(PhysicalParams(1.0, 2.0), g).readout  # fills the grid caches
+            recipe = JointStateRecipe(PhysicalParams(1.0, 2.0), g, g)
+            states._rows_source(recipe).readout  # fills the grid caches
             tracemalloc.start()
             try:
-                source = pair_source(PhysicalParams(1.0, 2.0), g)
+                source = states._rows_source(recipe)
                 source.readout
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 ** 19
+
+
+def factored_source(recipe):
+    """The source that reads ``recipe``'s factor, whatever the route rule."""
+    states._factored.cache_clear()
+    f = states._factored(recipe)
+    return states.PairSource(recipe, f.norm, f.readout)
+
+
+def assert_readouts_agree(factor, rows, bound=1e-13):
+    """The factor route's readout, spreads and norm against the rows route's."""
+    a, b = factor.readout, rows.readout
+    for x, y in ((a.marginal, b.marginal), (a.spectrum2, b.spectrum2)):
+        assert np.max(np.abs(x - y)) <= bound * np.max(y)
+    (st, dp2), (ref_st, ref_dp2) = pair_spreads(factor), pair_spreads(rows)
+    assert abs(st.std - ref_st.std) <= bound * ref_st.std
+    assert abs(st.mean - ref_st.mean) <= bound * ref_st.std
+    assert abs(dp2 - ref_dp2) <= bound * ref_dp2
+    assert abs(a.tail - b.tail) <= bound * b.tail
+    assert abs(factor.norm_tag - rows.norm_tag) <= 1e-15 * rows.norm_tag
+
+
+class TestFactorReadout:
+    """The factor route (``pair_source`` where ``_readout_route`` takes it)
+    against the rows route, its oracle, and its route rule."""
+
+    @pytest.mark.parametrize("n", [383, 1000, 2978])
+    @pytest.mark.parametrize("params", [PhysicalParams(1.0, 2.0), PhysicalParams(1.3, 0.8, hbar=1.1)],
+                             ids=["readme", "hbar"])
+    def test_factor_and_rows_readouts_agree(self, n, params):
+        # The readout test's six cases.  Here the readouts differed by up to
+        # 2.8e-15 of the peak, and the spreads, tails and norms by one ulp.
+        _, rows = readme_pair(n, params)
+        assert_readouts_agree(factored_source(rows.recipe), rows)
+
+    @pytest.mark.parametrize("sigma,omega0,y_min,y_max", [
+        # a ≥ b on a shared grid that is not symmetric
+        (1.0, 2.0, -15.0, 17.4),
+        # a < b on a symmetric grid, whose kernel reverses the columns
+        (2.0, 0.05, -2.0, 2.0),
+    ])
+    def test_reversed_and_asymmetric_grids(self, sigma, omega0, y_min, y_max):
+        recipe = pair_recipe(sigma, omega0, n=2048, y_min=y_min, y_max=y_max)
+        source = pair_source(recipe.params, recipe.grid1)
+        assert source.factored is not None
+        assert_readouts_agree(source, states._rows_source(recipe))
+
+    def test_tail_is_the_built_pairs(self):
+        # σ = Ω₀ = 1 on ±8 leaks, and ±12 does not; the readouts' tails agree
+        # with the built pair's to rounding, and both fail the tail check
+        for extent in (8.0, 12.0):
+            recipe = pair_recipe(1.0, 1.0, n=1024, y_min=-extent, y_max=extent)
+            source = pair_source(recipe.params, recipe.grid1)
+            assert source.factored is not None
+            ref = tail_ratio(build_joint_state(recipe))
+            assert source.readout.tail == pytest.approx(ref, rel=1e-15, abs=0.0)
+            if ref > 1e-6:
+                with pytest.raises(TailLeakError):
+                    pair_spreads(source)
+
+    def edge_grid(self, extra_modes):
+        # 4·√1024 = 128 modes at 1024 points
+        omega0 = 1.5
+        modes = int(states.READOUT_MAX_MODES_PER_ROOT * math.sqrt(1024)) + extra_modes
+        params = PhysicalParams(sigma_with_modes(modes, omega0), omega0)
+        return params, GridSpec(n_points=1024, y_min=-14.0, y_max=14.0)
+
+    def test_modes_at_the_bound_read_the_factor(self, monkeypatch):
+        params, g = self.edge_grid(0)
+        refuse(monkeypatch, states, "_row_blocks")
+        source = pair_source(params, g)
+        assert source.factored is not None and source.readout is source.factored
+
+    def test_one_mode_past_the_bound_reads_the_rows(self, monkeypatch):
+        params, g = self.edge_grid(1)
+        refuse(monkeypatch, states, "_cholesky")
+        source = pair_source(params, g)
+        assert source.factored is None
+        source.readout
+
+    def test_anti_correlated_pair_on_an_asymmetric_grid_reads_the_rows(self, monkeypatch):
+        # a = 0.01 < b = 0.25 has 19 modes, but no PSD kernel is known off a
+        # symmetric grid
+        recipe = pair_recipe(0.1, 0.5, n=1024, y_min=-20.4, y_max=21.0)
+        assert _pair_spectrum(recipe.params).modes <= 128
+        refuse(monkeypatch, states, "_cholesky")
+        assert pair_source(recipe.params, recipe.grid1).factored is None
+        symmetric = pair_recipe(0.1, 0.5, n=1024, y_min=-20.4, y_max=20.4)
+        monkeypatch.undo()
+        assert pair_source(symmetric.params, symmetric.grid1).factored is not None
+
+    @pytest.mark.parametrize("y_min,y_max", [(23.5, 40.0), (1000.0, 2000.0)])
+    def test_a_vanishing_pair_fails_its_norm_as_the_build_does(self, y_min, y_max):
+        # σ = Ω₀ = 1 far off its centre: a norm near 1e-60, and one of 0
+        g = GridSpec(n_points=512, y_min=y_min, y_max=y_max)
+        params = PhysicalParams(1.0, 1.0)
+        assert states._readout_route(params, g)
+        states._factored.cache_clear()
+        with pytest.raises(ZeroNormError) as want:
+            build_joint_state(JointStateRecipe(params, g, g))
+        with pytest.raises(ZeroNormError) as got:
+            pair_source(params, g)
+        assert str(got.value) == str(want.value)
+
+    def test_the_cholesky_runs_once_per_run(self, monkeypatch):
+        # the README slit run at 1024 points: the source and the entropy read
+        # one factor, k pivot rows and two edge rows, and the stages before
+        # the save make no pass over the pair
+        from popperlab import experiment
+        from popperlab.params import DetectorGeometry, ScenarioConfig
+        calls, rows = [], []
+        real_cholesky, real_fill = states._cholesky, states._fill_rows
+
+        def counted(recipe):
+            out = real_cholesky(recipe)
+            calls.append(len(out[1]))
+            return out
+
+        def counted_fill(recipe, lo, hi, out, norm=None):
+            rows.append(hi - lo)
+            return real_fill(recipe, lo, hi, out, norm)
+
+        states._factored.cache_clear()
+        monkeypatch.setattr(states, "_cholesky", counted)
+        monkeypatch.setattr(states, "_fill_rows", counted_fill)
+        g = GridSpec(n_points=1024, y_min=-16.2, y_max=16.2)
+        config = ScenarioConfig(params=PhysicalParams(1.0, 2.0), grid=g,
+                                detector=DetectorGeometry(n_bins=48, y_range=(-5.0, 5.0)),
+                                measurement=MeasurementSpec(epsilon=0.5), n_samples=1000)
+        report = experiment.run_scenario(config)
+        assert len(calls) == 1
+        assert rows == [1] * (calls[0] + 2)
+        assert report.numeric["schmidt_entropy"] == pair_entropy(config.params, g)
+
+    def test_the_factor_is_held_once(self):
+        # The k×N factor is the largest array; the readout forms the rows of
+        # L R _BLOCK_LINES at a time and holds no second k×N array.
+        g = GridSpec(n_points=2048, y_min=-16.2, y_max=16.2)
+        params = PhysicalParams(1.0, 2.0)
+        factored_source(JointStateRecipe(params, g, g))  # fills the grid caches
+        states._factored.cache_clear()
+        tracemalloc.start()
+        try:
+            pair_source(params, g)
+            pair_entropy(params, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = len(states._cholesky(JointStateRecipe(params, g, g))[1])
+        assert peak <= 8 * k * g.n_points + 2 ** 20
